@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.signal import find_peaks
 
 from .adiabatic import rate_cycle_averaged
-from .errors import InsufficientDataError, NumericError
+from .errors import ENGINE_ERRORS, InsufficientDataError, NumericError
 from .model import from_dimensionless
 from .oracle import rate_from_oracle
 from .semiclassical import branched_sqrt, ionization_rate
@@ -96,8 +96,9 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
               sg_window=31, sg_order=3, prominence_frac=0.05):
     """Evaluate Gamma over a z grid and post-process the curve.
 
-    Engine failures at single points are recorded as missing samples and
-    linearly interpolated before smoothing; the scan continues.
+    Engine failures at single points (``errors.ENGINE_ERRORS``) are recorded
+    as missing samples and linearly interpolated before smoothing; the scan
+    continues.  Invalid input raises ValueError before any engine runs.
 
     Parameters
     ----------
@@ -114,6 +115,13 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     z_values = np.asarray(z_values, dtype=float)
     if z_values.size < 1 or np.any(np.diff(z_values) <= 0.0):
         raise ValueError("z_values must be non-empty and strictly increasing")
+    if not z_values[0] > 0.0:
+        raise ValueError(f"z must be positive, got z={z_values[0]:g}")
+    if not (math.isfinite(fixed_value) and fixed_value > 0.0):
+        name = "gamma" if mode == "fixed_gamma" else "n_io"
+        raise ValueError(f"{name} must be positive, got {name}={fixed_value!r}")
+    if int(n_cycles) != n_cycles or n_cycles < 1:
+        raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
 
     gamma_param = np.array([_gamma_at(mode, fixed_value, z) for z in z_values])
     raw = np.empty_like(z_values)
@@ -125,7 +133,7 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
                 raw[i] = ionization_rate(params, n_cycles, include_odd=include_odd)
             else:
                 raw[i] = rate_from_oracle(params, n_cycles, dt=oracle_dt)
-        except Exception:
+        except ENGINE_ERRORS:
             raw[i] = np.nan
             missing.append(i)
 

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import adiabatic, analysis, model, oracle, semiclassical
-from .errors import ConvergenceError, InsufficientDataError, NumericError
+from .errors import ENGINE_ERRORS, ConvergenceError, InsufficientDataError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,8 +78,11 @@ def _merge_config(args, config_path, defaults):
     """Layer: hard default < config file < explicit flag."""
     config = {}
     if config_path:
-        with open(config_path) as fh:
-            config = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot read config file {config_path!r}: {exc}")
         if not isinstance(config, dict):
             raise _UsageError("config file must hold a JSON object")
     merged = {}
@@ -121,10 +124,14 @@ def cmd_scan(args):
     if z_values.size == 0:
         raise _UsageError("empty z range")
 
-    scan = analysis.scan_rate(
-        opt["engine"], mode, fixed, z_values, n_cycles=int(opt["cycles"]),
-        include_odd=bool(opt["include_odd"]), oracle_dt=opt["oracle_dt"],
-        sg_window=int(opt["sg_window"]), sg_order=int(opt["sg_order"]))
+    try:
+        scan = analysis.scan_rate(
+            opt["engine"], mode, fixed, z_values, n_cycles=int(opt["cycles"]),
+            include_odd=bool(opt["include_odd"]), oracle_dt=opt["oracle_dt"],
+            sg_window=int(opt["sg_window"]), sg_order=int(opt["sg_order"]))
+    except ValueError as exc:
+        # engine failures never leave scan_rate; this is its input check
+        raise _UsageError(str(exc))
 
     stem = _resolve_out(opt["out"], f"scan_{opt['engine']}.csv")
     written = _emit_scan(scan, stem, opt["format"])
@@ -189,6 +196,8 @@ def cmd_compare(args):
     z_values = range_values(lo, hi, step)
     if z_values.size == 0:
         raise _UsageError("empty z range")
+    if not (z_values[0] > 0.0 and fixed > 0.0):
+        raise _UsageError("z and the fixed gamma or n_io must be positive")
     n_last = int(opt["cycles"])
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
@@ -206,7 +215,7 @@ def cmd_compare(args):
         try:
             orc = oracle.rate_between_cycles(params, 1, n_last,
                                              dt=opt["oracle_dt"])
-        except (ConvergenceError, NumericError) as exc:
+        except ENGINE_ERRORS as exc:
             print(f"warning: oracle failed at z={z:g}: {exc}", file=sys.stderr)
             orc = float("nan")
             failures += 1
@@ -450,7 +459,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, NumericError) as exc:
+    except ENGINE_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

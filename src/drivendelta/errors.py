@@ -35,3 +35,10 @@ class InfiniteRateError(ArithmeticError):
 
 class InsufficientDataError(ValueError):
     """Not enough detected structure to estimate the requested statistic."""
+
+
+# failures of a rate engine at one parameter point; anything else raised
+# from an engine call is a bug or invalid input, not a missing sample
+ENGINE_ERRORS = (ConvergenceError, NumericError, InfiniteRateError,
+                 DegeneratePathError, NonTransversalCrossingError,
+                 DegenerateSaddleError)

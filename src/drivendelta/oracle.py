@@ -18,6 +18,18 @@ complementary error function of complex argument.
 The time march uses product integration: on each panel the regular factor is
 interpolated linearly and integrated exactly against (t-s)^(-1/2), which
 keeps the scheme stable and of empirical order ~2 despite the singularity.
+
+The kernel's classical action folds into two separable phases and one
+coupled term,
+
+    A(t, s) = phi(t) - phi(s) + (cos t - cos s)^2/(2(t - s)),
+    phi(t) = (sin t cos t - t)/4,
+
+so the march solves for F = exp(-i*phi/h)*f and each kernel pair costs one
+real phase x = (cos t - cos s)^2/(2h(t - s)) and one exp(i*x).  A march of n
+steps evaluates n(n+1)/2 pairs.  exp(i*x) comes from a 4096-entry table and
+a short Taylor remainder, and the rows advance in blocks of 32 whose known
+history is reduced in 32 x 256 tiles, so every temporary stays in cache.
 """
 
 from __future__ import annotations
@@ -26,11 +38,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InfiniteRateError
 from .model import ModelParams, from_physical
 
 __all__ = [
@@ -98,12 +111,19 @@ def _two_sided_overlap(beta, center, b_lin, lam):
 # propagator: length gauge, potential -x*cos t, principal sqrt at real times)
 # ----------------------------------------------------------------------
 
-def _kernel_action(t, s, sin_t, cos_t, sc_t, sin_s, cos_s, sc_s):
-    # classical action between (0, s) and (0, t) under the drive
-    d = t - s
-    dc = cos_t - cos_s
-    return (-d / 4.0 - 0.75 * (sc_t - sc_s) + dc * dc / (2.0 * d)
-            + cos_s * (sin_t - sin_s) + dc * sin_t)
+def _drive(t, driven=True):
+    """sin t, cos t and the Volkov phase phi(t) = (sin t cos t - t)/4.
+
+    The classical action between (0, s) and (0, t) under the drive is
+    phi(t) - phi(s) + (cos t - cos s)^2/(2(t - s)).  With the field off all
+    three vanish, and the same formulas give the free propagator.
+    """
+    t = np.asarray(t, dtype=float)
+    if not driven:
+        zero = np.zeros_like(t)
+        return zero, zero, zero
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    return sin_t, cos_t, 0.25 * (sin_t * cos_t - t)
 
 
 def _inhomogeneity(t, gamma, h, driven):
@@ -111,15 +131,11 @@ def _inhomogeneity(t, gamma, h, driven):
     t = np.asarray(t, dtype=float)
     beta = 1.0 / (2.0 * h * t)
     lam = gamma / h
-    if driven:
-        center = np.cos(t) - 1.0
-        phase = (0.25 * np.sin(t) * np.cos(t) - t / 4.0) / h
-    else:
-        center = np.zeros_like(t)
-        phase = np.zeros_like(t)
+    _, cos_t, phi = _drive(t, driven)
+    _, cos_0, _ = _drive(0.0, driven)
     pref = 1.0 / np.sqrt(2j * np.pi * h * t)
-    return (pref * math.sqrt(gamma / h) * np.exp(1j * phase)
-            * _two_sided_overlap(beta, center, 0.0, lam))
+    return (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi)
+            * _two_sided_overlap(beta, cos_t - cos_0, 0.0, lam))
 
 
 def _bound_overlap(t_f, t_src, gamma, h, driven):
@@ -128,21 +144,11 @@ def _bound_overlap(t_f, t_src, gamma, h, driven):
     big_t = t_f - t_src
     beta = 1.0 / (2.0 * h * big_t)
     lam = gamma / h
-    if driven:
-        sin_f, cos_f = math.sin(t_f), math.cos(t_f)
-        sin_s, cos_s = np.sin(t_src), np.cos(t_src)
-        dc = cos_f - cos_s
-        b_lin = sin_f / h
-        phase = (dc * sin_f + cos_s * (sin_f - sin_s) - big_t / 4.0
-                 - 0.75 * (sin_f * cos_f - sin_s * cos_s)) / h
-        center = -dc
-    else:
-        b_lin = 0.0
-        phase = np.zeros_like(big_t)
-        center = np.zeros_like(big_t)
+    sin_f, cos_f, phi_f = _drive(t_f, driven)
+    _, cos_s, phi_s = _drive(t_src, driven)
     pref = 1.0 / np.sqrt(2j * np.pi * h * big_t)
-    return (pref * math.sqrt(gamma / h) * np.exp(1j * phase)
-            * _two_sided_overlap(beta, center, b_lin, lam))
+    return (pref * math.sqrt(gamma / h) * np.exp((1j / h) * (phi_f - phi_s))
+            * _two_sided_overlap(beta, cos_s - cos_f, sin_f / h, lam))
 
 
 def _free_evolution_overlap(t_f, gamma, h, driven, n_nodes=4001):
@@ -151,18 +157,14 @@ def _free_evolution_overlap(t_f, gamma, h, driven, n_nodes=4001):
     span = 40.0 / lam
     beta = 1.0 / (2.0 * h * t_f)
     pref = 1.0 / np.sqrt(2j * np.pi * h * t_f)
-    if driven:
-        b_lin = math.sin(t_f) / h
-        dc0 = math.cos(t_f) - 1.0
-        phase = (0.25 * math.sin(t_f) * math.cos(t_f) - t_f / 4.0) / h
-    else:
-        b_lin, dc0, phase = 0.0, 0.0, 0.0
+    sin_f, cos_f, phi_f = _drive(t_f, driven)
+    _, cos_0, _ = _drive(0.0, driven)
 
     total = 0.0 + 0.0j
     for lo, hi in ((-span, 0.0), (0.0, span)):
         y = np.linspace(lo, hi, n_nodes)
-        inner = (pref * math.sqrt(gamma / h) * np.exp(1j * phase)
-                 * _two_sided_overlap(beta, y - dc0, b_lin, lam))
+        inner = (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi_f)
+                 * _two_sided_overlap(beta, y - (cos_f - cos_0), sin_f / h, lam))
         vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
         total += simpson(vals.real, x=y) + 1j * simpson(vals.imag, x=y)
     return total
@@ -241,9 +243,99 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     return grid
 
 
+# exp(i*x) = exp(i*q*step) * exp(i*r) with step = 2*pi/4096, q = round(x/step)
+# and |r| <= step/2: the first factor is a table entry at q & 4095, the second
+# a Taylor polynomial through r^4 (truncation error below 1e-21).  step is
+# split Cody-Waite style: _CIS_STEP_HI has 33 significant bits, so q*step_hi
+# is exact and r keeps full precision for |x| < 2^20*step ~ 1600.
+_CIS_MASK = 4095
+_CIS_STEP = 2.0 * math.pi / (_CIS_MASK + 1)
+_CIS_STEP_HI = round(_CIS_STEP * 2.0**42) / 2.0**42
+# 2*pi/4096 - step_hi, including the part of pi that math.pi rounds off
+_CIS_STEP_LO = ((math.pi - 2048.0 * _CIS_STEP_HI) + 1.2246467991473532e-16) / 2048.0
+_CIS_TABLE = (np.exp(1j * _CIS_STEP_HI * np.arange(_CIS_MASK + 1))
+              * np.exp(1j * _CIS_STEP_LO * np.arange(_CIS_MASK + 1)))
+
+
+class _Cis:
+    """weight * exp(i*x) for arrays of up to ``size`` elements.
+
+    Table-driven (see _CIS_STEP): about 3e-16 absolute error for
+    |x| < 1600, and cis(0) == 1 exactly.  The work buffers are allocated
+    once; fresh temporaries of tile size cost more than the arithmetic.
+    """
+
+    def __init__(self, size):
+        self._q, self._r, self._r2, self._tmp = np.empty((4, size))
+        self._idx = np.empty(size, dtype=np.int64)
+        self._poly = np.empty(size, dtype=complex)
+
+    def __call__(self, x, weight=1.0, out=None):
+        x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty(x.shape, dtype=complex)
+        q, r, r2, tmp, idx, poly = (buf[:x.size].reshape(x.shape) for buf in (
+            self._q, self._r, self._r2, self._tmp, self._idx, self._poly))
+        np.multiply(x, 1.0 / _CIS_STEP, out=q)
+        np.rint(q, out=q)
+        np.multiply(q, _CIS_STEP_HI, out=r)
+        np.subtract(x, r, out=r)
+        np.multiply(q, _CIS_STEP_LO, out=tmp)
+        np.subtract(r, tmp, out=r)
+        np.copyto(idx, q, casting="unsafe")
+        np.bitwise_and(idx, _CIS_MASK, out=idx)
+        np.multiply(r, r, out=r2)
+        # cos r = 1 - r2*(1/2 - r2/24), sin r = r*(1 - r2/6)
+        np.multiply(r2, 1.0 / 24.0, out=tmp)
+        np.subtract(0.5, tmp, out=tmp)
+        np.multiply(tmp, r2, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(tmp, weight, out=poly.real)
+        np.multiply(r2, 1.0 / 6.0, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(tmp, r, out=tmp)
+        np.multiply(tmp, weight, out=poly.imag)
+        np.take(_CIS_TABLE, idx, out=out)
+        np.multiply(out, poly, out=out)
+        return out
+
+
+# the march advances _BLOCK rows at a time; their known history is reduced
+# in tiles of _BLOCK x _TILE kernel pairs (128 KiB of complex per buffer)
+_BLOCK = 32
+_TILE = 256
+
+
+def _lag_windows(table):
+    """Zero-copy windows over ``table`` (lags 0..n) for :func:`_lagged`.
+
+    The table is padded with _TILE zeros below lag 0 and reversed, so
+    windows[p, b] = table[n - p - b] and negative lags weigh nothing.
+    """
+    rev = np.concatenate((np.zeros(_TILE), table))[::-1].copy()
+    return sliding_window_view(rev, _TILE)
+
+
+def _lagged(windows, lag0, rows, cols):
+    """Toeplitz view M[a, b] = table[lag0 + a - b], a < rows, b < cols."""
+    top = windows.shape[0] - 2 - lag0
+    return windows[top - rows + 1:top + 1][::-1, :cols]
+
+
 def _march(t, dt, n, gamma, h, driven):
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    sc_t = sin_t * cos_t
+    """Boundary function f_j, j = 0..n, by product integration.
+
+    With F = exp(-i*phi/h)*f (phi from _drive) the kernel's action leaves
+    one real phase per pair, x = (cos t_j - cos t_i)^2/(2h(t_j - t_i)):
+
+        F_j*(1 - c*w_diag) = G_j + c * sum_{i<j} W_ji * exp(i*x_ji) * F_i,
+
+    with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  Rows advance
+    in blocks: the part of the sum over the known history i < j0 is reduced
+    tile by tile, the triangle inside the block row by row.
+    """
+    _, cos_t, phi = _drive(t, driven)
+    rot = np.exp((1j / h) * phi)  # f = rot * F
 
     # exact moments of (t_j - s)^(-1/2) against piecewise-linear interpolation,
     # tabulated by lag L = j - i
@@ -256,30 +348,50 @@ def _march(t, dt, n, gamma, h, driven):
     w_mid = np.zeros(n + 1)
     w_mid[1:] = m1[2:] / dt + m0[1:-1] - m1[1:-1] / dt
     w_diag = m1[1] / dt
+    # node i = 0 carries only the leading half-panel weight
+    w_first = m0[:n + 1] - m1[:n + 1] / dt
+    inv = np.zeros(n + 1)
+    inv[1:] = 1.0 / (2.0 * h * lag[1:n + 1])
+    w_lags, inv_lags = _lag_windows(w_mid), _lag_windows(inv)
 
-    kern_pref = 1.0 / np.sqrt(2j * np.pi * h)
-    coupling = 1j * gamma
-    denom = 1.0 - coupling * kern_pref * w_diag
+    coupling = 1j * gamma / np.sqrt(2j * np.pi * h)
+    denom = 1.0 - coupling * w_diag
 
-    g = np.empty(n + 1, dtype=complex)
-    g[0] = math.sqrt(gamma / h)
-    g[1:] = _inhomogeneity(t[1:], gamma, h, driven)
+    big_g = np.empty(n + 1, dtype=complex)
+    big_g[0] = math.sqrt(gamma / h)
+    big_g[1:] = _inhomogeneity(t[1:], gamma, h, driven) * np.conj(rot[1:])
 
-    f = np.empty(n + 1, dtype=complex)
-    f[0] = g[0]
-    for j in range(1, n + 1):
-        hist = slice(0, j)
-        if driven:
-            action = _kernel_action(t[j], t[hist], sin_t[j], cos_t[j], sc_t[j],
-                                    sin_t[hist], cos_t[hist], sc_t[hist])
-            phi = np.exp((1j / h) * action) * f[hist]
-        else:
-            phi = f[hist]
-        acc = np.dot(w_mid[j:0:-1], phi)
-        # boundary panel: node i = 0 carries only the leading half-panel weight
-        acc += (m0[j] - m1[j] / dt - w_mid[j]) * phi[0]
-        f[j] = (g[j] + coupling * kern_pref * acc) / denom
-    return f
+    cis = _Cis(_BLOCK * _TILE)
+    x_buf = np.empty(_BLOCK * _TILE)
+    k_buf = np.empty(_BLOCK * _TILE, dtype=complex)
+
+    def kernel(j0, j1, i0, i1):
+        # W_ji * exp(i*x_ji) for rows j0..j1-1 against columns i0..i1-1
+        shape = (j1 - j0, i1 - i0)
+        size = shape[0] * shape[1]
+        x = x_buf[:size].reshape(shape)
+        np.subtract(cos_t[j0:j1, None], cos_t[i0:i1], out=x)
+        np.multiply(x, x, out=x)
+        np.multiply(x, _lagged(inv_lags, j0 - i0, *shape), out=x)
+        weight = _lagged(w_lags, j0 - i0, *shape)
+        if i0 == 0:
+            weight = weight.copy()
+            weight[:, 0] = w_first[j0:j1]
+        return cis(x, weight, out=k_buf[:size].reshape(shape))
+
+    big_f = np.empty(n + 1, dtype=complex)
+    big_f[0] = big_g[0]
+    for j0 in range(1, n + 1, _BLOCK):
+        j1 = min(j0 + _BLOCK, n + 1)
+        acc = np.zeros(j1 - j0, dtype=complex)
+        for i0 in range(0, j0, _TILE):
+            i1 = min(i0 + _TILE, j0)
+            acc += np.einsum("ij,j->i", kernel(j0, j1, i0, i1), big_f[i0:i1])
+        k = kernel(j0, j1, j0, j1)
+        for a, j in enumerate(range(j0, j1)):
+            total = acc[a] + np.dot(k[a, :a], big_f[j0:j])
+            big_f[j] = (big_g[j] + coupling * total) / denom
+    return rot * big_f
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +445,8 @@ def rate_from_oracle(params: ModelParams, n, dt=None, driven=True,
     grid = solve_boundary_function(params, t_f, dt=dt, driven=driven,
                                    tolerance=tolerance)
     _, w = survival_probability(grid)
+    if w == 0.0:
+        raise InfiniteRateError("survival amplitude vanished; rate diverges")
     return -(2.0 * math.pi / t_f) * math.log(w)
 
 
@@ -352,6 +466,8 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None,
                                    driven=driven)
     _, w_first = survival_probability(grid, t_f=2.0 * math.pi * n_first)
     _, w_last = survival_probability(grid)
+    if w_first == 0.0 or w_last == 0.0:
+        raise InfiniteRateError("survival amplitude vanished; rate diverges")
     return -math.log(w_last / w_first) / (n_last - n_first)
 
 

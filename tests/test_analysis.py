@@ -17,7 +17,7 @@ from drivendelta.analysis import (
     write_scan_csv,
     write_scan_json,
 )
-from drivendelta.errors import InsufficientDataError
+from drivendelta.errors import InsufficientDataError, NumericError
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_scan_records_and_interpolates_failures(monkeypatch):
     def flaky(params, n, include_odd=False):
         calls["count"] += 1
         if calls["count"] % 7 == 3:
-            raise RuntimeError("synthetic engine failure")
+            raise NumericError("synthetic engine failure")
         return real(params, n, include_odd=include_odd)
 
     monkeypatch.setattr(analysis_mod, "ionization_rate", flaky)
@@ -150,6 +150,39 @@ def test_scan_validation():
         scan_rate("nonsense", "fixed_gamma", 0.7, [1.0, 2.0])
     with pytest.raises(ValueError):
         scan_rate("semiclassical", "fixed_gamma", 0.7, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("mode, fixed, z, cycles", [
+    ("fixed_gamma", 0.0, [6.0, 7.0], 1),
+    ("fixed_gamma", -0.7, [6.0, 7.0], 1),
+    ("fixed_n_io", 0.0, [6.0, 7.0], 1),
+    ("fixed_gamma", 0.7, [0.0, 1.0], 1),
+    ("fixed_n_io", 9.8, [-1.0, 1.0], 1),
+    ("fixed_gamma", 0.7, [6.0, 7.0], 0),
+    ("fixed_gamma", 0.7, [6.0, 7.0], 1.5),
+])
+def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
+                                                          fixed, z, cycles):
+    import drivendelta.analysis as analysis_mod
+
+    def engine(*args, **kwargs):
+        raise AssertionError("engine called on invalid input")
+
+    monkeypatch.setattr(analysis_mod, "ionization_rate", engine)
+    with pytest.raises(ValueError):
+        scan_rate("semiclassical", mode, fixed, z, n_cycles=cycles)
+
+
+def test_scan_propagates_non_engine_errors(monkeypatch):
+    # only the engines' numeric failures become missing samples
+    import drivendelta.analysis as analysis_mod
+
+    def broken(params, n, include_odd=False):
+        raise RuntimeError("not an engine failure")
+
+    monkeypatch.setattr(analysis_mod, "ionization_rate", broken)
+    with pytest.raises(RuntimeError):
+        scan_rate("semiclassical", "fixed_gamma", 0.7, [6.0, 7.0])
 
 
 # ----------------------------------------------------------------------

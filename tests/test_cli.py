@@ -4,6 +4,7 @@ import json
 import pytest
 
 from drivendelta.cli import main, parse_range, range_values, _UsageError
+from drivendelta.errors import InfiniteRateError
 
 
 def run(argv, capsys=None):
@@ -82,6 +83,33 @@ def test_scan_usage_errors(capsys):
                 "--z", "6:8:0.1"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--engine", "semiclassical", "--gamma", "0", "--z", "6:8:0.1"],
+    ["--engine", "semiclassical", "--gamma", "0.7", "--cycles", "0",
+     "--z", "6:8:0.1"],
+    ["--engine", "oracle", "--gamma", "0.7", "--cycles", "0",
+     "--z", "1:2:0.5"],
+    ["--n-io", "9.8", "--z", "0:2:0.5"],
+    ["--engine", "semiclassical", "--gamma", "0.7", "--z=-1:2:0.5"],
+])
+def test_scan_invalid_input_is_usage_error(tmp_path, capsys, argv):
+    code = run(["scan", *argv, "--out", str(tmp_path / "scan.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "must be" in err
+    assert "engine failures" not in err
+    assert "Traceback" not in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    code = run(["scan", "--config", str(tmp_path / "absent.json"),
+                "--z", "6:8:0.1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "absent.json" in err
+    assert "Traceback" not in err
+
+
 def test_scan_deterministic_outputs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "--engine", "semiclassical", "--gamma", "0.7",
@@ -155,6 +183,34 @@ def test_compare_warns_beyond_validated_gamma(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "exceeds the validated range" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "0", "--z", "5:5:1"],
+    ["--n-io", "9.8", "--z", "0:1:0.5"],
+])
+def test_compare_invalid_input_is_usage_error(tmp_path, capsys, argv):
+    code = run(["compare", *argv, "--out", str(tmp_path / "cmp.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
+def test_compare_semiclassical_infinite_rate_is_numeric_failure(
+        tmp_path, capsys, monkeypatch):
+    import drivendelta.cli as cli_mod
+
+    def vanished(*args, **kwargs):
+        raise InfiniteRateError("survival amplitude vanished; rate diverges")
+
+    monkeypatch.setattr(cli_mod.semiclassical, "rate_between_cycles", vanished)
+    code = run(["compare", "--gamma", "0.7", "--z", "5:5:1", "--cycles", "2",
+                "--out", str(tmp_path / "cmp.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numeric failure" in err and "rate diverges" in err
+    assert "Traceback" not in err
 
 
 def test_selfcheck_passes(capsys):

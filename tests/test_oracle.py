@@ -7,6 +7,10 @@ from scipy.integrate import quad
 from drivendelta.errors import ConvergenceError
 from drivendelta.model import from_dimensionless, ground_state
 from drivendelta.oracle import (
+    _BLOCK,
+    _Cis,
+    _inhomogeneity,
+    _march,
     default_time_step,
     erfc_complex,
     erfcx_complex,
@@ -106,7 +110,6 @@ def test_inhomogeneous_term_is_spread_ground_state():
     gamma, h = params.gamma, params.h
     gs = ground_state(params)
     grid = solve_boundary_function(params, 2.0 * math.pi)
-    from drivendelta.oracle import _inhomogeneity
 
     for t in (0.4, 1.7):
         span = 60.0 * h / gamma
@@ -145,6 +148,111 @@ def test_projection_overlap_closed_form():
                      limit=400, epsabs=1e-12, epsrel=1e-12)
         closed = complex(_bound_overlap(t_f, np.array([t_src]), gamma, h, True)[0])
         assert closed == pytest.approx(re + 1j * im, rel=1e-10)
+
+
+# ----------------------------------------------------------------------
+# the march against a per-pair reference
+# ----------------------------------------------------------------------
+
+def _kernel_action(t, s, sin_t, cos_t, sc_t, sin_s, cos_s, sc_s):
+    # classical action between (0, s) and (0, t) under the drive, unfolded
+    d = t - s
+    dc = cos_t - cos_s
+    return (-d / 4.0 - 0.75 * (sc_t - sc_s) + dc * dc / (2.0 * d)
+            + cos_s * (sin_t - sin_s) + dc * sin_t)
+
+
+def _reference_march(t, dt, n, gamma, h, driven):
+    """Row-by-row march with one complex exp of the full action per pair."""
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    sc_t = sin_t * cos_t
+    lag = dt * np.arange(n + 2, dtype=float)
+    root = np.sqrt(lag)
+    m0 = np.zeros(n + 2)
+    m1 = np.zeros(n + 2)
+    m0[1:] = 2.0 * (root[1:] - root[:-1])
+    m1[1:] = 2.0 * lag[1:] * (root[1:] - root[:-1]) - (2.0 / 3.0) * (lag[1:] ** 1.5 - lag[:-1] ** 1.5)
+    w_mid = np.zeros(n + 1)
+    w_mid[1:] = m1[2:] / dt + m0[1:-1] - m1[1:-1] / dt
+    w_diag = m1[1] / dt
+
+    kern_pref = 1.0 / np.sqrt(2j * np.pi * h)
+    coupling = 1j * gamma
+    denom = 1.0 - coupling * kern_pref * w_diag
+    g = np.empty(n + 1, dtype=complex)
+    g[0] = math.sqrt(gamma / h)
+    g[1:] = _inhomogeneity(t[1:], gamma, h, driven)
+
+    f = np.empty(n + 1, dtype=complex)
+    f[0] = g[0]
+    for j in range(1, n + 1):
+        hist = slice(0, j)
+        if driven:
+            action = _kernel_action(t[j], t[hist], sin_t[j], cos_t[j], sc_t[j],
+                                    sin_t[hist], cos_t[hist], sc_t[hist])
+            phi = np.exp((1j / h) * action) * f[hist]
+        else:
+            phi = f[hist]
+        acc = np.dot(w_mid[j:0:-1], phi)
+        # boundary panel: node i = 0 carries only the leading half-panel weight
+        acc += (m0[j] - m1[j] / dt - w_mid[j]) * phi[0]
+        f[j] = (g[j] + coupling * kern_pref * acc) / denom
+    return f
+
+
+def _march_deviation(params, t_f, n, driven=True):
+    dt = t_f / n
+    t = dt * np.arange(n + 1)
+    args = (t, dt, n, params.gamma, params.h, driven)
+    dev = np.max(np.abs(_march(*args) - _reference_march(*args)))
+    return dev / math.sqrt(params.gamma / params.h)
+
+
+@pytest.mark.parametrize("z", [1.0, 4.0])
+def test_march_matches_reference_driven(z):
+    params = from_dimensionless(0.7, z)
+    t_f = 2.0 * math.pi
+    n = int(math.ceil(t_f / default_time_step(params)))
+    assert n > 8 * _BLOCK
+    assert _march_deviation(params, t_f, n) < 1e-12
+
+
+def test_march_matches_reference_field_off():
+    n = int(math.ceil(4.0 * math.pi / default_time_step(P_OFF)))
+    assert _march_deviation(P_OFF, 4.0 * math.pi, n, driven=False) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               9 * _BLOCK + 5])
+def test_march_matches_reference_block_edges(n):
+    # fewer rows than one block, and row counts that leave a partial block
+    assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
+
+
+def test_march_matches_reference_half_resolution_companion():
+    # tolerance= re-marches every second node with n // 2 steps
+    params = P_SMALL
+    t_f = 2.0 * math.pi
+    grid = solve_boundary_function(params, t_f, tolerance=5e-3)
+    n = grid.n_steps
+    assert (n // 2) % _BLOCK != 0
+    args = (grid.t, grid.dt, n, params.gamma, params.h, True)
+    scale = math.sqrt(params.gamma / params.h)
+    assert np.max(np.abs(grid.f - _reference_march(*args))) / scale < 1e-12
+    assert _march_deviation(params, t_f, n // 2) < 1e-12
+
+
+def test_cis_matches_complex_exp():
+    rng = np.random.default_rng(3)
+    step = 2.0 * math.pi / 4096
+    for x in (rng.uniform(0.0, 1e3, 20000),
+              step * np.arange(-9000, 9000),
+              -rng.uniform(0.0, 1e3, 20000)):
+        err = np.max(np.abs(_Cis(x.size)(x) - np.exp(1j * x)))
+        assert err <= 4e-15
+    one = _Cis(3)(np.zeros(3))
+    assert np.all(one == 1.0)
+    assert np.all(one.imag == 0.0)
 
 
 def test_grid_refinement_differences_decrease():
