@@ -7,7 +7,8 @@ The instantaneous tunneling rate through the field-tilted barrier is
 whose cycle average concentrates at the field maxima for small h.  The
 decaying bound state is encoded by a complex quasi-energy whose imaginary
 part is -h*D/2, and a generic saddle-point evaluator provides the
-asymptotics cross-check.
+asymptotics cross-check.  The rate, shift and quasi-energy formulas accept
+ModelParams with array fields (a parameter grid) as well as scalar ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DegenerateSaddleError, NumericError
-from .model import ModelParams
+from .model import ModelParams, all_true, unbox
 
 __all__ = [
     "QuasiEnergy",
@@ -57,16 +58,17 @@ class QuasiEnergy:
 
 def rate_instantaneous(params: ModelParams, eta):
     """Tunneling rate D(eta) at instantaneous field fraction eta in (0, 1]."""
-    if not eta > 0.0:
+    if not all_true(eta > 0.0):
         raise ValueError(f"eta must be positive, got eta={eta!r}")
     g, h = params.gamma, params.h
-    return (g * g / h) * math.exp(-2.0 * g**3 / (3.0 * eta * h))
+    return unbox((g * g / h) * np.exp(-2.0 * g**3 / (3.0 * eta * h)))
 
 
 def rate_cycle_averaged(params: ModelParams):
     """Cycle-averaged rate: saddle-point value sqrt(3h/(pi gamma^3)) * D(1)."""
     g, h = params.gamma, params.h
-    return math.sqrt(3.0 * h / (math.pi * g**3)) * rate_instantaneous(params, 1.0)
+    return unbox(np.sqrt(3.0 * h / (math.pi * g**3))
+                 * rate_instantaneous(params, 1.0))
 
 
 def cycle_average_quadrature(params: ModelParams, rel_tol=1e-10):
@@ -95,7 +97,7 @@ def cycle_average_quadrature(params: ModelParams, rel_tol=1e-10):
 
 def stark_shift(params: ModelParams, eta):
     """Instantaneous AC-Stark shift -5*h^2*eta^2/(8*gamma^4), eta in [0, 1]."""
-    if eta < 0.0 or eta > 1.0:
+    if not all_true((eta >= 0.0) & (eta <= 1.0)):
         raise ValueError(f"eta must lie in [0, 1], got eta={eta!r}")
     g, h = params.gamma, params.h
     return -5.0 * h * h * eta * eta / (8.0 * g**4)

@@ -22,7 +22,7 @@ from scipy.signal import find_peaks
 
 from .adiabatic import rate_cycle_averaged
 from .errors import ENGINE_ERRORS, InsufficientDataError, NumericError
-from .model import from_dimensionless
+from .model import from_dimensionless, unbox
 from .oracle import rate_from_oracle
 from .semiclassical import branched_sqrt, ionization_rate
 
@@ -63,14 +63,15 @@ class RateScan:
 
 
 def wkb_background(gamma, z):
-    """Cycle-averaged WKB rate background 2*pi*D_avg at (gamma, z)."""
+    """Cycle-averaged WKB rate background 2*pi*D_avg at (gamma, z), elementwise."""
     return 2.0 * math.pi * rate_cycle_averaged(from_dimensionless(gamma, z))
 
 
 def _gamma_at(mode, fixed_value, z):
+    """Keldysh factor at z (scalar or array) for a fixed gamma or n_io."""
     if mode == "fixed_gamma":
-        return fixed_value
-    return math.sqrt(fixed_value / (2.0 * z))
+        return unbox(np.full(np.shape(z), float(fixed_value)))
+    return unbox(np.sqrt(fixed_value / (2.0 * np.asarray(z, dtype=float))))
 
 
 def _thresholds_in_range(mode, fixed_value, z_lo, z_hi):
@@ -96,7 +97,9 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
               sg_window=31, sg_order=3, prominence_frac=0.05):
     """Evaluate Gamma over a z grid and post-process the curve.
 
-    Engine failures at single points (``errors.ENGINE_ERRORS``) are recorded
+    The semiclassical engine evaluates the whole grid in one closed-form
+    call; the oracle solves point by point.  Failed points -- a non-finite
+    semiclassical rate, or an oracle ``errors.ENGINE_ERRORS`` -- are recorded
     as missing samples and linearly interpolated before smoothing; the scan
     continues.  Invalid input raises ValueError before any engine runs.
 
@@ -123,19 +126,21 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     if int(n_cycles) != n_cycles or n_cycles < 1:
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
 
-    gamma_param = np.array([_gamma_at(mode, fixed_value, z) for z in z_values])
-    raw = np.empty_like(z_values)
-    missing = []
-    for i, z in enumerate(z_values):
-        try:
-            params = from_dimensionless(gamma_param[i], z)
-            if engine == "semiclassical":
-                raw[i] = ionization_rate(params, n_cycles, include_odd=include_odd)
-            else:
-                raw[i] = rate_from_oracle(params, n_cycles, dt=oracle_dt)
-        except ENGINE_ERRORS:
-            raw[i] = np.nan
-            missing.append(i)
+    gamma_param = _gamma_at(mode, fixed_value, z_values)
+    if engine == "semiclassical":
+        # one closed-form pass over the grid; a failed point is not finite
+        raw = ionization_rate(from_dimensionless(gamma_param, z_values),
+                              n_cycles, include_odd=include_odd)
+    else:
+        raw = np.full_like(z_values, np.nan)
+        for i, z in enumerate(z_values):
+            try:
+                raw[i] = rate_from_oracle(from_dimensionless(gamma_param[i], z),
+                                          n_cycles, dt=oracle_dt)
+            except ENGINE_ERRORS:
+                pass  # left NaN: a missing sample
+    missing = np.flatnonzero(~np.isfinite(raw)).tolist()
+    raw[missing] = np.nan
 
     filled = _fill_missing(z_values, raw, missing)
     smoothed = None
@@ -177,8 +182,7 @@ def _fill_missing(z, raw, missing):
 def _detect_peaks(z, series, gamma_param, prominence_frac):
     if z.size < 3:
         return np.array([], dtype=int), np.array([])
-    background = np.array([wkb_background(g, zz)
-                           for g, zz in zip(gamma_param, z)])
+    background = wkb_background(gamma_param, z)
     normalized = series / background
     span = float(np.nanmax(normalized) - np.nanmin(normalized))
     if span <= 0.0 or not np.isfinite(span):

@@ -137,7 +137,7 @@ def cmd_scan(args):
     written = _emit_scan(scan, stem, opt["format"])
 
     mid = 0.5 * (z_values[0] + z_values[-1])
-    bg = analysis.wkb_background(_gamma_mid(mode, fixed, mid), mid)
+    bg = analysis.wkb_background(analysis._gamma_at(mode, fixed, mid), mid)
     try:
         dz_mean, dz_std = analysis.modulation_period(scan)
         period_text = f"{dz_mean:.6g} +- {dz_std:.2g}"
@@ -153,10 +153,6 @@ def cmd_scan(args):
               "interpolated", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def _gamma_mid(mode, fixed, z):
-    return fixed if mode == "fixed_gamma" else math.sqrt(fixed / (2.0 * z))
 
 
 def _emit_scan(scan, stem, fmt):
@@ -204,22 +200,25 @@ def cmd_compare(args):
 
     failures = 0
     rows = []
-    for z in z_values:
-        gamma = _gamma_mid(mode, fixed, z)
+    for z, gamma in zip(z_values, analysis._gamma_at(mode, fixed, z_values)):
         if gamma > GAMMA_VALIDATED_MAX:
             print(f"warning: gamma={gamma:.3g} exceeds the validated range "
                   f"(~{GAMMA_VALIDATED_MAX})", file=sys.stderr)
-        params = model.from_dimensionless(gamma, z)
-        sc = semiclassical.rate_between_cycles(
-            params, 1, n_last, include_odd=bool(opt["include_odd"]))
-        try:
-            orc = oracle.rate_between_cycles(params, 1, n_last,
-                                             dt=opt["oracle_dt"])
-        except ENGINE_ERRORS as exc:
-            print(f"warning: oracle failed at z={z:g}: {exc}", file=sys.stderr)
-            orc = float("nan")
-            failures += 1
-        rows.append((float(z), gamma, sc, orc))
+        params = model.from_dimensionless(float(gamma), float(z))
+        rates = []
+        for name, engine_rate, kwargs in (
+                ("semiclassical", semiclassical.rate_between_cycles,
+                 {"include_odd": bool(opt["include_odd"])}),
+                ("oracle", oracle.rate_between_cycles,
+                 {"dt": opt["oracle_dt"]})):
+            try:
+                rates.append(engine_rate(params, 1, n_last, **kwargs))
+            except ENGINE_ERRORS as exc:
+                print(f"warning: {name} failed at z={z:g}: {exc}",
+                      file=sys.stderr)
+                rates.append(float("nan"))
+                failures += 1
+        rows.append((float(z), float(gamma), *rates))
 
     path = _resolve_out(opt["out"], "compare.csv")
     with open(path, "w") as fh:
@@ -231,7 +230,7 @@ def cmd_compare(args):
 
     sc_arr = np.array([r[2] for r in rows])
     or_arr = np.array([r[3] for r in rows])
-    good = np.isfinite(or_arr)
+    good = np.isfinite(sc_arr) & np.isfinite(or_arr)
     if good.any() and np.mean(sc_arr[good]) != 0.0:
         ratio = float(np.mean(or_arr[good]) / np.mean(sc_arr[good]))
         print(f"mean cycle-smoothed rate ratio oracle/semiclassical: {ratio:.4g}")
@@ -246,8 +245,7 @@ def _peak_offsets(z, sc, orc, mode, fixed):
     if z.size < 7:
         return None
     from scipy.signal import find_peaks
-    bg = np.array([analysis.wkb_background(_gamma_mid(mode, fixed, zz), zz)
-                   for zz in z])
+    bg = analysis.wkb_background(analysis._gamma_at(mode, fixed, z), z)
     out = []
     idx_sc, _ = find_peaks(sc / bg)
     idx_or, _ = find_peaks(orc / bg)
@@ -283,7 +281,8 @@ def cmd_thresholds(args):
         k_hi = math.floor(fixed + hi)
         for k in range(k_lo, k_hi + 1):
             z_k = k - fixed
-            lines.append(f"{k},{z_k:.12g},{math.sqrt(fixed / (2 * z_k)):.12g}")
+            gamma = analysis._gamma_at(mode, fixed, z_k)
+            lines.append(f"{k},{z_k:.12g},{gamma:.12g}")
     text = "\n".join(lines) + "\n"
     if opt["out"]:
         path = _resolve_out(opt["out"], "thresholds.csv")

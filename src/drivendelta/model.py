@@ -6,12 +6,18 @@ dynamics downstream of this module run in transformed units where the field
 period is 2*pi and the effective Planck parameter is ``h = omega^3/mu^2``.
 The physically meaningful dimensionless pair is the Keldysh factor ``gamma``
 and the ponderomotive photon number ``z``.
+
+The parameter algebra accepts arrays as well as scalars: ``from_dimensionless``
+on a z grid gives one ModelParams whose fields are arrays, and the rate
+formulas downstream evaluate the whole grid in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -27,6 +33,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelParams:
     """Physical triple plus the derived dimensionless set.
+
+    Every field is a float, or an array of one shape for a parameter grid.
 
     Attributes
     ----------
@@ -69,14 +77,31 @@ class GroundState:
         return self.norm_coeff * np.exp(-(self.gamma / self.h) * np.abs(x))
 
 
+def unbox(x):
+    """A 0-d numpy result as a Python float or complex; arrays unchanged.
+
+    Lets one array formula serve scalar callers with their scalar types.
+    """
+    if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0:
+        return x.item()
+    return x
+
+
+def all_true(mask):
+    """Whether a comparison holds everywhere, for scalar and array operands."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0.0:
+        if not all_true(value > 0.0):
+            if isinstance(value, np.ndarray):
+                value = value[~(value > 0.0)].flat[0].item()
             raise ValueError(f"{name} must be positive, got {name}={value!r}")
 
 
 def from_physical(alpha, mu, omega):
-    """Build ModelParams from the physical triple (atomic units)."""
+    """Build ModelParams from the physical triple (atomic units; scalars or arrays)."""
     _require_positive(alpha=alpha, mu=mu, omega=omega)
     gamma = alpha * omega / mu
     z = mu * mu / (4.0 * omega**3)
@@ -90,11 +115,12 @@ def from_dimensionless(gamma, z):
     """Build ModelParams from (gamma, z).
 
     The physical embedding is gauge-free in (gamma, z); we fix omega = 1,
-    so mu = 2*sqrt(z) and alpha = gamma*mu.
+    so mu = 2*sqrt(z) and alpha = gamma*mu.  gamma and z may be arrays
+    (broadcast against each other).
     """
     _require_positive(gamma=gamma, z=z)
     omega = 1.0
-    mu = 2.0 * omega * math.sqrt(z * omega)
+    mu = unbox(2.0 * omega * np.sqrt(z * omega))
     alpha = gamma * mu / omega
     return from_physical(alpha, mu, omega)
 

@@ -151,22 +151,35 @@ def _bound_overlap(t_f, t_src, gamma, h, driven):
             * _two_sided_overlap(beta, cos_s - cos_f, sin_f / h, lam))
 
 
-def _free_evolution_overlap(t_f, gamma, h, driven, n_nodes=4001):
-    """<psi0| U(t_f, 0) |psi0> by quadrature over the source position."""
+# 16-point Gauss-Legendre rule on [-1, 1], shared by every quadrature panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _free_evolution_overlap(t_f, gamma, h, driven):
+    """<psi0| U(t_f, 0) |psi0> by quadrature over the source position.
+
+    Each half-line is cut into equal Gauss-Legendre panels, at least one per
+    half oscillation of the chirp exp(i*beta*(y - shift)^2) that the inner
+    overlap carries (beta = 1/(2*h*t_f)), and never fewer than 16.
+    """
     lam = gamma / h
     span = 40.0 / lam
     beta = 1.0 / (2.0 * h * t_f)
     pref = 1.0 / np.sqrt(2j * np.pi * h * t_f)
     sin_f, cos_f, phi_f = _drive(t_f, driven)
     _, cos_0, _ = _drive(0.0, driven)
+    shift = cos_f - cos_0
+    panels = max(16, math.ceil(beta * (span + abs(shift)) ** 2 / math.pi))
+    half_width = 0.5 * span / panels
 
     total = 0.0 + 0.0j
-    for lo, hi in ((-span, 0.0), (0.0, span)):
-        y = np.linspace(lo, hi, n_nodes)
+    for lo in (-span, 0.0):
+        mid = lo + half_width * (2.0 * np.arange(panels) + 1.0)
+        y = mid[:, None] + half_width * _GL_NODES
         inner = (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi_f)
-                 * _two_sided_overlap(beta, y - (cos_f - cos_0), sin_f / h, lam))
+                 * _two_sided_overlap(beta, y - shift, sin_f / h, lam))
         vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
-        total += simpson(vals.real, x=y) + 1j * simpson(vals.imag, x=y)
+        total += half_width * np.sum(vals * _GL_WEIGHTS)
     return total
 
 

@@ -7,11 +7,14 @@ with the part of the wavefunction that stayed bound.  Summing the bound
 amplitude and the per-burst packet overlaps gives the survival amplitude p
 and the decay rate Gamma = -(2*pi/t_f) * ln|p|^2, whose modulation in z
 reproduces the channel-closing period 1/(1+2*gamma^2).
+
+The survival amplitude and the rates are closed-form, so they take
+ModelParams with array fields and evaluate a whole parameter grid in one
+call; a scan over z costs a few array operations per burst.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -19,8 +22,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .adiabatic import quasi_energy_averaged
-from .errors import DegeneratePathError, InfiniteRateError, NonTransversalCrossingError
-from .model import ModelParams
+from .errors import (DegeneratePathError, InfiniteRateError,
+                     NonTransversalCrossingError, NumericError)
+from .model import ModelParams, all_true, unbox
 
 __all__ = [
     "ComplexPath",
@@ -42,15 +46,13 @@ def branched_sqrt(w):
 
     The cut lies along the positive real axis; positive reals map to
     -sqrt(r).  This is the sheet on which the packet prefactors of the
-    survival amplitude vary continuously with the burst index.
+    survival amplitude vary continuously with the burst index.  Elementwise
+    for arrays; a scalar argument gives a complex.
     """
-    w = complex(w)
-    if w == 0.0:
-        return 0.0j
-    phi = cmath.phase(w)
-    if phi < 0.0:
-        phi += 2.0 * math.pi
-    return -math.sqrt(abs(w)) * cmath.exp(0.5j * phi)
+    w = np.asarray(w, dtype=complex)
+    phi = np.angle(w)
+    phi = np.where(phi < 0.0, phi + 2.0 * math.pi, phi)
+    return unbox(-np.sqrt(np.abs(w)) * np.exp(0.5j * phi))
 
 
 def tunnel_start_time(gamma):
@@ -59,9 +61,9 @@ def tunnel_start_time(gamma):
     Satisfies cos(t0) = sqrt(1+gamma^2) and sin(t0) = i*gamma, so the
     imaginary initial velocity matches the bound-state momentum i*gamma.
     """
-    if gamma < 0.0:
+    if not all_true(gamma >= 0.0):
         raise ValueError(f"gamma must be non-negative, got gamma={gamma!r}")
-    return 1j * math.asinh(gamma)
+    return unbox(1j * np.arcsinh(gamma))
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,8 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
     (0, k*pi + t0) to (0, t_f) and the bound-state phase accumulated up to
     the emission time.  Packets with odd k end up displaced by about two
     units and overlap the bound state only weakly; they are skipped unless
-    ``include_odd`` is set.
+    ``include_odd`` is set.  With array parameters every term is an array
+    over the grid.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got n={n!r}")
@@ -270,10 +273,10 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
     t_f = 2.0 * math.pi * n
     e_m = quasi_energy_averaged(params).e_m
     t0 = tunnel_start_time(g)
-    c0 = math.sqrt(1.0 + g * g)   # cos(t0)
-    s0 = 1j * g                   # sin(t0)
+    c0 = unbox(np.sqrt(1.0 + g * g))   # cos(t0)
+    s0 = 1j * g                          # sin(t0)
 
-    bound = cmath.exp(-1j * e_m * t_f / h)
+    bound = unbox(np.exp(-1j * e_m * t_f / h))
     terms = []
     for k in range(2 * n):
         if (k % 2 == 1) and not include_odd:
@@ -285,18 +288,34 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
                    - 2.0 - 2.0 * c0 * c0)
                 - 1j * e_m * (t0 + k * math.pi) / h)
         terms.append(PacketTerm(k=k, zeta=zeta, prefactor=prefactor,
-                                value=prefactor * cmath.exp(zeta)))
+                                value=unbox(prefactor * np.exp(zeta))))
     return SurvivalAmplitude(params=params, n_cycles=n, t_f=t_f,
                              bound_term=bound, packet_terms=tuple(terms))
 
 
-def ionization_rate(params: ModelParams, n, include_odd=False):
-    """Decay rate Gamma = -(2*pi/t_f) * ln|p|^2 over n whole cycles."""
-    amp = survival_amplitude(params, n, include_odd=include_odd)
-    p = amp.p
-    if p == 0.0:
+def _checked(rate, *ws):
+    """A grid of rates as it is; a scalar rate as a float, or the reason it failed."""
+    if isinstance(rate, np.ndarray) and rate.ndim:
+        return rate
+    if any(w == 0.0 for w in ws):
         raise InfiniteRateError("survival amplitude vanished; rate diverges")
-    return -(2.0 * math.pi / amp.t_f) * math.log(abs(p) ** 2)
+    if not np.isfinite(rate):
+        raise NumericError(f"packet sum overflowed; rate is {rate!r}")
+    return float(rate)
+
+
+def ionization_rate(params: ModelParams, n, include_odd=False):
+    """Decay rate Gamma = -(2*pi/t_f) * ln|p|^2 over n whole cycles.
+
+    A scalar call raises InfiniteRateError where p vanishes and NumericError
+    where the packet sum overflows.  On a parameter grid the result is an
+    array that is not finite at such points instead.
+    """
+    with np.errstate(all="ignore"):
+        amp = survival_amplitude(params, n, include_odd=include_odd)
+        w = np.abs(amp.p) ** 2
+        rate = -(2.0 * math.pi / amp.t_f) * np.log(w)
+    return _checked(rate, w)
 
 
 def rate_between_cycles(params: ModelParams, n_first=1, n_last=2,
@@ -305,12 +324,13 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2,
 
     Semiclassical counterpart of the oracle's between-cycles rate; the
     bound-term contribution reduces exactly to 2*pi*D_avg while packet
-    interference supplies the channel-closing modulation.
+    interference supplies the channel-closing modulation.  Failures are
+    reported as in :func:`ionization_rate`.
     """
     if not 1 <= n_first < n_last:
         raise ValueError("need 1 <= n_first < n_last")
-    w_first = abs(survival_amplitude(params, n_first, include_odd=include_odd).p) ** 2
-    w_last = abs(survival_amplitude(params, n_last, include_odd=include_odd).p) ** 2
-    if w_last == 0.0 or w_first == 0.0:
-        raise InfiniteRateError("survival amplitude vanished; rate diverges")
-    return -math.log(w_last / w_first) / (n_last - n_first)
+    with np.errstate(all="ignore"):
+        w_first = np.abs(survival_amplitude(params, n_first, include_odd=include_odd).p) ** 2
+        w_last = np.abs(survival_amplitude(params, n_last, include_odd=include_odd).p) ** 2
+        rate = -np.log(w_last / w_first) / (n_last - n_first)
+    return _checked(rate, w_first, w_last)

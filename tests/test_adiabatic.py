@@ -181,3 +181,30 @@ def test_saddle_stationary_phase_mode():
 def test_saddle_degenerate_error():
     with pytest.raises(DegenerateSaddleError):
         saddle_point_integral(lambda t: t**4, lambda t: 1.0, 0.1, [0.0], f2=[0.0])
+
+
+def test_averaged_formulas_on_a_grid_match_points():
+    gammas = np.array([0.4, 0.7, 1.1, 2.6])
+    zs = np.array([1.0, 6.5, 10.0, 19.0])
+    grid = from_dimensionless(gammas, zs)
+    rates = rate_cycle_averaged(grid)
+    shifts = stark_shift_averaged(grid)
+    energies = quasi_energy_averaged(grid).e_m
+    for i, (gamma, z) in enumerate(zip(gammas, zs)):
+        point = from_dimensionless(float(gamma), float(z))
+        assert rates[i] == pytest.approx(rate_cycle_averaged(point), rel=1e-14)
+        assert shifts[i] == pytest.approx(stark_shift_averaged(point), rel=1e-14)
+        assert energies[i] == pytest.approx(quasi_energy_averaged(point).e_m,
+                                            rel=1e-14)
+    assert type(rate_cycle_averaged(P07)) is float
+
+
+def test_array_eta_is_checked_elementwise():
+    etas = np.array([0.25, 0.5, 1.0])
+    assert np.allclose(rate_instantaneous(P07, etas),
+                       [rate_instantaneous(P07, float(e)) for e in etas],
+                       rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        rate_instantaneous(P07, np.array([0.5, 0.0]))
+    with pytest.raises(ValueError):
+        stark_shift(P07, np.array([0.5, 1.5]))

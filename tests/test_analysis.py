@@ -17,7 +17,9 @@ from drivendelta.analysis import (
     write_scan_csv,
     write_scan_json,
 )
-from drivendelta.errors import InsufficientDataError, NumericError
+from drivendelta.errors import InfiniteRateError, InsufficientDataError, NumericError
+from drivendelta.model import from_dimensionless
+from drivendelta.semiclassical import ionization_rate
 
 
 # ----------------------------------------------------------------------
@@ -124,24 +126,106 @@ def test_scan_fixed_n_io_threshold_spacing_is_one():
     assert np.allclose(scan.gamma_param, np.sqrt(9.8 / (2.0 * z)), rtol=1e-14)
 
 
-def test_scan_records_and_interpolates_failures(monkeypatch):
+def _reference_rates(params, n, include_odd=False):
+    """Per-point loop of scalar ionization_rate: the grid call's reference.
+
+    A point whose scalar call raises InfiniteRateError (vanished amplitude)
+    is NaN, where the per-point scan recorded a missing sample.
+    """
+    rates = []
+    for gamma, z in zip(params.gamma, params.z):
+        try:
+            rates.append(ionization_rate(from_dimensionless(gamma, z), n,
+                                         include_odd=include_odd))
+        except InfiniteRateError:
+            rates.append(float("nan"))
+    return np.array(rates)
+
+
+@pytest.mark.parametrize("mode, fixed, z_spec", [
+    ("fixed_gamma", 0.7, (6.0, 20.0, 0.01)),
+    ("fixed_n_io", 9.8, (6.0, 20.0, 0.01)),
+])
+@pytest.mark.parametrize("cycles", [1, 2])
+@pytest.mark.parametrize("include_odd", [False, True])
+def test_grid_scan_matches_per_point_reference(monkeypatch, mode, fixed,
+                                               z_spec, cycles, include_odd):
     import drivendelta.analysis as analysis_mod
 
-    calls = {"count": 0}
+    lo, hi, step = z_spec
+    z = lo + step * np.arange(round((hi - lo) / step) + 1)
+    grid = scan_rate("semiclassical", mode, fixed, z, n_cycles=cycles,
+                     include_odd=include_odd)
+    monkeypatch.setattr(analysis_mod, "ionization_rate", _reference_rates)
+    ref = scan_rate("semiclassical", mode, fixed, z, n_cycles=cycles,
+                    include_odd=include_odd)
+
+    scale = np.max(np.abs(ref.gamma_raw))
+    assert np.max(np.abs(grid.gamma_raw - ref.gamma_raw)) <= 1e-12 * scale
+    assert np.max(np.abs(grid.gamma_smooth - ref.gamma_smooth)) <= 1e-12 * scale
+    assert np.array_equal(grid.gamma_param, ref.gamma_param)
+    assert grid.peak_indices.size >= 4
+    assert np.array_equal(grid.peak_indices, ref.peak_indices)
+    assert np.allclose(grid.peaks, ref.peaks, rtol=0.0, atol=1e-12)
+    assert grid.missing_indices == ref.missing_indices
+
+
+def test_scan_makes_one_semiclassical_call_per_grid(monkeypatch):
+    import drivendelta.analysis as analysis_mod
+
+    calls = []
     real = analysis_mod.ionization_rate
 
-    def flaky(params, n, include_odd=False):
-        calls["count"] += 1
-        if calls["count"] % 7 == 3:
-            raise NumericError("synthetic engine failure")
+    def counted(params, n, include_odd=False):
+        calls.append(np.shape(params.z))
         return real(params, n, include_odd=include_odd)
+
+    monkeypatch.setattr(analysis_mod, "ionization_rate", counted)
+    z = np.arange(8.0, 9.0 + 0.005, 0.02)
+    scan_rate("semiclassical", "fixed_gamma", 0.7, z, n_cycles=1)
+    assert calls == [z.shape]
+
+
+def test_scan_records_and_interpolates_failures(monkeypatch):
+    # the grid call marks failed points as not finite: NaN, or +inf where
+    # the amplitude vanished
+    import drivendelta.analysis as analysis_mod
+
+    real = analysis_mod.ionization_rate
+    failed = [3, 10, 17, 24, 31, 38, 45]
+
+    def flaky(params, n, include_odd=False):
+        rates = real(params, n, include_odd=include_odd)
+        rates[failed] = np.nan
+        rates[failed[::2]] = np.inf
+        return rates
 
     monkeypatch.setattr(analysis_mod, "ionization_rate", flaky)
     z = np.arange(8.0, 9.0 + 0.005, 0.02)
     scan = scan_rate("semiclassical", "fixed_gamma", 0.7, z, n_cycles=1)
-    assert scan.missing_indices
-    assert np.all(np.isnan(scan.gamma_raw[scan.missing_indices]))
+    assert scan.missing_indices == failed
+    assert np.all(np.isnan(scan.gamma_raw[failed]))
+    good = np.setdiff1d(np.arange(z.size), failed)
+    assert np.all(np.isfinite(scan.gamma_raw[good]))
     assert scan.gamma_smooth is not None
+    assert np.all(np.isfinite(scan.gamma_smooth))
+
+
+def test_oracle_scan_records_engine_failures_per_point(monkeypatch):
+    # the oracle still solves point by point; an engine error at one point
+    # is a missing sample, and the scan goes on
+    import drivendelta.analysis as analysis_mod
+
+    def flaky(params, n, dt=None):
+        if 1.25 < params.z < 1.45:
+            raise NumericError("synthetic engine failure")
+        return 0.1 + 0.01 * params.z
+
+    monkeypatch.setattr(analysis_mod, "rate_from_oracle", flaky)
+    z = np.arange(1.0, 2.0 + 0.05, 0.1)
+    scan = scan_rate("oracle", "fixed_gamma", 0.7, z, n_cycles=1)
+    assert scan.missing_indices == [3, 4]
+    assert np.all(np.isnan(scan.gamma_raw[[3, 4]]))
     assert np.all(np.isfinite(scan.gamma_smooth))
 
 
@@ -168,21 +252,38 @@ def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
     def engine(*args, **kwargs):
         raise AssertionError("engine called on invalid input")
 
+    # the semiclassical grid call and the oracle's per-point call
     monkeypatch.setattr(analysis_mod, "ionization_rate", engine)
-    with pytest.raises(ValueError):
-        scan_rate("semiclassical", mode, fixed, z, n_cycles=cycles)
+    monkeypatch.setattr(analysis_mod, "rate_from_oracle", engine)
+    for engine_name in ("semiclassical", "oracle"):
+        with pytest.raises(ValueError):
+            scan_rate(engine_name, mode, fixed, z, n_cycles=cycles)
 
 
 def test_scan_propagates_non_engine_errors(monkeypatch):
+    # a semiclassical point fails by a non-finite rate; any exception from
+    # the grid call, an engine error included, is not a missing sample
+    import drivendelta.analysis as analysis_mod
+
+    for error in (RuntimeError, NumericError):
+        def broken(params, n, include_odd=False):
+            raise error("not a failed point")
+
+        monkeypatch.setattr(analysis_mod, "ionization_rate", broken)
+        with pytest.raises(error):
+            scan_rate("semiclassical", "fixed_gamma", 0.7, [6.0, 7.0])
+
+
+def test_oracle_scan_propagates_non_engine_errors(monkeypatch):
     # only the engines' numeric failures become missing samples
     import drivendelta.analysis as analysis_mod
 
-    def broken(params, n, include_odd=False):
+    def broken(params, n, dt=None):
         raise RuntimeError("not an engine failure")
 
-    monkeypatch.setattr(analysis_mod, "ionization_rate", broken)
+    monkeypatch.setattr(analysis_mod, "rate_from_oracle", broken)
     with pytest.raises(RuntimeError):
-        scan_rate("semiclassical", "fixed_gamma", 0.7, [6.0, 7.0])
+        scan_rate("oracle", "fixed_gamma", 0.7, [6.0, 7.0])
 
 
 # ----------------------------------------------------------------------

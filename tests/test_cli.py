@@ -205,12 +205,20 @@ def test_compare_semiclassical_infinite_rate_is_numeric_failure(
         raise InfiniteRateError("survival amplitude vanished; rate diverges")
 
     monkeypatch.setattr(cli_mod.semiclassical, "rate_between_cycles", vanished)
+    out = tmp_path / "cmp.csv"
     code = run(["compare", "--gamma", "0.7", "--z", "5:5:1", "--cycles", "2",
-                "--out", str(tmp_path / "cmp.csv")])
+                "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "numeric failure" in err and "rate diverges" in err
+    assert "semiclassical failed at z=5" in err and "rate diverges" in err
     assert "Traceback" not in err
+    # the failed point is a NaN row; the command still writes its CSV
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert rows[0]["Gamma_semiclassical"] == "nan"
+    assert rows[0]["ratio"] == "nan"
+    assert float(rows[0]["Gamma_oracle"]) > 0.0
 
 
 def test_selfcheck_passes(capsys):

@@ -129,3 +129,22 @@ def test_ground_state_energy_and_norm():
     norm, _ = quad(lambda x: gs.wavefunction(x) ** 2, -2.0, 2.0,
                    points=[0.0], limit=200)
     assert norm == pytest.approx(1.0, abs=1e-10)
+
+
+def test_from_dimensionless_on_a_grid_matches_points():
+    gammas = np.array([0.3, 0.7, 2.6])
+    zs = np.array([0.5, 10.0, 17.25])
+    grid = from_dimensionless(gammas, zs)
+    for i, (gamma, z) in enumerate(zip(gammas, zs)):
+        point = from_dimensionless(float(gamma), float(z))
+        for field in ("alpha", "mu", "omega", "gamma", "z", "h", "n_io"):
+            assert np.broadcast_to(getattr(grid, field), zs.shape)[i] == \
+                getattr(point, field)
+    assert type(from_dimensionless(0.7, 10.0).mu) is float
+
+
+def test_from_dimensionless_rejects_any_nonpositive_grid_point():
+    with pytest.raises(ValueError, match="z=0.0"):
+        from_dimensionless(0.7, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="gamma"):
+        from_dimensionless(np.array([0.7, np.nan]), np.array([1.0, 2.0]))

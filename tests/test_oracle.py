@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from drivendelta.errors import ConvergenceError
 from drivendelta.model import from_dimensionless, ground_state
 from drivendelta.oracle import (
     _BLOCK,
     _Cis,
+    _drive,
+    _free_evolution_overlap,
     _inhomogeneity,
+    _two_sided_overlap,
     _march,
     default_time_step,
     erfc_complex,
@@ -148,6 +151,38 @@ def test_projection_overlap_closed_form():
                      limit=400, epsabs=1e-12, epsrel=1e-12)
         closed = complex(_bound_overlap(t_f, np.array([t_src]), gamma, h, True)[0])
         assert closed == pytest.approx(re + 1j * im, rel=1e-10)
+
+
+def _simpson_free_overlap(t_f, gamma, h, n_nodes):
+    """<psi0| U(t_f, 0) |psi0> by composite Simpson on each half-line."""
+    lam = gamma / h
+    span = 40.0 / lam
+    beta = 1.0 / (2.0 * h * t_f)
+    pref = 1.0 / np.sqrt(2j * np.pi * h * t_f)
+    sin_f, cos_f, phi_f = _drive(t_f)
+    total = 0.0j
+    for lo, hi in ((-span, 0.0), (0.0, span)):
+        y = np.linspace(lo, hi, n_nodes)
+        inner = (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi_f)
+                 * _two_sided_overlap(beta, y - (cos_f - 1.0), sin_f / h, lam))
+        vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
+        total += simpson(vals.real, x=y) + 1j * simpson(vals.imag, x=y)
+    return total
+
+
+@pytest.mark.parametrize("gamma, z, t_f", [
+    (0.3, 0.1, 0.3),
+    (0.7, 2.0, 2.0 * math.pi),
+    (0.7, 8.0, 4.0 * math.pi),
+    (1.5, 0.5, 17.0),
+    (2.6, 20.0, 1.0),
+])
+def test_free_evolution_overlap_against_fine_simpson(gamma, z, t_f):
+    # Gauss-Legendre panels against a 128001-node Simpson reference (own
+    # error <= 2e-15 here); 4001 Simpson nodes miss by 3e-12 to 6e-8
+    h = 1.0 / (4.0 * z)
+    ref = _simpson_free_overlap(t_f, gamma, h, 128001)
+    assert abs(_free_evolution_overlap(t_f, gamma, h, True) - ref) < 2e-14
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,13 @@ from drivendelta.adiabatic import (
 )
 from drivendelta.errors import (
     DegeneratePathError,
+    InfiniteRateError,
     NonTransversalCrossingError,
+    NumericError,
 )
 from drivendelta.model import from_dimensionless
 from drivendelta.semiclassical import (
+    SurvivalAmplitude,
     action,
     action_by_quadrature,
     branched_sqrt,
@@ -399,3 +402,77 @@ def test_rate_between_cycles_near_single_cycle_rate():
     assert abs(val) < 10.0 * bg
     with pytest.raises(ValueError):
         rate_between_cycles(P07, 2, 2)
+
+
+# ----------------------------------------------------------------------
+# one implementation for a point and a grid
+# ----------------------------------------------------------------------
+
+def test_scalar_calls_keep_python_types():
+    assert type(tunnel_start_time(0.7)) is complex
+    assert type(branched_sqrt(2.0 + 1.0j)) is complex
+    assert type(ionization_rate(P07, 1)) is float
+    assert type(rate_between_cycles(P07, 1, 2)) is float
+    amp = survival_amplitude(P07, 2, include_odd=True)
+    assert type(amp.bound_term) is complex
+    assert all(type(t.value) is complex for t in amp.packet_terms)
+
+
+def test_array_formulas_match_scalar_calls_elementwise():
+    rng = np.random.default_rng(3)
+    ws = rng.normal(size=40) + 1j * rng.normal(size=40)
+    ws[:4] = [0.0, 4.0, -4.0, -1.0 - 1e-12j]
+    roots = branched_sqrt(ws)
+    assert roots.shape == ws.shape
+    for w, root in zip(ws, roots):
+        assert abs(root - branched_sqrt(complex(w))) <= 1e-15 * max(1.0, abs(root))
+
+    gammas = np.array([0.0, 0.3, 0.7, 2.6])
+    assert np.allclose(tunnel_start_time(gammas),
+                       [tunnel_start_time(float(g)) for g in gammas],
+                       rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError):
+        tunnel_start_time(np.array([0.7, -0.1]))
+
+    zs = np.array([5.0, 8.3, 13.7])
+    grid = from_dimensionless(np.full(zs.shape, 1.1), zs)
+    for n in (1, 2):
+        rates = ionization_rate(grid, n, include_odd=True)
+        per_cycle = rate_between_cycles(grid, 1, 3, include_odd=True)
+        for i, z in enumerate(zs):
+            point = from_dimensionless(1.1, float(z))
+            assert rates[i] == pytest.approx(
+                ionization_rate(point, n, include_odd=True), rel=1e-13)
+            assert per_cycle[i] == pytest.approx(
+                rate_between_cycles(point, 1, 3, include_odd=True), rel=1e-13)
+
+
+def _fixed_amplitude(bound_term):
+    def amplitude(params, n, include_odd=False):
+        return SurvivalAmplitude(params=params, n_cycles=n, t_f=2.0 * math.pi * n,
+                                 bound_term=bound_term, packet_terms=())
+    return amplitude
+
+
+def test_scalar_rate_raises_where_grid_rate_is_not_finite(monkeypatch):
+    import drivendelta.semiclassical as sc_mod
+
+    monkeypatch.setattr(sc_mod, "survival_amplitude", _fixed_amplitude(0.0j))
+    with pytest.raises(InfiniteRateError):
+        ionization_rate(P07, 1)
+    with pytest.raises(InfiniteRateError):
+        rate_between_cycles(P07, 1, 2)
+
+    monkeypatch.setattr(sc_mod, "survival_amplitude",
+                        _fixed_amplitude(complex(math.inf, 0.0)))
+    with pytest.raises(NumericError):
+        ionization_rate(P07, 1)
+
+    # on a grid the same points come back as non-finite rates
+    bound = np.array([0.5 + 0.0j, 0.0j, complex(math.inf, 0.0), 1e-200 + 0.0j])
+    monkeypatch.setattr(sc_mod, "survival_amplitude", _fixed_amplitude(bound))
+    grid = from_dimensionless(np.full(4, 0.7), np.full(4, 10.0))
+    rates = ionization_rate(grid, 1)
+    assert rates[0] == pytest.approx(-math.log(0.25))
+    assert np.isposinf(rates[1]) and np.isposinf(rates[3])
+    assert np.isneginf(rates[2])
