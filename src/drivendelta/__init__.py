@@ -10,11 +10,9 @@ from .adiabatic import (
     QuasiEnergy,
     bound_propagator_factor,
     cycle_average_quadrature,
-    quasi_energy,
     quasi_energy_averaged,
     rate_cycle_averaged,
     rate_instantaneous,
-    saddle_point_integral,
     stark_shift,
     stark_shift_averaged,
 )
@@ -57,7 +55,6 @@ from .semiclassical import (
     action,
     action_by_quadrature,
     branched_sqrt,
-    delta_phase,
     ionization_rate,
     make_path,
     rate_between_cycles as semiclassical_rate_between_cycles,

@@ -20,14 +20,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
+from . import oracle, semiclassical
 from .adiabatic import rate_cycle_averaged
 from .errors import ENGINE_ERRORS, InsufficientDataError, NumericError
-from .model import from_dimensionless, unbox
-from .oracle import rate_from_oracle
-from .semiclassical import branched_sqrt, ionization_rate
+from .model import channel_threshold, from_dimensionless, rate_failure, unbox
 
 __all__ = [
     "RateScan",
+    "engine_rates",
     "scan_rate",
     "savitzky_golay",
     "modulation_period",
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 SCAN_SCHEMA_VERSION = 1
+# a peak must rise this fraction of the normalized curve's span above its
+# surroundings (scipy's prominence)
+PROMINENCE_FRAC = 0.05
 
 
 @dataclass
@@ -54,7 +57,7 @@ class RateScan:
     z_values: np.ndarray
     gamma_param: np.ndarray         # Keldysh factor at each sample
     gamma_raw: np.ndarray           # rate samples
-    gamma_smooth: np.ndarray | None
+    gamma_smooth: np.ndarray
     peaks: np.ndarray               # refined peak positions in z
     peak_indices: np.ndarray
     thresholds: np.ndarray
@@ -75,15 +78,17 @@ def _gamma_at(mode, fixed_value, z):
 
 
 def _thresholds_in_range(mode, fixed_value, z_lo, z_hi):
+    """(k, z_k) of every channel that closes at 0 < z_k in [z_lo, z_hi]."""
     if mode == "fixed_gamma":
-        spacing = 1.0 / (1.0 + 2.0 * fixed_value**2)
-        k_lo = max(1, math.ceil(z_lo / spacing - 1e-9))
-        k_hi = math.floor(z_hi / spacing + 1e-9)
-        return np.array([k * spacing for k in range(k_lo, k_hi + 1)])
+        spacing = channel_threshold(1, fixed_value)
+        ks = range(max(1, math.ceil(z_lo / spacing - 1e-9)),
+                   math.floor(z_hi / spacing + 1e-9) + 1)
+        return [(k, channel_threshold(k, fixed_value)) for k in ks]
     # fixed n_io: k = n_io + z at threshold, so z_k = k - n_io with unit spacing
-    k_lo = max(1, math.ceil(fixed_value + z_lo - 1e-9))
-    k_hi = math.floor(fixed_value + z_hi + 1e-9)
-    return np.array([k - fixed_value for k in range(k_lo, k_hi + 1)])
+    ks = range(max(math.floor(fixed_value) + 1,
+                   math.ceil(fixed_value + z_lo - 1e-9)),
+               math.floor(fixed_value + z_hi + 1e-9) + 1)
+    return [(k, k - fixed_value) for k in ks]
 
 
 def nearest_threshold_k(mode, fixed_value, z, gamma):
@@ -92,16 +97,45 @@ def nearest_threshold_k(mode, fixed_value, z, gamma):
     return max(1, int(round(z + fixed_value)))
 
 
+def engine_rates(engine, params, n_first, n_last, include_odd=False,
+                 oracle_dt=None):
+    """Rates of one engine over a parameter grid, and why each failed point failed.
+
+    Each rate is the engine's ``rate_between_cycles(params, n_first,
+    n_last)``.  The semiclassical engine makes one grid call, in which a
+    point failed where its rate is not finite; the oracle solves point by
+    point, and a point failed where it raised ``errors.ENGINE_ERRORS`` (any
+    other exception propagates).  Returns (rates, {index: reason}), with
+    NaN rates at the failed points.
+    """
+    if engine == "semiclassical":
+        rates = np.array(semiclassical.rate_between_cycles(
+            params, n_first, n_last, include_odd=include_odd), dtype=float)
+        failures = {int(i): str(rate_failure(rates[i]))
+                    for i in np.flatnonzero(~np.isfinite(rates))}
+    elif engine == "oracle":
+        rates = np.full(np.shape(params.z), np.nan)
+        failures = {}
+        for i in range(rates.size):
+            try:
+                rates[i] = oracle.rate_between_cycles(
+                    params.point(i), n_first, n_last, dt=oracle_dt)
+            except ENGINE_ERRORS as exc:
+                failures[i] = str(exc)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    rates[list(failures)] = np.nan
+    return rates, failures
+
+
 def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
-              include_odd=False, oracle_dt=None, smooth=True,
-              sg_window=31, sg_order=3, prominence_frac=0.05):
+              include_odd=False, oracle_dt=None, sg_window=31, sg_order=3):
     """Evaluate Gamma over a z grid and post-process the curve.
 
-    The semiclassical engine evaluates the whole grid in one closed-form
-    call; the oracle solves point by point.  Failed points -- a non-finite
-    semiclassical rate, or an oracle ``errors.ENGINE_ERRORS`` -- are recorded
-    as missing samples and linearly interpolated before smoothing; the scan
-    continues.  Invalid input raises ValueError before any engine runs.
+    The rates come from :func:`engine_rates` with n_first = 0.  Failed
+    points are recorded as missing samples and linearly interpolated before
+    smoothing; the scan continues.  Invalid input raises ValueError before
+    any engine runs.
 
     Parameters
     ----------
@@ -111,8 +145,6 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         The fixed Keldysh factor or the fixed ionization photon number.
     z_values : array, strictly increasing
     """
-    if engine not in ("semiclassical", "oracle"):
-        raise ValueError(f"unknown engine {engine!r}")
     if mode not in ("fixed_gamma", "fixed_n_io"):
         raise ValueError(f"unknown mode {mode!r}")
     z_values = np.asarray(z_values, dtype=float)
@@ -127,42 +159,27 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
 
     gamma_param = _gamma_at(mode, fixed_value, z_values)
-    if engine == "semiclassical":
-        # one closed-form pass over the grid; a failed point is not finite
-        raw = ionization_rate(from_dimensionless(gamma_param, z_values),
-                              n_cycles, include_odd=include_odd)
-    else:
-        raw = np.full_like(z_values, np.nan)
-        for i, z in enumerate(z_values):
-            try:
-                raw[i] = rate_from_oracle(from_dimensionless(gamma_param[i], z),
-                                          n_cycles, dt=oracle_dt)
-            except ENGINE_ERRORS:
-                pass  # left NaN: a missing sample
-    missing = np.flatnonzero(~np.isfinite(raw)).tolist()
-    raw[missing] = np.nan
+    raw, failures = engine_rates(engine, from_dimensionless(gamma_param, z_values),
+                                 0, n_cycles, include_odd=include_odd,
+                                 oracle_dt=oracle_dt)
+    missing = sorted(failures)
 
     filled = _fill_missing(z_values, raw, missing)
-    smoothed = None
-    fset = {}
-    if smooth:
-        window = min(sg_window, _largest_odd(z_values.size))
-        order = min(sg_order, max(window - 1, 0))
-        smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
-        fset = {"sg_window": window, "sg_order": order,
-                "prominence_frac": prominence_frac}
-
-    series = smoothed if smoothed is not None else filled
-    peak_idx, peak_z = _detect_peaks(z_values, series, gamma_param,
-                                     prominence_frac)
+    window = min(sg_window, _largest_odd(z_values.size))
+    order = min(sg_order, max(window - 1, 0))
+    smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
+    peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma_param)
     thresholds = _thresholds_in_range(mode, fixed_value,
                                       z_values[0], z_values[-1])
     return RateScan(mode=mode, fixed_value=fixed_value, engine=engine,
                     n_cycles=n_cycles, z_values=z_values,
                     gamma_param=gamma_param, gamma_raw=raw,
                     gamma_smooth=smoothed, peaks=peak_z,
-                    peak_indices=peak_idx, thresholds=thresholds,
-                    missing_indices=missing, filter_settings=fset)
+                    peak_indices=peak_idx,
+                    thresholds=np.array([z_k for _, z_k in thresholds]),
+                    missing_indices=missing,
+                    filter_settings={"sg_window": window, "sg_order": order,
+                                     "prominence_frac": PROMINENCE_FRAC})
 
 
 def _largest_odd(n):
@@ -179,7 +196,8 @@ def _fill_missing(z, raw, missing):
     return filled
 
 
-def _detect_peaks(z, series, gamma_param, prominence_frac):
+def _detect_peaks(z, series, gamma_param):
+    """Peak indices and refined positions of the curve over its WKB background."""
     if z.size < 3:
         return np.array([], dtype=int), np.array([])
     background = wkb_background(gamma_param, z)
@@ -187,7 +205,7 @@ def _detect_peaks(z, series, gamma_param, prominence_frac):
     span = float(np.nanmax(normalized) - np.nanmin(normalized))
     if span <= 0.0 or not np.isfinite(span):
         return np.array([], dtype=int), np.array([])
-    idx, _ = find_peaks(normalized, prominence=prominence_frac * span)
+    idx, _ = find_peaks(normalized, prominence=PROMINENCE_FRAC * span)
     refined = np.array([_parabolic_refine(z, normalized, i) for i in idx])
     return idx, refined
 
@@ -286,10 +304,10 @@ def barrier_traversal_time(x_start, x_end, energy=-0.5):
     imaginary time increment.
     """
     def f_re(x):
-        return (1.0 / branched_sqrt(2.0 * energy + x * x)).real
+        return (1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x)).real
 
     def f_im(x):
-        return (1.0 / branched_sqrt(2.0 * energy + x * x)).imag
+        return (1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x)).imag
 
     re, re_err = quad(f_re, x_start, x_end, limit=400, epsabs=1e-13, epsrel=1e-13)
     im, im_err = quad(f_im, x_start, x_end, limit=400, epsabs=1e-13, epsrel=1e-13)
@@ -321,17 +339,16 @@ def write_scan_csv(scan: RateScan, path):
         writer.writerow(["z", "gamma_param", "Gamma_raw", "Gamma_smooth",
                          "is_peak", "nearest_threshold_k"])
         for i, z in enumerate(scan.z_values):
-            smooth = scan.gamma_smooth[i] if scan.gamma_smooth is not None else None
             writer.writerow([
                 _fmt(z), _fmt(scan.gamma_param[i]), _fmt(scan.gamma_raw[i]),
-                _fmt(smooth) if smooth is not None else "",
+                _fmt(scan.gamma_smooth[i]),
                 1 if i in peak_set else 0,
                 nearest_threshold_k(scan.mode, scan.fixed_value, z,
                                     scan.gamma_param[i]),
             ])
 
 
-def write_scan_json(scan: RateScan, path, extra_metadata=None):
+def write_scan_json(scan: RateScan, path):
     """Full scan dump with metadata; schema_version marks the layout."""
     try:
         period_mean, period_std = modulation_period(scan)
@@ -351,12 +368,9 @@ def write_scan_json(scan: RateScan, path, extra_metadata=None):
         "z": [float(z) for z in scan.z_values],
         "gamma_param": [float(g) for g in scan.gamma_param],
         "Gamma_raw": [None if math.isnan(v) else float(v) for v in scan.gamma_raw],
-        "Gamma_smooth": (None if scan.gamma_smooth is None
-                         else [float(v) for v in scan.gamma_smooth]),
+        "Gamma_smooth": [float(v) for v in scan.gamma_smooth],
         "peaks": [float(p) for p in scan.peaks],
     }
-    if extra_metadata:
-        doc.update(extra_metadata)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

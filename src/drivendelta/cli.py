@@ -43,17 +43,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text, what):
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise _UsageError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"{what} must be finite, got {text!r}")
+    return value
+
+
 def parse_range(text, require_step=True):
     """Parse start:stop[:step]; start inclusive, grid ends before stop+step/2."""
-    parts = text.split(":")
+    parts = [_finite(p, f"each field of the range {text!r}")
+             for p in str(text).split(":")]
     if len(parts) == 2 and not require_step:
-        lo, hi = (float(p) for p in parts)
+        lo, hi = parts
         if hi <= lo:
             raise _UsageError(f"empty range {text!r}")
         return lo, hi, None
     if len(parts) != 3:
         raise _UsageError(f"range must be start:stop:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = parts
     if step <= 0.0 or hi < lo:
         raise _UsageError(f"empty or inverted range {text!r}")
     return lo, hi, step
@@ -101,8 +112,26 @@ def _mode_and_value(opt):
     if (opt["gamma"] is None) == (opt["n_io"] is None):
         raise _UsageError("give exactly one of --gamma or --n-io")
     if opt["gamma"] is not None:
-        return "fixed_gamma", float(opt["gamma"])
-    return "fixed_n_io", float(opt["n_io"])
+        mode, value, flag = "fixed_gamma", opt["gamma"], "--gamma"
+    else:
+        mode, value, flag = "fixed_n_io", opt["n_io"], "--n-io"
+    value = _finite(value, flag)
+    if not value > 0.0:
+        raise _UsageError(f"{flag} must be positive, got {value!r}")
+    return mode, value
+
+
+def _mode_and_grid(opt):
+    """Mode, fixed gamma or n_io, and z grid of a scan or a comparison."""
+    if opt["z"] is None:
+        raise _UsageError("--z start:stop:step is required")
+    mode, fixed = _mode_and_value(opt)
+    z_values = range_values(*parse_range(opt["z"]))
+    if z_values.size == 0:
+        raise _UsageError("empty z range")
+    if not z_values[0] > 0.0:
+        raise _UsageError(f"z must be positive, got z={z_values[0]:g}")
+    return mode, fixed, z_values
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +145,7 @@ _SCAN_DEFAULTS = dict(engine="semiclassical", gamma=None, n_io=None, z=None,
 
 def cmd_scan(args):
     opt = _merge_config(args, args.config, _SCAN_DEFAULTS)
-    if opt["z"] is None:
-        raise _UsageError("--z start:stop:step is required")
-    mode, fixed = _mode_and_value(opt)
-    lo, hi, step = parse_range(opt["z"])
-    z_values = range_values(lo, hi, step)
-    if z_values.size == 0:
-        raise _UsageError("empty z range")
-
+    mode, fixed, z_values = _mode_and_grid(opt)
     try:
         scan = analysis.scan_rate(
             opt["engine"], mode, fixed, z_values, n_cycles=int(opt["cycles"]),
@@ -185,51 +207,36 @@ _COMPARE_DEFAULTS = dict(gamma=None, n_io=None, z=None, cycles=2,
 
 def cmd_compare(args):
     opt = _merge_config(args, args.config, _COMPARE_DEFAULTS)
-    if opt["z"] is None:
-        raise _UsageError("--z start:stop:step is required")
-    mode, fixed = _mode_and_value(opt)
-    lo, hi, step = parse_range(opt["z"])
-    z_values = range_values(lo, hi, step)
-    if z_values.size == 0:
-        raise _UsageError("empty z range")
-    if not (z_values[0] > 0.0 and fixed > 0.0):
-        raise _UsageError("z and the fixed gamma or n_io must be positive")
+    mode, fixed, z_values = _mode_and_grid(opt)
     n_last = int(opt["cycles"])
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
 
+    gamma_param = analysis._gamma_at(mode, fixed, z_values)
+    for gamma in gamma_param[gamma_param > GAMMA_VALIDATED_MAX]:
+        print(f"warning: gamma={gamma:.3g} exceeds the validated range "
+              f"(~{GAMMA_VALIDATED_MAX})", file=sys.stderr)
+    params = model.from_dimensionless(gamma_param, z_values)
+    rates = {}
     failures = 0
-    rows = []
-    for z, gamma in zip(z_values, analysis._gamma_at(mode, fixed, z_values)):
-        if gamma > GAMMA_VALIDATED_MAX:
-            print(f"warning: gamma={gamma:.3g} exceeds the validated range "
-                  f"(~{GAMMA_VALIDATED_MAX})", file=sys.stderr)
-        params = model.from_dimensionless(float(gamma), float(z))
-        rates = []
-        for name, engine_rate, kwargs in (
-                ("semiclassical", semiclassical.rate_between_cycles,
-                 {"include_odd": bool(opt["include_odd"])}),
-                ("oracle", oracle.rate_between_cycles,
-                 {"dt": opt["oracle_dt"]})):
-            try:
-                rates.append(engine_rate(params, 1, n_last, **kwargs))
-            except ENGINE_ERRORS as exc:
-                print(f"warning: {name} failed at z={z:g}: {exc}",
-                      file=sys.stderr)
-                rates.append(float("nan"))
-                failures += 1
-        rows.append((float(z), float(gamma), *rates))
+    for engine in ("semiclassical", "oracle"):
+        rates[engine], failed = analysis.engine_rates(
+            engine, params, 1, n_last, include_odd=bool(opt["include_odd"]),
+            oracle_dt=opt["oracle_dt"])
+        for i, reason in sorted(failed.items()):
+            print(f"warning: {engine} failed at z={z_values[i]:g}: {reason}",
+                  file=sys.stderr)
+        failures += len(failed)
+    sc_arr, or_arr = rates["semiclassical"], rates["oracle"]
 
     path = _resolve_out(opt["out"], "compare.csv")
     with open(path, "w") as fh:
         fh.write("z,gamma_param,Gamma_semiclassical,Gamma_oracle,ratio\n")
-        for z, gamma, sc, orc in rows:
+        for z, gamma, sc, orc in zip(z_values, gamma_param, sc_arr, or_arr):
             ratio = orc / sc if sc and not math.isnan(orc) else float("nan")
             fh.write(f"{z:.12g},{gamma:.12g},{sc:.12g},{orc:.12g},{ratio:.12g}\n")
     print(f"wrote {path}")
 
-    sc_arr = np.array([r[2] for r in rows])
-    or_arr = np.array([r[3] for r in rows])
     good = np.isfinite(sc_arr) & np.isfinite(or_arr)
     if good.any() and np.mean(sc_arr[good]) != 0.0:
         ratio = float(np.mean(or_arr[good]) / np.mean(sc_arr[good]))
@@ -242,19 +249,16 @@ def cmd_compare(args):
 
 
 def _peak_offsets(z, sc, orc, mode, fixed):
+    """z offset of each oracle peak from the nearest semiclassical peak."""
     if z.size < 7:
         return None
-    from scipy.signal import find_peaks
-    bg = analysis.wkb_background(analysis._gamma_at(mode, fixed, z), z)
-    out = []
-    idx_sc, _ = find_peaks(sc / bg)
-    idx_or, _ = find_peaks(orc / bg)
+    gamma = analysis._gamma_at(mode, fixed, z)
+    idx_sc, _ = analysis._detect_peaks(z, sc, gamma)
+    idx_or, _ = analysis._detect_peaks(z, orc, gamma)
     if idx_sc.size == 0 or idx_or.size == 0:
         return None
-    for i in idx_or:
-        j = idx_sc[np.argmin(np.abs(z[idx_sc] - z[i]))]
-        out.append(round(float(z[i] - z[j]), 6))
-    return out
+    return [round(float(z[i] - z[idx_sc[np.argmin(np.abs(z[idx_sc] - z[i]))]]), 6)
+            for i in idx_or]
 
 
 # ----------------------------------------------------------------------
@@ -271,18 +275,8 @@ def cmd_thresholds(args):
     mode, fixed = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
     lines = ["k,z_k,gamma_at_threshold"]
-    if mode == "fixed_gamma":
-        spacing = 1.0 / (1.0 + 2.0 * fixed * fixed)
-        k_lo, k_hi = max(1, math.ceil(lo / spacing)), math.floor(hi / spacing)
-        for k in range(k_lo, k_hi + 1):
-            lines.append(f"{k},{k * spacing:.12g},{fixed:.12g}")
-    else:
-        k_lo = max(1, math.ceil(fixed + lo))
-        k_hi = math.floor(fixed + hi)
-        for k in range(k_lo, k_hi + 1):
-            z_k = k - fixed
-            gamma = analysis._gamma_at(mode, fixed, z_k)
-            lines.append(f"{k},{z_k:.12g},{gamma:.12g}")
+    for k, z_k in analysis._thresholds_in_range(mode, fixed, lo, hi):
+        lines.append(f"{k},{z_k:.12g},{analysis._gamma_at(mode, fixed, z_k):.12g}")
     text = "\n".join(lines) + "\n"
     if opt["out"]:
         path = _resolve_out(opt["out"], "thresholds.csv")

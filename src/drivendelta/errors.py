@@ -21,14 +21,6 @@ class DegeneratePathError(ValueError):
     """Boundary-value path with coincident start and end times."""
 
 
-class NonTransversalCrossingError(ValueError):
-    """The classical path touches the origin with zero velocity."""
-
-
-class DegenerateSaddleError(ValueError):
-    """Vanishing second derivative at a stationary point."""
-
-
 class InfiniteRateError(ArithmeticError):
     """Survival amplitude is exactly zero; the decay rate diverges."""
 
@@ -40,5 +32,4 @@ class InsufficientDataError(ValueError):
 # failures of a rate engine at one parameter point; anything else raised
 # from an engine call is a bug or invalid input, not a missing sample
 ENGINE_ERRORS = (ConvergenceError, NumericError, InfiniteRateError,
-                 DegeneratePathError, NonTransversalCrossingError,
-                 DegenerateSaddleError)
+                 DegeneratePathError)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InfiniteRateError, NumericError
+
 __all__ = [
     "ModelParams",
     "GroundState",
@@ -27,6 +29,8 @@ __all__ = [
     "ground_state",
     "channel_threshold",
     "energy_balance",
+    "volkov_phase",
+    "decay_rate",
 ]
 
 
@@ -58,6 +62,11 @@ class ModelParams:
     h: float
     n_io: float
 
+    def point(self, i):
+        """Point i of a one-dimensional parameter grid, as scalar ModelParams."""
+        return ModelParams(**{name: float(value[i]) if np.ndim(value) else value
+                              for name, value in vars(self).items()})
+
 
 @dataclass(frozen=True)
 class GroundState:
@@ -72,8 +81,6 @@ class GroundState:
     h: float
 
     def wavefunction(self, x):
-        import numpy as np
-
         return self.norm_coeff * np.exp(-(self.gamma / self.h) * np.abs(x))
 
 
@@ -153,3 +160,47 @@ def energy_balance(k, gamma, z):
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got k={k!r}")
     return k - 2.0 * gamma * gamma * z - z
+
+
+def volkov_phase(t):
+    """Volkov phase phi(t) = (sin t cos t - t)/4 of the drive; t may be complex.
+
+    The classical action of the driven free motion from (y, t_i) to (x, t_f)
+    is phi(t_f) - phi(t_i) + x*sin(t_f) - y*sin(t_i)
+    + (x - y + cos t_f - cos t_i)^2 / (2*(t_f - t_i)).
+    """
+    return 0.25 * (np.sin(t) * np.cos(t) - t)
+
+
+def rate_failure(rate):
+    """The engine error behind a non-finite rate; +inf is a vanished probability."""
+    if rate == math.inf:
+        return InfiniteRateError("survival amplitude vanished; rate diverges")
+    return NumericError(f"survival probability is not finite; rate is {rate!r}")
+
+
+def decay_rate(probability, n_first, n_last):
+    """Per-cycle decay rate -ln(w(n_last)/w(n_first)) / (n_last - n_first).
+
+    ``probability(n)`` is the survival probability w(n) = |p|^2 after n
+    whole cycles (a float, or an array over a parameter grid).  w(0) = 1, so
+    n_first = 0 gives the single-interval rate -(2*pi/t_f) * ln|p|^2.  A
+    scalar rate is a float and raises InfiniteRateError where a probability
+    is zero, NumericError where it is otherwise not finite; a grid rate is
+    an array that is not finite at such points.
+    """
+    if not (int(n_first) == n_first and int(n_last) == n_last
+            and 0 <= n_first < n_last):
+        raise ValueError("need integers 0 <= n_first < n_last, "
+                         f"got n_first={n_first!r}, n_last={n_last!r}")
+    with np.errstate(all="ignore"):
+        w_first = probability(n_first) if n_first else 1.0
+        w_last = probability(n_last)
+        rate = -np.log(np.divide(w_last, w_first)) / (n_last - n_first)
+    if isinstance(rate, np.ndarray) and rate.ndim:
+        return rate
+    if w_first == 0.0 or w_last == 0.0:
+        rate = math.inf  # a vanished probability, whatever the other one is
+    if not math.isfinite(rate):
+        raise rate_failure(rate)
+    return float(rate)

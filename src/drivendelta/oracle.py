@@ -34,6 +34,7 @@ history is reduced in 32 x 256 tiles, so every temporary stays in cache.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
-from .errors import ConvergenceError, InfiniteRateError
-from .model import ModelParams, from_physical
+from .errors import ConvergenceError
+from .model import ModelParams, decay_rate, from_physical, volkov_phase
 
 __all__ = [
     "VolterraGrid",
@@ -112,7 +113,7 @@ def _two_sided_overlap(beta, center, b_lin, lam):
 # ----------------------------------------------------------------------
 
 def _drive(t, driven=True):
-    """sin t, cos t and the Volkov phase phi(t) = (sin t cos t - t)/4.
+    """sin t, cos t and the Volkov phase phi(t) (model.volkov_phase).
 
     The classical action between (0, s) and (0, t) under the drive is
     phi(t) - phi(s) + (cos t - cos s)^2/(2(t - s)).  With the field off all
@@ -122,8 +123,7 @@ def _drive(t, driven=True):
     if not driven:
         zero = np.zeros_like(t)
         return zero, zero, zero
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    return sin_t, cos_t, 0.25 * (sin_t * cos_t - t)
+    return np.sin(t), np.cos(t), volkov_phase(t)
 
 
 def _inhomogeneity(t, gamma, h, driven):
@@ -411,7 +411,7 @@ def _march(t, dt, n, gamma, h, driven):
 # ground-state projection
 # ----------------------------------------------------------------------
 
-def survival_probability(grid: VolterraGrid, t_f=None, osc_nodes_per_cycle=80):
+def survival_probability(grid: VolterraGrid, t_f=None):
     """Survival amplitude p = <psi0|psi(t_f)> and probability w = |p|^2.
 
     Duhamel again: the free-evolution overlap plus the time integral of the
@@ -432,7 +432,7 @@ def survival_probability(grid: VolterraGrid, t_f=None, osc_nodes_per_cycle=80):
     spline = CubicSpline(grid.t, grid.f)
     phase_rate = gamma**2 / (2.0 * h)
     n_osc = max(phase_rate * t_f, t_f) / (2.0 * math.pi)
-    m = int(max(4001, 2 * int(osc_nodes_per_cycle * n_osc) + 1))
+    m = int(max(4001, 2 * int(80 * n_osc) + 1))  # 80 nodes per oscillation
     half = 0.5 * t_f
 
     total = 0.0 + 0.0j
@@ -449,18 +449,9 @@ def survival_probability(grid: VolterraGrid, t_f=None, osc_nodes_per_cycle=80):
     return p, float(abs(p) ** 2)
 
 
-def rate_from_oracle(params: ModelParams, n, dt=None, driven=True,
-                     tolerance=None):
-    """Gamma = -(2*pi/t_f)*ln|p|^2 from a fresh solve over n whole cycles."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
-    t_f = 2.0 * math.pi * int(n)
-    grid = solve_boundary_function(params, t_f, dt=dt, driven=driven,
-                                   tolerance=tolerance)
-    _, w = survival_probability(grid)
-    if w == 0.0:
-        raise InfiniteRateError("survival amplitude vanished; rate diverges")
-    return -(2.0 * math.pi / t_f) * math.log(w)
+def rate_from_oracle(params: ModelParams, n, dt=None, driven=True):
+    """Rate -(2*pi/t_f)*ln|p|^2 over n cycles: rate_between_cycles(params, 0, n)."""
+    return rate_between_cycles(params, 0, n, dt=dt, driven=driven)
 
 
 def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None,
@@ -471,17 +462,14 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None,
     switch-on loss (the bare ground state is not the field-dressed state at
     the projection instants), so it approaches the asymptotic decay rate
     much faster than the single-interval definition; used for cross-method
-    comparisons.
+    comparisons.  One solve serves both projections; n_first = 0 is the
+    single-interval rate.  Failures as in :func:`drivendelta.model.decay_rate`.
     """
-    if not 1 <= n_first < n_last:
-        raise ValueError("need 1 <= n_first < n_last")
-    grid = solve_boundary_function(params, 2.0 * math.pi * n_last, dt=dt,
-                                   driven=driven)
-    _, w_first = survival_probability(grid, t_f=2.0 * math.pi * n_first)
-    _, w_last = survival_probability(grid)
-    if w_first == 0.0 or w_last == 0.0:
-        raise InfiniteRateError("survival amplitude vanished; rate diverges")
-    return -math.log(w_last / w_first) / (n_last - n_first)
+    solve = functools.cache(lambda: solve_boundary_function(
+        params, 2.0 * math.pi * n_last, dt=dt, driven=driven))
+    return decay_rate(
+        lambda n: survival_probability(solve(), t_f=2.0 * math.pi * n)[1],
+        n_first, n_last)
 
 
 # ----------------------------------------------------------------------

@@ -19,12 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .adiabatic import quasi_energy_averaged
-from .errors import (DegeneratePathError, InfiniteRateError,
-                     NonTransversalCrossingError, NumericError)
-from .model import ModelParams, all_true, unbox
+from .adiabatic import bound_propagator_factor, quasi_energy_averaged
+from .errors import DegeneratePathError
+from .model import ModelParams, all_true, decay_rate, unbox, volkov_phase
 
 __all__ = [
     "ComplexPath",
@@ -34,10 +32,10 @@ __all__ = [
     "make_path",
     "action",
     "action_by_quadrature",
-    "delta_phase",
     "volkov_propagator",
     "survival_amplitude",
     "ionization_rate",
+    "rate_between_cycles",
 ]
 
 
@@ -88,13 +86,6 @@ class ComplexPath:
     def velocity(self, t):
         return np.sin(t) + self.v0
 
-    @property
-    def is_real(self):
-        return (abs(complex(self.t_start).imag) == 0.0
-                and abs(complex(self.t_end).imag) == 0.0
-                and abs(complex(self.y).imag) == 0.0
-                and abs(complex(self.x).imag) == 0.0)
-
 
 def make_path(t_start, t_end, y, x) -> ComplexPath:
     """Path of the driven free motion through (y, t_start) and (x, t_end)."""
@@ -107,24 +98,21 @@ def make_path(t_start, t_end, y, x) -> ComplexPath:
     return ComplexPath(t_start=t_start, t_end=t_end, y=y, x=x, v0=v0, kind=kind)
 
 
-def _action_antiderivative(path: ComplexPath, t):
-    # antiderivative of L0 = xdot^2/2 + x*cos(t) along the path
-    ti, y, v0 = path.t_start, path.y, path.v0
-    ci = np.cos(ti)
-    st, ct = np.sin(t), np.cos(t)
-    return (-t / 4.0 - 0.75 * st * ct + 0.5 * v0 * v0 * t
-            + (ci + y) * st + v0 * (t - ti) * st)
+def _volkov_action(t_f, t_i, x=0.0, y=0.0):
+    # closed-form action from (y, t_i) to (x, t_f); see model.volkov_phase
+    return (volkov_phase(t_f) - volkov_phase(t_i) + x * np.sin(t_f) - y * np.sin(t_i)
+            + (x - y + np.cos(t_f) - np.cos(t_i)) ** 2 / (2.0 * (t_f - t_i)))
 
 
 def action(path: ComplexPath):
     """Classical action of the field-only Lagrangian along the path.
 
     Closed form; for the driven potential -x*cos(t) the Lagrangian is
-    L0 = xdot^2/2 + x*cos(t) and its time integral is elementary.  Contour
-    independence in the complex t-plane is inherited from analyticity.
+    L0 = xdot^2/2 + x*cos(t) and its time integral is elementary (see
+    :func:`drivendelta.model.volkov_phase`).  Contour independence in the
+    complex t-plane is inherited from analyticity.
     """
-    return (_action_antiderivative(path, path.t_end)
-            - _action_antiderivative(path, path.t_start))
+    return _volkov_action(path.t_end, path.t_start, path.x, path.y)
 
 
 def action_by_quadrature(path: ComplexPath, waypoints=None, nodes=240):
@@ -145,85 +133,27 @@ def action_by_quadrature(path: ComplexPath, waypoints=None, nodes=240):
     return total
 
 
-def delta_phase(path, bracket_resolution=1e-3, root_tol=1e-12):
-    """Accumulated origin-crossing phase sum(1/|xdot(t_j)|) of a real path.
-
-    Zeros of x(t) are located by sign-change bracketing on a uniform grid of
-    ``bracket_resolution`` cycles followed by Brent polishing.  A tangential
-    zero in the interior (x touches 0 with xdot = 0) makes the phase
-    ill-defined and raises NonTransversalCrossingError; touches exactly at
-    the path endpoints do not count as crossings.
-    """
-    if getattr(path, "is_real", None) is False or not path.is_real:
-        raise ValueError("delta_phase requires a real classical path")
-    a = float(np.real(path.t_start))
-    b = float(np.real(path.t_end))
-    n = max(16, int(math.ceil((b - a) / (2.0 * math.pi * bracket_resolution))))
-    grid = np.linspace(a, b, n + 1)
-    vals = np.real(path.position(grid))
-    scale = max(np.max(np.abs(vals)), 1e-30)
-
-    def pos(t):
-        return float(np.real(path.position(t)))
-
-    phi = 0.0
-    for i in range(n):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            if i == 0:
-                continue  # endpoint touch
-            root = grid[i]
-        elif va * vb < 0.0:
-            root = brentq(pos, grid[i], grid[i + 1], xtol=root_tol)
-        else:
-            continue
-        speed = abs(float(np.real(path.velocity(root))))
-        if speed < 1e-8:
-            raise NonTransversalCrossingError(
-                f"tangential origin crossing at t={root!r}")
-        phi += 1.0 / speed
-
-    # tangential contact: the path becomes stationary ON the origin without
-    # changing sign; locate interior velocity zeros and inspect |x| there
-    def vel(t):
-        return float(np.real(path.velocity(t)))
-
-    speeds = np.real(path.velocity(grid))
-    step = grid[1] - grid[0]
-    for i in range(n):
-        if speeds[i] * speeds[i + 1] < 0.0:
-            t_star = brentq(vel, grid[i], grid[i + 1], xtol=root_tol)
-            if t_star - a < step or b - t_star < step:
-                continue  # endpoint touch does not count as a crossing
-            if abs(float(np.real(path.position(t_star)))) < 1e-9 * scale:
-                raise NonTransversalCrossingError(
-                    f"tangential origin contact near t={t_star!r}")
-    return phi
-
-
-def volkov_propagator(x, t_f, y, t_i, params: ModelParams, delta_phi=None):
+def volkov_propagator(x, t_f, y, t_i, params: ModelParams):
     """Semiclassical propagator of the driven atom between (y, t_i) and (x, t_f).
 
-    Equals exp(i*S/h + i*gamma*phi) / sqrt(2*pi*i*h*(t_f - t_i)).  For real
-    times the principal square root applies and phi is the origin-crossing
-    phase of the classical path (computed here unless ``delta_phi`` is
-    given).  When the start time is truly complex the radicand leaves the
-    imaginary axis and the branched sheet of :func:`branched_sqrt` is used;
-    the relevant tunneling paths do not cross the origin, so phi = 0 then.
+    Equals exp(i*S/h) / sqrt(2*pi*i*h*(t_f - t_i)) with S the action of the
+    path through both points.  A real duration takes the principal square
+    root; when the start time is truly complex the radicand leaves the
+    imaginary axis and the branched sheet of :func:`branched_sqrt` is used.
+    The phase a path picks up where it crosses the delta potential at the
+    origin is not included: the tunneling paths of the survival amplitude
+    do not cross it.
     """
     if t_f == t_i:
         raise DegeneratePathError("propagator endpoints coincide in time")
-    path = make_path(t_i, t_f, y, x)
     h = params.h
-    s_cl = action(path)
-    if delta_phi is None:
-        delta_phi = delta_phase(path) if path.is_real else 0.0
+    s_cl = _volkov_action(t_f, t_i, x, y)
     radicand = 2j * math.pi * h * (t_f - t_i)
     if abs(complex(t_f - t_i).imag) > 0.0:
         root = branched_sqrt(radicand)
     else:
         root = np.sqrt(radicand)
-    return np.exp(1j * s_cl / h + 1j * params.gamma * delta_phi) / root
+    return np.exp(1j * s_cl / h) / root
 
 
 @dataclass(frozen=True)
@@ -259,12 +189,12 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
         -4*h / (gamma * branched_sqrt(2*i*pi*h*tau_k)) * exp(zeta_k),
         tau_k = t_f - t0 - k*pi,
 
-    where zeta_k collects the classical action of the packet path from
-    (0, k*pi + t0) to (0, t_f) and the bound-state phase accumulated up to
-    the emission time.  Packets with odd k end up displaced by about two
-    units and overlap the bound state only weakly; they are skipped unless
-    ``include_odd`` is set.  With array parameters every term is an array
-    over the grid.
+    where zeta_k = i*A_k/h - i*e_m*t_k/h collects the classical action A_k
+    of the packet path from (0, t_k = k*pi + t0) to (0, t_f) and the phase of
+    the decaying bound state up to the emission time.  Packets with odd k
+    end up displaced by about two units and overlap the bound state only
+    weakly; they are skipped unless ``include_odd`` is set.  With array
+    parameters every term is an array over the grid.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got n={n!r}")
@@ -273,49 +203,24 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
     t_f = 2.0 * math.pi * n
     e_m = quasi_energy_averaged(params).e_m
     t0 = tunnel_start_time(g)
-    c0 = unbox(np.sqrt(1.0 + g * g))   # cos(t0)
-    s0 = 1j * g                          # sin(t0)
 
-    bound = unbox(np.exp(-1j * e_m * t_f / h))
+    bound = unbox(bound_propagator_factor(params, t_f))
     terms = []
     for k in range(2 * n):
         if (k % 2 == 1) and not include_odd:
             continue
-        tau = t_f - t0 - k * math.pi
-        prefactor = -4.0 * h / (g * branched_sqrt(2j * math.pi * h * tau))
-        zeta = ((-1j / (4.0 * h * tau))
-                * (tau * tau + tau * c0 * s0 + 4.0 * c0 * (-1.0) ** k
-                   - 2.0 - 2.0 * c0 * c0)
-                - 1j * e_m * (t0 + k * math.pi) / h)
+        t_k = t0 + k * math.pi
+        prefactor = -4.0 * h / (g * branched_sqrt(2j * math.pi * h * (t_f - t_k)))
+        zeta = 1j * _volkov_action(t_f, t_k) / h - 1j * e_m * t_k / h
         terms.append(PacketTerm(k=k, zeta=zeta, prefactor=prefactor,
                                 value=unbox(prefactor * np.exp(zeta))))
     return SurvivalAmplitude(params=params, n_cycles=n, t_f=t_f,
                              bound_term=bound, packet_terms=tuple(terms))
 
 
-def _checked(rate, *ws):
-    """A grid of rates as it is; a scalar rate as a float, or the reason it failed."""
-    if isinstance(rate, np.ndarray) and rate.ndim:
-        return rate
-    if any(w == 0.0 for w in ws):
-        raise InfiniteRateError("survival amplitude vanished; rate diverges")
-    if not np.isfinite(rate):
-        raise NumericError(f"packet sum overflowed; rate is {rate!r}")
-    return float(rate)
-
-
 def ionization_rate(params: ModelParams, n, include_odd=False):
-    """Decay rate Gamma = -(2*pi/t_f) * ln|p|^2 over n whole cycles.
-
-    A scalar call raises InfiniteRateError where p vanishes and NumericError
-    where the packet sum overflows.  On a parameter grid the result is an
-    array that is not finite at such points instead.
-    """
-    with np.errstate(all="ignore"):
-        amp = survival_amplitude(params, n, include_odd=include_odd)
-        w = np.abs(amp.p) ** 2
-        rate = -(2.0 * math.pi / amp.t_f) * np.log(w)
-    return _checked(rate, w)
+    """Rate -(2*pi/t_f) * ln|p|^2 over n cycles: rate_between_cycles(params, 0, n)."""
+    return rate_between_cycles(params, 0, n, include_odd=include_odd)
 
 
 def rate_between_cycles(params: ModelParams, n_first=1, n_last=2,
@@ -324,13 +229,10 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2,
 
     Semiclassical counterpart of the oracle's between-cycles rate; the
     bound-term contribution reduces exactly to 2*pi*D_avg while packet
-    interference supplies the channel-closing modulation.  Failures are
-    reported as in :func:`ionization_rate`.
+    interference supplies the channel-closing modulation.  n_first = 0 is
+    the single-interval rate; failures are reported as in
+    :func:`drivendelta.model.decay_rate`.
     """
-    if not 1 <= n_first < n_last:
-        raise ValueError("need 1 <= n_first < n_last")
-    with np.errstate(all="ignore"):
-        w_first = np.abs(survival_amplitude(params, n_first, include_odd=include_odd).p) ** 2
-        w_last = np.abs(survival_amplitude(params, n_last, include_odd=include_odd).p) ** 2
-        rate = -np.log(w_last / w_first) / (n_last - n_first)
-    return _checked(rate, w_first, w_last)
+    return decay_rate(
+        lambda n: np.abs(survival_amplitude(params, n, include_odd=include_odd).p) ** 2,
+        n_first, n_last)

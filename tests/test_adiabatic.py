@@ -7,15 +7,12 @@ from scipy.integrate import quad
 from drivendelta.adiabatic import (
     bound_propagator_factor,
     cycle_average_quadrature,
-    quasi_energy,
     quasi_energy_averaged,
     rate_cycle_averaged,
     rate_instantaneous,
-    saddle_point_integral,
     stark_shift,
     stark_shift_averaged,
 )
-from drivendelta.errors import DegenerateSaddleError
 from drivendelta.model import from_dimensionless
 
 P07 = from_dimensionless(0.7, 10.0)  # gamma=0.7, h=0.025
@@ -89,22 +86,6 @@ def test_stark_shift_values():
     assert stark_shift(P07, 0.6) < 0.0
 
 
-def test_quasi_energy_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        gamma = rng.uniform(0.3, 2.0)
-        z = rng.uniform(1.0, 30.0)
-        eta = rng.uniform(0.05, 1.0)
-        p = from_dimensionless(gamma, z)
-        qe = quasi_energy(p, eta)
-        d = rate_instantaneous(p, eta)
-        assert qe.e_i == pytest.approx(-0.5j * p.h * d, abs=1e-14 * max(1.0, d))
-        assert qe.e_m == qe.e0 + qe.e_ac + qe.e_i
-        assert qe.e_m.imag <= 0.0
-        if d > 0.0:  # rate can underflow to zero deep in the suppressed regime
-            assert qe.e_m.imag < 0.0
-
-
 def test_quasi_energy_averaged_assembly():
     qe = quasi_energy_averaged(P07)
     assert qe.e_m.imag == pytest.approx(-0.5 * 0.025 * rate_cycle_averaged(P07),
@@ -133,54 +114,6 @@ def test_bound_propagator_factor():
     fac_c = bound_propagator_factor(P07, t0)
     qe = quasi_energy_averaged(P07)
     assert fac_c == pytest.approx(np.exp(-1j * qe.e_m * t0 / P07.h), rel=1e-14)
-
-
-def test_saddle_gaussian_exact():
-    for h in (0.5, 0.1, 0.01):
-        val = saddle_point_integral(lambda t: 0.5 * t * t, lambda t: 1.0, h,
-                                    [0.0], f2=[1.0])
-        assert val == pytest.approx(math.sqrt(2.0 * math.pi * h), rel=1e-14)
-
-
-def test_saddle_reproduces_cycle_average():
-    # the explicit integrand of the cycle average around its two field maxima
-    g, h = P07.gamma, P07.h
-
-    def f(t):
-        return 2.0 * g**3 / (3.0 * abs(math.cos(t)))
-
-    def pre(t):
-        return g * g / (2.0 * math.pi * h)
-
-    val = saddle_point_integral(f, pre, h, [0.0, math.pi],
-                                f2=[2.0 * g**3 / 3.0] * 2)
-    assert val == pytest.approx(rate_cycle_averaged(P07), rel=1e-12)
-
-
-def test_saddle_finite_difference_second_derivative():
-    val = saddle_point_integral(lambda t: 0.5 * t * t, lambda t: 1.0, 0.1, [0.0])
-    assert val == pytest.approx(math.sqrt(0.2 * math.pi), rel=1e-7)
-
-
-def test_saddle_descent_vs_quadrature_cosh():
-    for h, tol in ((0.1, 0.05), (0.01, 0.005)):
-        approx = saddle_point_integral(lambda t: math.cosh(t) - 1.0,
-                                       lambda t: 1.0, h, [0.0], f2=[1.0])
-        exact, _ = quad(lambda t: math.exp(-(math.cosh(t) - 1.0) / h),
-                        -30.0, 30.0)  # integrand underflows long before +-30
-        assert abs(approx / exact - 1.0) < tol
-
-
-def test_saddle_stationary_phase_mode():
-    # analytic continuation of the Gaussian: integral exp(i t^2/(2h))
-    val = saddle_point_integral(lambda t: 0.5 * t * t, lambda t: 1.0, 0.2,
-                                [0.0], f2=[1.0], mode="stationary_phase")
-    assert val == pytest.approx(np.sqrt(2.0j * np.pi * 0.2), rel=1e-14)
-
-
-def test_saddle_degenerate_error():
-    with pytest.raises(DegenerateSaddleError):
-        saddle_point_integral(lambda t: t**4, lambda t: 1.0, 0.1, [0.0], f2=[0.0])
 
 
 def test_averaged_formulas_on_a_grid_match_points():

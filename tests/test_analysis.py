@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import drivendelta.oracle as oracle_mod
+import drivendelta.semiclassical as sc_mod
 from drivendelta.analysis import (
     RateScan,
     appendix_c_demo,
     barrier_traversal_time,
+    engine_rates,
     modulation_period,
     savitzky_golay,
     scan_rate,
@@ -19,7 +22,7 @@ from drivendelta.analysis import (
 )
 from drivendelta.errors import InfiniteRateError, InsufficientDataError, NumericError
 from drivendelta.model import from_dimensionless
-from drivendelta.semiclassical import ionization_rate
+from drivendelta.semiclassical import rate_between_cycles
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +79,7 @@ def _synthetic_scan(period=0.5, z0=6.0, z1=20.0, step=0.01):
     # synthetic peaks: reuse the production refinement on the raw cosine
     from drivendelta.analysis import _detect_peaks
     background = np.array([wkb_background(0.7, zz) for zz in z])
-    idx, refined = _detect_peaks(z, series * background, gamma, 0.05)
+    idx, refined = _detect_peaks(z, series * background, gamma)
     return RateScan(mode="fixed_gamma", fixed_value=0.7, engine="semiclassical",
                     n_cycles=1, z_values=z, gamma_param=gamma,
                     gamma_raw=series, gamma_smooth=None, peaks=refined,
@@ -126,8 +129,8 @@ def test_scan_fixed_n_io_threshold_spacing_is_one():
     assert np.allclose(scan.gamma_param, np.sqrt(9.8 / (2.0 * z)), rtol=1e-14)
 
 
-def _reference_rates(params, n, include_odd=False):
-    """Per-point loop of scalar ionization_rate: the grid call's reference.
+def _reference_rates(params, n_first, n_last, include_odd=False):
+    """Per-point loop of scalar rate_between_cycles: the grid call's reference.
 
     A point whose scalar call raises InfiniteRateError (vanished amplitude)
     is NaN, where the per-point scan recorded a missing sample.
@@ -135,8 +138,9 @@ def _reference_rates(params, n, include_odd=False):
     rates = []
     for gamma, z in zip(params.gamma, params.z):
         try:
-            rates.append(ionization_rate(from_dimensionless(gamma, z), n,
-                                         include_odd=include_odd))
+            rates.append(rate_between_cycles(from_dimensionless(gamma, z),
+                                             n_first, n_last,
+                                             include_odd=include_odd))
         except InfiniteRateError:
             rates.append(float("nan"))
     return np.array(rates)
@@ -150,13 +154,11 @@ def _reference_rates(params, n, include_odd=False):
 @pytest.mark.parametrize("include_odd", [False, True])
 def test_grid_scan_matches_per_point_reference(monkeypatch, mode, fixed,
                                                z_spec, cycles, include_odd):
-    import drivendelta.analysis as analysis_mod
-
     lo, hi, step = z_spec
     z = lo + step * np.arange(round((hi - lo) / step) + 1)
     grid = scan_rate("semiclassical", mode, fixed, z, n_cycles=cycles,
                      include_odd=include_odd)
-    monkeypatch.setattr(analysis_mod, "ionization_rate", _reference_rates)
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", _reference_rates)
     ref = scan_rate("semiclassical", mode, fixed, z, n_cycles=cycles,
                     include_odd=include_odd)
 
@@ -171,36 +173,32 @@ def test_grid_scan_matches_per_point_reference(monkeypatch, mode, fixed,
 
 
 def test_scan_makes_one_semiclassical_call_per_grid(monkeypatch):
-    import drivendelta.analysis as analysis_mod
-
     calls = []
-    real = analysis_mod.ionization_rate
 
-    def counted(params, n, include_odd=False):
-        calls.append(np.shape(params.z))
-        return real(params, n, include_odd=include_odd)
+    def counted(params, n_first, n_last, include_odd=False):
+        calls.append((np.shape(params.z), n_first, n_last))
+        return rate_between_cycles(params, n_first, n_last,
+                                   include_odd=include_odd)
 
-    monkeypatch.setattr(analysis_mod, "ionization_rate", counted)
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", counted)
     z = np.arange(8.0, 9.0 + 0.005, 0.02)
     scan_rate("semiclassical", "fixed_gamma", 0.7, z, n_cycles=1)
-    assert calls == [z.shape]
+    assert calls == [(z.shape, 0, 1)]
 
 
 def test_scan_records_and_interpolates_failures(monkeypatch):
     # the grid call marks failed points as not finite: NaN, or +inf where
     # the amplitude vanished
-    import drivendelta.analysis as analysis_mod
-
-    real = analysis_mod.ionization_rate
     failed = [3, 10, 17, 24, 31, 38, 45]
 
-    def flaky(params, n, include_odd=False):
-        rates = real(params, n, include_odd=include_odd)
+    def flaky(params, n_first, n_last, include_odd=False):
+        rates = rate_between_cycles(params, n_first, n_last,
+                                    include_odd=include_odd)
         rates[failed] = np.nan
         rates[failed[::2]] = np.inf
         return rates
 
-    monkeypatch.setattr(analysis_mod, "ionization_rate", flaky)
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", flaky)
     z = np.arange(8.0, 9.0 + 0.005, 0.02)
     scan = scan_rate("semiclassical", "fixed_gamma", 0.7, z, n_cycles=1)
     assert scan.missing_indices == failed
@@ -214,19 +212,49 @@ def test_scan_records_and_interpolates_failures(monkeypatch):
 def test_oracle_scan_records_engine_failures_per_point(monkeypatch):
     # the oracle still solves point by point; an engine error at one point
     # is a missing sample, and the scan goes on
-    import drivendelta.analysis as analysis_mod
-
-    def flaky(params, n, dt=None):
+    def flaky(params, n_first, n_last, dt=None):
         if 1.25 < params.z < 1.45:
             raise NumericError("synthetic engine failure")
         return 0.1 + 0.01 * params.z
 
-    monkeypatch.setattr(analysis_mod, "rate_from_oracle", flaky)
+    monkeypatch.setattr(oracle_mod, "rate_between_cycles", flaky)
     z = np.arange(1.0, 2.0 + 0.05, 0.1)
     scan = scan_rate("oracle", "fixed_gamma", 0.7, z, n_cycles=1)
     assert scan.missing_indices == [3, 4]
     assert np.all(np.isnan(scan.gamma_raw[[3, 4]]))
     assert np.all(np.isfinite(scan.gamma_smooth))
+
+
+def test_engine_rates_give_a_reason_for_each_failed_point(monkeypatch):
+    params = from_dimensionless(np.full(4, 0.7), np.array([8.0, 8.5, 9.0, 9.5]))
+
+    def marked(params, n_first, n_last, include_odd=False):
+        rates = rate_between_cycles(params, n_first, n_last,
+                                    include_odd=include_odd)
+        rates[1], rates[2] = np.inf, np.nan
+        return rates
+
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", marked)
+    rates, failures = engine_rates("semiclassical", params, 1, 2)
+    assert sorted(failures) == [1, 2]
+    assert "vanished" in failures[1] and "not finite" in failures[2]
+    assert np.all(np.isnan(rates[[1, 2]])) and np.all(np.isfinite(rates[[0, 3]]))
+
+    points = []
+
+    def flaky(params, n_first, n_last, dt=None):
+        points.append(params)
+        if params.z == 9.0:
+            raise InfiniteRateError("synthetic")
+        return float(n_first + n_last)
+
+    monkeypatch.setattr(oracle_mod, "rate_between_cycles", flaky)
+    rates, failures = engine_rates("oracle", params, 1, 2)
+    assert failures == {2: "synthetic"}
+    assert list(rates[[0, 1, 3]]) == [3.0, 3.0, 3.0] and np.isnan(rates[2])
+    assert points == [params.point(i) for i in range(4)]
+    with pytest.raises(ValueError, match="unknown engine"):
+        engine_rates("warpdrive", params, 1, 2)
 
 
 def test_scan_validation():
@@ -247,14 +275,12 @@ def test_scan_validation():
 ])
 def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
                                                           fixed, z, cycles):
-    import drivendelta.analysis as analysis_mod
-
     def engine(*args, **kwargs):
         raise AssertionError("engine called on invalid input")
 
     # the semiclassical grid call and the oracle's per-point call
-    monkeypatch.setattr(analysis_mod, "ionization_rate", engine)
-    monkeypatch.setattr(analysis_mod, "rate_from_oracle", engine)
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", engine)
+    monkeypatch.setattr(oracle_mod, "rate_between_cycles", engine)
     for engine_name in ("semiclassical", "oracle"):
         with pytest.raises(ValueError):
             scan_rate(engine_name, mode, fixed, z, n_cycles=cycles)
@@ -263,25 +289,21 @@ def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
 def test_scan_propagates_non_engine_errors(monkeypatch):
     # a semiclassical point fails by a non-finite rate; any exception from
     # the grid call, an engine error included, is not a missing sample
-    import drivendelta.analysis as analysis_mod
-
     for error in (RuntimeError, NumericError):
-        def broken(params, n, include_odd=False):
+        def broken(params, n_first, n_last, include_odd=False):
             raise error("not a failed point")
 
-        monkeypatch.setattr(analysis_mod, "ionization_rate", broken)
+        monkeypatch.setattr(sc_mod, "rate_between_cycles", broken)
         with pytest.raises(error):
             scan_rate("semiclassical", "fixed_gamma", 0.7, [6.0, 7.0])
 
 
 def test_oracle_scan_propagates_non_engine_errors(monkeypatch):
     # only the engines' numeric failures become missing samples
-    import drivendelta.analysis as analysis_mod
-
-    def broken(params, n, dt=None):
+    def broken(params, n_first, n_last, dt=None):
         raise RuntimeError("not an engine failure")
 
-    monkeypatch.setattr(analysis_mod, "rate_from_oracle", broken)
+    monkeypatch.setattr(oracle_mod, "rate_between_cycles", broken)
     with pytest.raises(RuntimeError):
         scan_rate("oracle", "fixed_gamma", 0.7, [6.0, 7.0])
 

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
-from drivendelta.cli import main, parse_range, range_values, _UsageError
-from drivendelta.errors import InfiniteRateError
+from drivendelta.analysis import wkb_background
+from drivendelta.cli import _peak_offsets, main, parse_range, range_values, _UsageError
 
 
 def run(argv, capsys=None):
@@ -156,6 +158,86 @@ def test_thresholds_table(capsys):
     assert all(abs(z - k / 1.98) < 1e-9 for k, z in zip(ks, zs))
 
 
+def _threshold_rows(capsys):
+    return [row.split(",") for row in capsys.readouterr().out.split()[1:]]
+
+
+def test_thresholds_fixed_n_io_lists_only_positive_z(capsys):
+    assert run(["thresholds", "--n-io", "2", "--z", "0:3"]) == 0
+    rows = _threshold_rows(capsys)
+    assert [int(k) for k, _, _ in rows] == [3, 4, 5]
+    assert all(float(z) > 0.0 for _, z, _ in rows)
+    assert all(float(g) == pytest.approx(math.sqrt(2.0 / (2.0 * float(z))))
+               for _, z, g in rows)
+
+
+def test_thresholds_match_the_scan_thresholds(capsys):
+    from drivendelta.analysis import scan_rate
+
+    assert run(["thresholds", "--gamma", "0.7", "--z", "6:8"]) == 0
+    zs = [float(z) for _, z, _ in _threshold_rows(capsys)]
+    scan = scan_rate("semiclassical", "fixed_gamma", 0.7,
+                     np.arange(6.0, 8.0 + 0.005, 0.01))
+    assert zs == pytest.approx(list(scan.thresholds), rel=1e-11)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-io", "-3", "--z", "0:5"],
+    ["--n-io", "0", "--z", "0:5"],
+    ["--gamma", "-0.7", "--z", "6:8"],
+    ["--gamma", "0", "--z", "6:8"],
+    ["--gamma", "nan", "--z", "6:8"],
+])
+def test_thresholds_reject_non_positive_parameter(capsys, argv):
+    code = run(["thresholds", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "usage error" in captured.err and "must be" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_COMMAND_ARGS = {
+    "scan": ["--gamma", "0.7"],
+    "compare": ["--gamma", "0.7", "--cycles", "2"],
+    "thresholds": ["--gamma", "0.7"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize("z_spec", ["a:b:0.1", "1:2:nan", "1:inf:0.1", "1:inf",
+                                    "-inf:2:0.1", "1:2:x"])
+def test_range_fields_must_be_finite_numbers(tmp_path, capsys, command, z_spec):
+    code = run([command, *_COMMAND_ARGS[command], "--z", z_spec,
+                "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
+def test_config_parameter_must_be_a_number(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gamma": "abc", "z": "6:7:0.5"}))
+    code = run(["scan", "--config", str(config), "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err and "--gamma must be a number" in err
+
+
+def test_peak_offsets_use_the_scan_prominence_rule():
+    # a ripple far below 5% of the normalized span makes no peaks of its own
+    z = np.arange(6.0, 9.0 + 0.005, 0.01)
+    bg = wkb_background(0.7, z)
+    sc = bg * (1.0 + 0.5 * np.cos(2.0 * np.pi * z / 0.5))
+    orc = bg * (1.0 + 0.5 * np.cos(2.0 * np.pi * (z - 0.02) / 0.5)
+                + 0.01 * np.cos(2.0 * np.pi * z / 0.04))
+    # one offset per main oracle peak inside the grid, none for the ripple
+    # or for the rising edge at z = 6
+    offsets = _peak_offsets(z, sc, orc, "fixed_gamma", 0.7)
+    assert offsets == pytest.approx([0.02] * 5, abs=0.011)
+
+
 def test_demo_appendix_c(capsys):
     assert run(["demo-appendix-c"]) == 0
     out = capsys.readouterr().out
@@ -199,10 +281,15 @@ def test_compare_invalid_input_is_usage_error(tmp_path, capsys, argv):
 
 def test_compare_semiclassical_infinite_rate_is_numeric_failure(
         tmp_path, capsys, monkeypatch):
+    # the semiclassical grid call marks a vanished amplitude as a +inf rate
     import drivendelta.cli as cli_mod
 
-    def vanished(*args, **kwargs):
-        raise InfiniteRateError("survival amplitude vanished; rate diverges")
+    real = cli_mod.semiclassical.rate_between_cycles
+
+    def vanished(params, n_first, n_last, include_odd=False):
+        rates = real(params, n_first, n_last, include_odd=include_odd)
+        rates[:] = np.inf
+        return rates
 
     monkeypatch.setattr(cli_mod.semiclassical, "rate_between_cycles", vanished)
     out = tmp_path / "cmp.csv"

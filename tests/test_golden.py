@@ -1,0 +1,125 @@
+"""Golden outputs: `scan` and `compare` against fixtures of an earlier commit.
+
+Every fixture under ``tests/golden/`` was written at commit
+024af6d4a9e0376c78f16220a5d8e0a1ab7b7d1c ("Evaluate the semiclassical scan
+in one pass over the z grid"), before the engines were given one rate entry
+point and the Volkov action and the rate formula were each written once:
+
+    scan --gamma 0.7 --z 6:8:0.01 --cycles 1 --format both
+        -> fx_scan_gamma.csv, fx_scan_gamma.json
+    scan --n-io 9.8 --z 2:4:0.01 --cycles 2 --include-odd --format both
+        -> fx_scan_nio.csv, fx_scan_nio.json
+    scan --engine oracle --gamma 0.7 --z 0.5:1.0:0.1 --format both
+        -> fx_scan_oracle.csv, fx_scan_oracle.json
+    compare --gamma 0.7 --z 0.5:0.9:0.1 --cycles 2
+        -> fx_compare.csv; fx_compare_rates.json holds the two engines'
+           rates at full precision (semiclassical.rate_between_cycles and
+           oracle.rate_between_cycles at (params, 1, 2), the calls compare
+           made then)
+
+Tolerances: a semiclassical rate within 1e-12 * max|Gamma| of the scan, an
+oracle rate within 1e-12 relative; z, gamma_param, is_peak and
+nearest_threshold_k byte-identical.  The CSV files print 12 significant
+digits, so a printed rate may in addition move by one unit in its last
+digit; the JSON files and fx_compare_rates.json carry every digit.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import drivendelta.analysis as analysis_mod
+from drivendelta.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SCANS = {
+    "fx_scan_gamma": ["scan", "--gamma", "0.7", "--z", "6:8:0.01",
+                      "--cycles", "1"],
+    "fx_scan_nio": ["scan", "--n-io", "9.8", "--z", "2:4:0.01", "--cycles", "2",
+                    "--include-odd"],
+    "fx_scan_oracle": ["scan", "--engine", "oracle", "--gamma", "0.7",
+                       "--z", "0.5:1.0:0.1"],
+}
+EXACT_COLUMNS = ("z", "gamma_param", "is_peak", "nearest_threshold_k")
+
+
+def _rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def _last_digit(text):
+    """One unit in the last of the 12 significant digits a CSV field prints."""
+    value = abs(float(text))
+    return 10.0 ** (math.floor(math.log10(value)) - 11) if value else 0.0
+
+
+def _assert_close(new, old, tol):
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    good = ~np.isnan(old)
+    assert np.all(np.abs(new[good] - old[good]) <= np.broadcast_to(tol, old.shape)[good])
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_scan_matches_golden(tmp_path, name):
+    assert main([*SCANS[name], "--format", "both",
+                 "--out", str(tmp_path / name)]) == 0
+    old_doc = json.loads((GOLDEN / f"{name}.json").read_text())
+    new_doc = json.loads((tmp_path / f"{name}.json").read_text())
+
+    old_raw = np.array(old_doc["Gamma_raw"], dtype=float)
+    if old_doc["engine"] == "oracle":
+        tol = 1e-12 * np.abs(old_raw)
+    else:
+        tol = np.full(old_raw.shape, 1e-12 * np.nanmax(np.abs(old_raw)))
+    for key in ("Gamma_raw", "Gamma_smooth"):
+        _assert_close(new_doc[key], old_doc[key], tol)
+    for key in ("schema_version", "engine", "mode", "fixed_value", "n_cycles",
+                "filter_settings", "missing_indices", "z", "gamma_param"):
+        assert new_doc[key] == old_doc[key], key
+    _assert_close(new_doc["thresholds"], old_doc["thresholds"],
+                  1e-12 * np.abs(old_doc["thresholds"]))
+    _assert_close(new_doc["peaks"], old_doc["peaks"], 1e-10)
+
+    old_rows, new_rows = _rows(GOLDEN / f"{name}.csv"), _rows(tmp_path / f"{name}.csv")
+    assert len(new_rows) == len(old_rows)
+    for i, (new, old) in enumerate(zip(new_rows, old_rows)):
+        assert [new[c] for c in EXACT_COLUMNS] == [old[c] for c in EXACT_COLUMNS]
+        for column in ("Gamma_raw", "Gamma_smooth"):
+            assert abs(float(new[column]) - float(old[column])) <= (
+                tol[i] + _last_digit(old[column])), (i, column)
+
+
+def test_compare_matches_golden(tmp_path, monkeypatch):
+    computed = {}
+    real = analysis_mod.engine_rates
+
+    def recorded(engine, *args, **kwargs):
+        rates, failures = real(engine, *args, **kwargs)
+        computed[engine] = rates
+        return rates, failures
+
+    monkeypatch.setattr(analysis_mod, "engine_rates", recorded)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--gamma", "0.7", "--z", "0.5:0.9:0.1",
+                 "--cycles", "2", "--out", str(out)]) == 0
+
+    golden = json.loads((GOLDEN / "fx_compare_rates.json").read_text())["rows"]
+    for engine in ("semiclassical", "oracle"):
+        old = np.array([row[f"Gamma_{engine}"] for row in golden])
+        _assert_close(computed[engine], old, 1e-12 * np.abs(old))
+
+    old_rows, new_rows = _rows(GOLDEN / "fx_compare.csv"), _rows(out)
+    assert len(new_rows) == len(old_rows)
+    for new, old in zip(new_rows, old_rows):
+        assert (new["z"], new["gamma_param"]) == (old["z"], old["gamma_param"])
+        for column in ("Gamma_semiclassical", "Gamma_oracle", "ratio"):
+            assert abs(float(new[column]) - float(old[column])) <= (
+                1e-12 * abs(float(old[column])) + _last_digit(old[column])), column

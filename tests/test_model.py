@@ -1,15 +1,20 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from drivendelta.errors import InfiniteRateError, NumericError
 from drivendelta.model import (
     channel_threshold,
+    decay_rate,
     energy_balance,
     from_dimensionless,
     from_physical,
     ground_state,
+    rate_failure,
+    volkov_phase,
 )
 
 
@@ -148,3 +153,54 @@ def test_from_dimensionless_rejects_any_nonpositive_grid_point():
         from_dimensionless(0.7, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError, match="gamma"):
         from_dimensionless(np.array([0.7, np.nan]), np.array([1.0, 2.0]))
+
+
+def test_grid_point_is_the_point_built_alone():
+    gammas = np.array([0.3, 0.7, 2.6])
+    zs = np.array([0.5, 10.0, 17.25])
+    grid = from_dimensionless(gammas, zs)
+    for i in range(zs.size):
+        assert grid.point(i) == from_dimensionless(float(gammas[i]), float(zs[i]))
+        assert all(type(v) is float for v in vars(grid.point(i)).values())
+
+
+def test_volkov_phase_real_and_complex_times():
+    t = np.array([0.0, 1.3, 2.0 * math.pi, 0.4 + 0.9j, 3.0 - 0.2j])
+    expected = [(cmath.sin(x) * cmath.cos(x) - x) / 4.0 for x in t]
+    assert np.allclose(volkov_phase(t), expected, rtol=1e-15, atol=1e-15)
+    assert volkov_phase(2.0 * math.pi) == pytest.approx(-0.5 * math.pi, rel=1e-15)
+    # phi' = -sin(t)^2/2, also off the real axis
+    step = 1e-5
+    for x in (1.3, 0.4 + 0.9j):
+        slope = (volkov_phase(x + step) - volkov_phase(x - step)) / (2.0 * step)
+        assert slope == pytest.approx(-0.5 * cmath.sin(x) ** 2, rel=1e-9)
+
+
+def test_decay_rate_formula_and_zero_cycle_convention():
+    w = {1: 0.8, 3: 0.5}
+    assert decay_rate(w.get, 1, 3) == pytest.approx(-math.log(0.5 / 0.8) / 2.0,
+                                                    rel=1e-15)
+    # w(0) = 1 is never asked for: the single-interval rate -ln(w(n))/n
+    asked = []
+    rate = decay_rate(lambda n: asked.append(n) or w[n], 0, 3)
+    assert asked == [3]
+    assert rate == pytest.approx(-math.log(0.5) / 3.0, rel=1e-15)
+    assert type(rate) is float
+    for n_first, n_last in ((-1, 2), (2, 2), (3, 2), (0.5, 2), (0, 1.5)):
+        with pytest.raises(ValueError):
+            decay_rate(lambda n: 0.5, n_first, n_last)
+
+
+def test_decay_rate_scalar_raises_where_grid_is_not_finite():
+    with pytest.raises(InfiniteRateError):
+        decay_rate(lambda n: 0.0, 0, 1)
+    with pytest.raises(InfiniteRateError):
+        decay_rate(lambda n: 0.0, 1, 2)  # 0/0: still a vanished probability
+    with pytest.raises(NumericError):
+        decay_rate(lambda n: math.inf, 0, 1)
+    rates = decay_rate(lambda n: np.array([0.25, 0.0, np.inf, np.nan]), 0, 1)
+    assert rates[0] == pytest.approx(-math.log(0.25), rel=1e-15)
+    assert np.isposinf(rates[1]) and np.isneginf(rates[2]) and np.isnan(rates[3])
+    assert isinstance(rate_failure(rates[1]), InfiniteRateError)
+    assert isinstance(rate_failure(rates[2]), NumericError)
+    assert isinstance(rate_failure(rates[3]), NumericError)

@@ -118,8 +118,7 @@ def test_inhomogeneous_term_is_spread_ground_state():
         span = 60.0 * h / gamma
 
         def integrand(y, part):
-            val = volkov_propagator(0.0, t, y, 0.0, params, delta_phi=0.0) \
-                * gs.wavefunction(y)
+            val = volkov_propagator(0.0, t, y, 0.0, params) * gs.wavefunction(y)
             return val.real if part == "re" else val.imag
 
         re, _ = quad(integrand, -span, span, args=("re",), points=[0.0],
@@ -141,8 +140,7 @@ def test_projection_overlap_closed_form():
         span = 60.0 * h / gamma
 
         def integrand(x, part):
-            val = gs.wavefunction(x) * volkov_propagator(x, t_f, 0.0, t_src,
-                                                         params, delta_phi=0.0)
+            val = gs.wavefunction(x) * volkov_propagator(x, t_f, 0.0, t_src, params)
             return val.real if part == "re" else val.imag
 
         re, _ = quad(integrand, -span, span, args=("re",), points=[0.0],
@@ -359,6 +357,26 @@ def test_rate_between_cycles_cancels_transient():
     incremental = rate_between_cycles(params, 1, 2)
     # the one-time switch-on loss inflates the single-interval rate
     assert incremental < full
+
+
+def test_rate_between_cycles_from_zero_is_the_single_interval_rate():
+    params = P_SMALL
+    rate = rate_between_cycles(params, 0, 1)
+    assert rate == rate_from_oracle(params, 1)
+    _, w = survival_probability(solve_boundary_function(params, 2.0 * math.pi))
+    assert rate == pytest.approx(-math.log(w), rel=1e-12)
+
+
+def test_rate_between_cycles_rejects_cycles_before_solving(monkeypatch):
+    import drivendelta.oracle as oracle_mod
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved for an invalid cycle pair")
+
+    monkeypatch.setattr(oracle_mod, "solve_boundary_function", solve)
+    for n_first, n_last in ((2, 2), (-1, 1), (0, 0), (1, 2.5)):
+        with pytest.raises(ValueError):
+            rate_between_cycles(P_SMALL, n_first, n_last)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from drivendelta.adiabatic import (
 from drivendelta.errors import (
     DegeneratePathError,
     InfiniteRateError,
-    NonTransversalCrossingError,
     NumericError,
 )
 from drivendelta.model import from_dimensionless
@@ -22,7 +20,6 @@ from drivendelta.semiclassical import (
     action,
     action_by_quadrature,
     branched_sqrt,
-    delta_phase,
     ionization_rate,
     make_path,
     rate_between_cycles,
@@ -176,60 +173,6 @@ def test_action_contour_independence():
 
 
 # ----------------------------------------------------------------------
-# delta phase
-# ----------------------------------------------------------------------
-
-@dataclass
-class SyntheticPath:
-    fn: object
-    dfn: object
-    t_start: float
-    t_end: float
-    is_real: bool = True
-
-    def position(self, t):
-        return self.fn(t)
-
-    def velocity(self, t):
-        return self.dfn(t)
-
-
-def test_delta_phase_no_crossing_cycle():
-    path = make_path(0.0, 2.0 * math.pi, 0.0, 0.0)
-    assert delta_phase(path) == 0.0
-
-
-def test_delta_phase_single_linear_crossing():
-    path = SyntheticPath(lambda t: t - 1.0, lambda t: np.ones_like(np.asarray(t)),
-                         0.0, 2.0)
-    assert delta_phase(path) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_delta_phase_sine_crossing():
-    path = SyntheticPath(np.sin, np.cos, 0.5, 2.0 * math.pi - 0.5)
-    # single transversal zero at pi with |cos(pi)| = 1
-    assert delta_phase(path) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_delta_phase_multiple_crossings():
-    path = SyntheticPath(np.sin, np.cos, 0.5, 3.0 * math.pi - 0.5)
-    assert delta_phase(path) == pytest.approx(2.0, rel=1e-10)
-
-
-def test_delta_phase_tangential_rejected():
-    path = SyntheticPath(lambda t: (t - 1.0) ** 2,
-                         lambda t: 2.0 * (t - 1.0), 0.0, 2.0)
-    with pytest.raises(NonTransversalCrossingError):
-        delta_phase(path)
-
-
-def test_delta_phase_requires_real_path():
-    path = make_path(tunnel_start_time(0.7), 2.0 * math.pi, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        delta_phase(path)
-
-
-# ----------------------------------------------------------------------
 # propagator
 # ----------------------------------------------------------------------
 
@@ -245,18 +188,6 @@ def test_volkov_degenerate_duration():
         volkov_propagator(0.0, 1.0, 0.0, 1.0, P07)
 
 
-def test_volkov_delta_phase_decomposition():
-    # a path crossing the origin picks up exactly exp(i*gamma*phi)
-    x, t_f, y, t_i = -0.5, 5.0, 0.5, 0.3
-    path = make_path(t_i, t_f, y, x)
-    phi = delta_phase(path)
-    assert phi > 0.0
-    with_phase = volkov_propagator(x, t_f, y, t_i, P07)
-    without = volkov_propagator(x, t_f, y, t_i, P07, delta_phi=0.0)
-    assert with_phase == pytest.approx(without * np.exp(1j * P07.gamma * phi),
-                                       rel=1e-14)
-
-
 def test_volkov_solves_transformed_schroedinger():
     # Volkov kernel is exact for the linear potential: finite-difference
     # residual of i*h*U_t + (h^2/2)*U_xx + x*cos(t)*U vanishes
@@ -265,7 +196,7 @@ def test_volkov_solves_transformed_schroedinger():
     dx, dt = 1e-4, 1e-5
 
     def u(x, t):
-        return volkov_propagator(x, t, y0, ti, P07, delta_phi=0.0)
+        return volkov_propagator(x, t, y0, ti, P07)
 
     ut = (u(x0, t0 + dt) - u(x0, t0 - dt)) / (2.0 * dt)
     uxx = (u(x0 + dx, t0) - 2.0 * u(x0, t0) + u(x0 - dx, t0)) / dx**2
@@ -402,6 +333,18 @@ def test_rate_between_cycles_near_single_cycle_rate():
     assert abs(val) < 10.0 * bg
     with pytest.raises(ValueError):
         rate_between_cycles(P07, 2, 2)
+
+
+def test_rate_from_zero_cycles_is_the_single_interval_rate():
+    amp = survival_amplitude(P07, 2, include_odd=True)
+    expected = -(2.0 * math.pi / amp.t_f) * math.log(abs(amp.p) ** 2)
+    rate = rate_between_cycles(P07, 0, 2, include_odd=True)
+    assert rate == pytest.approx(expected, rel=1e-14)
+    assert ionization_rate(P07, 2, include_odd=True) == rate
+    with pytest.raises(ValueError):
+        rate_between_cycles(P07, -1, 2)
+    with pytest.raises(ValueError):
+        ionization_rate(P07, 0)
 
 
 # ----------------------------------------------------------------------
