@@ -108,6 +108,17 @@ def _merge_config(args, config_path, defaults):
     return merged
 
 
+def _whole(value, what):
+    """A whole number from a flag or a config file (1.5 is not truncated)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not number.is_integer():
+        raise _UsageError(f"{what} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _mode_and_value(opt):
     if (opt["gamma"] is None) == (opt["n_io"] is None):
         raise _UsageError("give exactly one of --gamma or --n-io")
@@ -148,7 +159,8 @@ def cmd_scan(args):
     mode, fixed, z_values = _mode_and_grid(opt)
     try:
         scan = analysis.scan_rate(
-            opt["engine"], mode, fixed, z_values, n_cycles=int(opt["cycles"]),
+            opt["engine"], mode, fixed, z_values,
+            n_cycles=_whole(opt["cycles"], "--cycles"),
             include_odd=bool(opt["include_odd"]), oracle_dt=opt["oracle_dt"],
             sg_window=int(opt["sg_window"]), sg_order=int(opt["sg_order"]))
     except ValueError as exc:
@@ -208,7 +220,7 @@ _COMPARE_DEFAULTS = dict(gamma=None, n_io=None, z=None, cycles=2,
 def cmd_compare(args):
     opt = _merge_config(args, args.config, _COMPARE_DEFAULTS)
     mode, fixed, z_values = _mode_and_grid(opt)
-    n_last = int(opt["cycles"])
+    n_last = _whole(opt["cycles"], "--cycles")
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
 

@@ -18,6 +18,10 @@ complementary error function of complex argument.
 The time march uses product integration: on each panel the regular factor is
 interpolated linearly and integrated exactly against (t-s)^(-1/2), which
 keeps the scheme stable and of empirical order ~2 despite the singularity.
+The weights are second differences of lag^(3/2); evaluated as differences
+they lose digits like eps*lag^2 (4e-9 relative at lag 4000), so beyond the
+first few lags they are summed as binomial series in 1/lag and keep every
+digit.
 
 The kernel's classical action folds into two separable phases and one
 coupled term,
@@ -25,11 +29,21 @@ coupled term,
     A(t, s) = phi(t) - phi(s) + (cos t - cos s)^2/(2(t - s)),
     phi(t) = (sin t cos t - t)/4,
 
-so the march solves for F = exp(-i*phi/h)*f and each kernel pair costs one
-real phase x = (cos t - cos s)^2/(2h(t - s)) and one exp(i*x).  A march of n
-steps evaluates n(n+1)/2 pairs.  exp(i*x) comes from a 4096-entry table and
-a short Taylor remainder, and the rows advance in blocks of 32 whose known
-history is reduced in 32 x 256 tiles, so every temporary stays in cache.
+so the march solves for F = exp(-i*phi/h)*f and each kernel entry costs one
+real phase x = (cos t - cos s)^2/(2h(t - s)) and one exp(i*x), taken from a
+4096-entry table and a short Taylor remainder.
+
+The history sum is a lower-triangular matrix of n(n+1)/2 pairs.  The march
+solves the rows in halves, recursively, and adds the solved left half's
+pull on the right half before solving that.  Near the diagonal the kernel
+is summed densely: rows in blocks of 32, their history in 32 x 256 tiles
+that stay in cache.  A block of at least 320 rows and columns whose
+distance from the diagonal is at least its size is numerically of low rank
+(9 to 31 at 1e-13 for z = 8 to 12), and adaptive cross approximation
+builds it from that many rows and columns.  Marches of fewer than 1279
+steps are all dense.  At z = 8 over two cycles (7,882 steps) the march
+evaluates 6.6 million kernel entries instead of 31 million pairs, and F
+stays within 3e-13*sqrt(gamma/h) of the dense march on the same weights.
 """
 
 from __future__ import annotations
@@ -189,7 +203,12 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
 
 @dataclass(frozen=True)
 class VolterraGrid:
-    """Solved boundary function psi(0, t_j) on a uniform grid."""
+    """Solved boundary function psi(0, t_j) on a uniform grid.
+
+    ``kernel_evals`` counts the kernel entries the solve evaluated, dense
+    tiles and compressed blocks' crosses together (the ``tolerance=``
+    companion included); the dense march has n(n+1)/2 pairs.
+    """
 
     params: ModelParams
     dt: float
@@ -197,6 +216,7 @@ class VolterraGrid:
     t: np.ndarray
     f: np.ndarray
     driven: bool = True
+    kernel_evals: int = 0
 
 
 def default_time_step(params: ModelParams, factor=40.0):
@@ -240,11 +260,11 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     dt = t_f / n
     t = dt * np.arange(n + 1)
 
-    f = _march(t, dt, n, gamma, h, driven)
-    grid = VolterraGrid(params=params, dt=dt, n_steps=n, t=t, f=f, driven=driven)
+    f, evals = _march(t, dt, n, gamma, h, driven)
 
     if tolerance is not None:
-        coarse = _march(t[::2], 2.0 * dt, n // 2, gamma, h, driven)
+        coarse, coarse_evals = _march(t[::2], 2.0 * dt, n // 2, gamma, h, driven)
+        evals += coarse_evals
         scale = math.sqrt(gamma / h)
         err = float(np.max(np.abs(coarse - f[::2])) / scale)
         if err > tolerance:
@@ -253,7 +273,8 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
                 f"(relative deviation {err:.3e} > tolerance {tolerance:.3e}); "
                 "decrease dt",
                 diagnostics={"dt": dt, "deviation": err, "tolerance": tolerance})
-    return grid
+    return VolterraGrid(params=params, dt=dt, n_steps=n, t=t, f=f,
+                        driven=driven, kernel_evals=evals)
 
 
 # exp(i*x) = exp(i*q*step) * exp(i*r) with step = 2*pi/4096, q = round(x/step)
@@ -317,6 +338,55 @@ class _Cis:
 # in tiles of _BLOCK x _TILE kernel pairs (128 KiB of complex per buffer)
 _BLOCK = 32
 _TILE = 256
+# the history is split into a hierarchy of blocks (see _partition): the
+# leaves, and blocks closer to the diagonal than their own size, stay dense;
+# a block of at least _FAR rows and columns whose gap is at least its size
+# is compressed by adaptive cross approximation, stopped once the last cross
+# is below _ACA_TOL of the approximation (Frobenius norms).  At z = 2.5 to
+# 12 a far block of 256 cost about as much compressed as dense, one of 320
+# half as much, so marches of fewer than 4*_FAR - 1 steps stay dense.
+_FAR = 320
+_ACA_TOL = 1e-13
+
+# (1 + u)^(3/2) = sum_m binom[m] u^m for |u| < 1, through u^22.  From lag
+# _SERIES_FROM on, w_mid and w_first are (4/3)*L^(3/2) times these series in
+# u = 1/L, which converge to 1e-16 there:
+#   (L+1)^(3/2) - 2 L^(3/2) + (L-1)^(3/2) = L^(3/2) sum_m 2*binom[2m] u^(2m),
+#   L^(3/2) - (L-1)^(3/2) = L^(3/2) (3u/2 - sum_{m>=2} binom[m] (-u)^m)
+_SERIES_FROM = 4
+_BINOM = np.cumprod([1.0] + [(2.5 - m) / m for m in range(1, 23)])
+_MID_SERIES = np.where(np.arange(21) % 2 == 0, 2.0 * _BINOM[:21], 0.0)
+_MID_SERIES[0] = 0.0
+_FIRST_SERIES = _BINOM * (-1.0) ** np.arange(_BINOM.size)
+_FIRST_SERIES[:2] = 0.0
+
+
+def _weights(n, dt):
+    """Product-integration weights against (t_j - s)^(-1/2), lags 0..n.
+
+    With piecewise-linear interpolation between nodes, node i of row j
+    (lag L = j - i, in units of dt) carries
+
+        w_mid[L]   = (4/3)*sqrt(dt) * ((L+1)^(3/2) - 2 L^(3/2) + (L-1)^(3/2)),
+        w_first[L] = sqrt(dt) * (2 L^(1/2) - (4/3)(L^(3/2) - (L-1)^(3/2)))
+
+    (node 0, which has only the panel after it), and the diagonal node
+    w_diag = (4/3)*sqrt(dt).  Both differences lose digits like eps*L^2, so
+    from lag _SERIES_FROM on they are summed as series in 1/L, which keep
+    every digit.  w_mid[0] = w_first[0] = 0.
+    """
+    lags = np.arange(n + 1, dtype=float)
+    p = np.arange(n + 2, dtype=float) ** 1.5
+    w_mid = np.zeros(n + 1)
+    w_mid[1:] = (4.0 / 3.0) * (p[2:] - 2.0 * p[1:-1] + p[:-2])
+    w_first = np.zeros(n + 1)
+    w_first[1:] = 2.0 * np.sqrt(lags[1:]) - (4.0 / 3.0) * (p[1:-1] - p[:-2])
+    big = lags[_SERIES_FROM:]
+    scale = (4.0 / 3.0) * big ** 1.5
+    w_mid[_SERIES_FROM:] = scale * np.polynomial.polynomial.polyval(1.0 / big, _MID_SERIES)
+    w_first[_SERIES_FROM:] = scale * np.polynomial.polynomial.polyval(1.0 / big, _FIRST_SERIES)
+    root = math.sqrt(dt)
+    return root * w_mid, root * w_first, (4.0 / 3.0) * root
 
 
 def _lag_windows(table):
@@ -335,36 +405,96 @@ def _lagged(windows, lag0, rows, cols):
     return windows[top - rows + 1:top + 1][::-1, :cols]
 
 
+def _cross_approximation(row, col, m, k):
+    """Partially pivoted adaptive cross approximation of an m x k block.
+
+    ``row(a)`` and ``col(b)`` return one row and one column of the block.
+    Returns (U, V) with block ~ U.T @ V, or None once the rank grows past
+    the point where the crosses cost as much as the dense block.  The
+    stopping rule is Bebendorf's: |u_r|*|v_r| <= _ACA_TOL * |U.T @ V|_F.
+    """
+    limit = m * k // (4 * (m + k))
+    # room for 32 crosses (the ranks seen are 9 to 31), doubled when full
+    big_u = np.empty((min(limit, 32), m), dtype=complex)
+    big_v = np.empty((min(limit, 32), k), dtype=complex)
+    unused = np.ones(m, dtype=bool)
+    norm2 = 0.0
+    a = 0
+    for r in range(limit):
+        if r == len(big_u):
+            big_u = np.concatenate((big_u, np.empty_like(big_u)))
+            big_v = np.concatenate((big_v, np.empty_like(big_v)))
+        unused[a] = False
+        v = row(a)
+        v -= np.einsum("l,lk->k", big_u[:r, a], big_v[:r])
+        b = int(np.argmax(np.abs(v)))
+        if v[b] == 0.0:
+            return None
+        v /= v[b]
+        u = col(b)
+        u -= np.einsum("l,lm->m", big_v[:r, b], big_u[:r])
+        big_u[r], big_v[r] = u, v
+        cross = (np.vdot(u, u) * np.vdot(v, v)).real
+        overlap = (np.einsum("lm,m->l", big_u[:r], u.conj())
+                   * np.einsum("lk,k->l", big_v[:r], v.conj()))
+        norm2 += cross + 2.0 * overlap.sum().real
+        if cross <= _ACA_TOL**2 * norm2:
+            return big_u[:r + 1], big_v[:r + 1]
+        a = int(np.argmax(np.where(unused, np.abs(u), -1.0)))
+    return None
+
+
+def _partition(lo, hi):
+    """The march over rows lo..hi-1 as a list of steps, in order.
+
+    ("leaf", lo, hi) solves rows lo..hi-1, whose history before lo is
+    already summed; ("dense" or "far", j0, j1, i0, i1) adds
+    K[j0:j1, i0:i1] @ F[i0:i1] to the sums of rows j0..j1-1.  Rows are split
+    in halves while their quarters can hold a far block.
+    """
+    if hi - lo < 4 * _FAR:
+        return [("leaf", lo, hi)]
+    mid = (lo + hi) // 2
+    return _partition(lo, mid) + _blocks(mid, hi, lo, mid) + _partition(mid, hi)
+
+
+def _blocks(j0, j1, i0, i1):
+    """Split K[j0:j1, i0:i1] (columns before rows) into far and dense blocks.
+
+    A block is far when it has at least _FAR rows and columns and its gap
+    to the diagonal, j0 - (i1 - 1), is at least its size; a block that is
+    not far is split in quarters until none of them could be.
+    """
+    m, k = j1 - j0, i1 - i0
+    if min(m, k) >= _FAR and j0 - i1 + 1 >= max(m, k):
+        return [("far", j0, j1, i0, i1)]
+    if min(m, k) < 2 * _FAR:
+        return [("dense", j0, j1, i0, i1)]
+    jm, im = (j0 + j1) // 2, (i0 + i1) // 2
+    return [step for rows in ((j0, jm), (jm, j1)) for cols in ((i0, im), (im, i1))
+            for step in _blocks(*rows, *cols)]
+
+
 def _march(t, dt, n, gamma, h, driven):
-    """Boundary function f_j, j = 0..n, by product integration.
+    """Boundary function f_j, j = 0..n, and the kernel entries evaluated.
 
     With F = exp(-i*phi/h)*f (phi from _drive) the kernel's action leaves
     one real phase per pair, x = (cos t_j - cos t_i)^2/(2h(t_j - t_i)):
 
         F_j*(1 - c*w_diag) = G_j + c * sum_{i<j} W_ji * exp(i*x_ji) * F_i,
 
-    with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  Rows advance
-    in blocks: the part of the sum over the known history i < j0 is reduced
-    tile by tile, the triangle inside the block row by row.
+    with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  The steps
+    come from _partition: a leaf is marched in blocks of _BLOCK rows, its
+    own history reduced in tiles, the triangle inside a block row by row;
+    a dense block is summed in tiles; a far block is summed through its
+    cross approximation, or in tiles should that not converge.
     """
     _, cos_t, phi = _drive(t, driven)
     rot = np.exp((1j / h) * phi)  # f = rot * F
 
-    # exact moments of (t_j - s)^(-1/2) against piecewise-linear interpolation,
-    # tabulated by lag L = j - i
-    lag = dt * np.arange(n + 2, dtype=float)
-    root = np.sqrt(lag)
-    m0 = np.zeros(n + 2)
-    m1 = np.zeros(n + 2)
-    m0[1:] = 2.0 * (root[1:] - root[:-1])
-    m1[1:] = 2.0 * lag[1:] * (root[1:] - root[:-1]) - (2.0 / 3.0) * (lag[1:] ** 1.5 - lag[:-1] ** 1.5)
-    w_mid = np.zeros(n + 1)
-    w_mid[1:] = m1[2:] / dt + m0[1:-1] - m1[1:-1] / dt
-    w_diag = m1[1] / dt
-    # node i = 0 carries only the leading half-panel weight
-    w_first = m0[:n + 1] - m1[:n + 1] / dt
+    w_mid, w_first, w_diag = _weights(n, dt)
     inv = np.zeros(n + 1)
-    inv[1:] = 1.0 / (2.0 * h * lag[1:n + 1])
+    inv[1:] = 1.0 / (2.0 * h * (dt * np.arange(1, n + 1)))
     w_lags, inv_lags = _lag_windows(w_mid), _lag_windows(inv)
 
     coupling = 1j * gamma / np.sqrt(2j * np.pi * h)
@@ -374,14 +504,18 @@ def _march(t, dt, n, gamma, h, driven):
     big_g[0] = math.sqrt(gamma / h)
     big_g[1:] = _inhomogeneity(t[1:], gamma, h, driven) * np.conj(rot[1:])
 
-    cis = _Cis(_BLOCK * _TILE)
+    # cross approximations need whole rows and columns of far blocks
+    cis = _Cis(max(_BLOCK * _TILE, n + 1))
     x_buf = np.empty(_BLOCK * _TILE)
     k_buf = np.empty(_BLOCK * _TILE, dtype=complex)
+    evals = 0
 
     def kernel(j0, j1, i0, i1):
         # W_ji * exp(i*x_ji) for rows j0..j1-1 against columns i0..i1-1
+        nonlocal evals
         shape = (j1 - j0, i1 - i0)
         size = shape[0] * shape[1]
+        evals += size
         x = x_buf[:size].reshape(shape)
         np.subtract(cos_t[j0:j1, None], cos_t[i0:i1], out=x)
         np.multiply(x, x, out=x)
@@ -392,19 +526,61 @@ def _march(t, dt, n, gamma, h, driven):
             weight[:, 0] = w_first[j0:j1]
         return cis(x, weight, out=k_buf[:size].reshape(shape))
 
+    def kernel_row(j, i0, i1):
+        # row j against columns i0..i1-1: lags j - i0 down to j - i1 + 1
+        nonlocal evals
+        evals += i1 - i0
+        lags = slice(j - i1 + 1, j - i0 + 1)
+        weight = w_mid[lags][::-1]
+        if i0 == 0:
+            weight = weight.copy()
+            weight[0] = w_first[j]
+        return cis((cos_t[j] - cos_t[i0:i1]) ** 2 * inv[lags][::-1], weight)
+
+    def kernel_col(j0, j1, i):
+        # column i against rows j0..j1-1: lags j0 - i up to j1 - 1 - i
+        nonlocal evals
+        evals += j1 - j0
+        lags = slice(j0 - i, j1 - i)
+        return cis((cos_t[j0:j1] - cos_t[i]) ** 2 * inv[lags],
+                   w_first[j0:j1] if i == 0 else w_mid[lags])
+
     big_f = np.empty(n + 1, dtype=complex)
     big_f[0] = big_g[0]
-    for j0 in range(1, n + 1, _BLOCK):
-        j1 = min(j0 + _BLOCK, n + 1)
-        acc = np.zeros(j1 - j0, dtype=complex)
-        for i0 in range(0, j0, _TILE):
-            i1 = min(i0 + _TILE, j0)
-            acc += np.einsum("ij,j->i", kernel(j0, j1, i0, i1), big_f[i0:i1])
-        k = kernel(j0, j1, j0, j1)
-        for a, j in enumerate(range(j0, j1)):
-            total = acc[a] + np.dot(k[a, :a], big_f[j0:j])
-            big_f[j] = (big_g[j] + coupling * total) / denom
-    return rot * big_f
+    acc = np.zeros(n + 1, dtype=complex)
+
+    def dense(j0, j1, i0, i1):
+        for r0 in range(j0, j1, _BLOCK):
+            r1 = min(r0 + _BLOCK, j1)
+            for c0 in range(i0, i1, _TILE):
+                c1 = min(c0 + _TILE, i1)
+                acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
+                                        big_f[c0:c1])
+
+    def far(j0, j1, i0, i1):
+        # False when the cross approximation does not converge
+        uv = _cross_approximation(lambda a: kernel_row(j0 + a, i0, i1),
+                                  lambda b: kernel_col(j0, j1, i0 + b),
+                                  j1 - j0, i1 - i0)
+        if uv is None:
+            return False
+        acc[j0:j1] += np.einsum("lm,l->m", uv[0],
+                                np.einsum("lk,k->l", uv[1], big_f[i0:i1]))
+        return True
+
+    for kind, *span in _partition(0, n + 1):
+        if kind == "leaf":
+            lo, hi = span
+            for j0 in range(max(lo, 1), hi, _BLOCK):
+                j1 = min(j0 + _BLOCK, hi)
+                dense(j0, j1, lo, j0)
+                k = kernel(j0, j1, j0, j1)
+                for a, j in enumerate(range(j0, j1)):
+                    total = acc[j] + np.dot(k[a, :a], big_f[j0:j])
+                    big_f[j] = (big_g[j] + coupling * total) / denom
+        elif kind == "dense" or not far(*span):
+            dense(*span)
+    return rot * big_f, evals
 
 
 # ----------------------------------------------------------------------

@@ -205,13 +205,20 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
     t0 = tunnel_start_time(g)
 
     bound = unbox(bound_propagator_factor(params, t_f))
+    # A_k is _volkov_action(t_f, t_k) without trigonometry of t_k:
+    # cos t_k = (-1)^k sqrt(1 + gamma^2) and sin t_k = (-1)^k i*gamma, so
+    # phi(t_k) = phi(t0) - k*pi/4
+    phi_f, cos_f = volkov_phase(t_f), math.cos(t_f)
+    phi_0, cos_0 = volkov_phase(t0), np.sqrt(1.0 + g * g)
     terms = []
     for k in range(2 * n):
         if (k % 2 == 1) and not include_odd:
             continue
         t_k = t0 + k * math.pi
         prefactor = -4.0 * h / (g * branched_sqrt(2j * math.pi * h * (t_f - t_k)))
-        zeta = 1j * _volkov_action(t_f, t_k) / h - 1j * e_m * t_k / h
+        action = (phi_f - (phi_0 - 0.25 * math.pi * k)
+                  + (cos_f - (-1) ** k * cos_0) ** 2 / (2.0 * (t_f - t_k)))
+        zeta = 1j * action / h - 1j * e_m * t_k / h
         terms.append(PacketTerm(k=k, zeta=zeta, prefactor=prefactor,
                                 value=unbox(prefactor * np.exp(zeta))))
     return SurvivalAmplitude(params=params, n_cycles=n, t_f=t_f,

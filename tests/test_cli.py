@@ -225,6 +225,21 @@ def test_config_parameter_must_be_a_number(tmp_path, capsys):
     assert "usage error" in err and "--gamma must be a number" in err
 
 
+@pytest.mark.parametrize("command", ["scan", "compare"])
+@pytest.mark.parametrize("cycles", ["x", 1.5, "2.5", True, None])
+def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles):
+    # compare used to end in a ValueError traceback on "x", scan truncated
+    # 1.5 to one cycle
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gamma": 0.7, "z": "6:7:0.5", "cycles": cycles}))
+    code = run([command, "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err and "--cycles must be a whole number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_peak_offsets_use_the_scan_prominence_rule():
     # a ripple far below 5% of the normalized span makes no peaks of its own
     z = np.arange(6.0, 9.0 + 0.005, 0.01)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from drivendelta.errors import ConvergenceError
 from drivendelta.model import from_dimensionless, ground_state
 from drivendelta.oracle import (
     _BLOCK,
+    _FAR,
     _Cis,
     _drive,
     _free_evolution_overlap,
     _inhomogeneity,
     _two_sided_overlap,
     _march,
+    _partition,
+    _weights,
     default_time_step,
     erfc_complex,
     erfcx_complex,
@@ -233,21 +237,29 @@ def _reference_march(t, dt, n, gamma, h, driven):
     return f
 
 
-def _march_deviation(params, t_f, n, driven=True):
+def _march_deviation(params, t_f, n, driven=True, compressed=False):
     dt = t_f / n
     t = dt * np.arange(n + 1)
     args = (t, dt, n, params.gamma, params.h, driven)
-    dev = np.max(np.abs(_march(*args) - _reference_march(*args)))
+    f, kernel_evals = _march(*args)
+    # the dense march evaluates every pair, plus the upper halves of its
+    # diagonal tiles; a compressed one evaluates fewer entries than pairs
+    assert (kernel_evals < n * (n + 1) // 2) == compressed
+    dev = np.max(np.abs(f - _reference_march(*args)))
     return dev / math.sqrt(params.gamma / params.h)
 
 
-@pytest.mark.parametrize("z", [1.0, 4.0])
-def test_march_matches_reference_driven(z):
+@pytest.mark.parametrize("z, cycles, compressed", [(1.0, 1, False),
+                                                   (4.0, 1, True),
+                                                   (4.0, 2, True)])
+def test_march_matches_reference_driven(z, cycles, compressed):
+    # z = 4 compresses far blocks (n = 1971 and 3941, two and three levels
+    # of the hierarchy); measured deviations 4e-15, 9e-14 and 3e-13
     params = from_dimensionless(0.7, z)
-    t_f = 2.0 * math.pi
+    t_f = 2.0 * math.pi * cycles
     n = int(math.ceil(t_f / default_time_step(params)))
     assert n > 8 * _BLOCK
-    assert _march_deviation(params, t_f, n) < 1e-12
+    assert _march_deviation(params, t_f, n, compressed=compressed) < 1e-12
 
 
 def test_march_matches_reference_field_off():
@@ -256,10 +268,13 @@ def test_march_matches_reference_field_off():
 
 
 @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               9 * _BLOCK + 5])
+                               9 * _BLOCK + 5, 4 * _FAR - 2, 4 * _FAR - 1])
 def test_march_matches_reference_block_edges(n):
-    # fewer rows than one block, and row counts that leave a partial block
-    assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
+    # fewer rows than one block, row counts that leave a partial block, and
+    # the last dense march and the first split one (n + 1 = 4 * _FAR nodes,
+    # whose quarters are the smallest compressed blocks)
+    compressed = n + 1 >= 4 * _FAR
+    assert _march_deviation(P_SMALL, 0.5 * math.pi, n, compressed=compressed) < 1e-12
 
 
 def test_march_matches_reference_half_resolution_companion():
@@ -273,6 +288,82 @@ def test_march_matches_reference_half_resolution_companion():
     scale = math.sqrt(params.gamma / params.h)
     assert np.max(np.abs(grid.f - _reference_march(*args))) / scale < 1e-12
     assert _march_deviation(params, t_f, n // 2) < 1e-12
+
+
+@pytest.mark.parametrize("nodes", [4 * _FAR - 1, 4 * _FAR, 3001, 5121])
+def test_partition_covers_each_pair_once_in_causal_order(nodes):
+    covered = np.zeros((nodes, nodes), dtype=np.int8)
+    solved = 0
+    for kind, *span in _partition(0, nodes):
+        if kind == "leaf":
+            lo, hi = span
+            assert lo == solved
+            covered[lo:hi, lo:hi] += np.tril(np.ones((hi - lo, hi - lo), np.int8), -1)
+            solved = hi
+            continue
+        j0, j1, i0, i1 = span
+        # columns solved, rows not yet
+        assert i1 <= solved <= j0
+        if kind == "far":
+            assert min(j1 - j0, i1 - i0) >= _FAR
+            assert j0 - i1 + 1 >= max(j1 - j0, i1 - i0)
+        covered[j0:j1, i0:i1] += 1
+    assert solved == nodes
+    assert np.array_equal(covered, np.tril(np.ones((nodes, nodes), np.int8), -1))
+    assert any(step[0] == "far" for step in _partition(0, nodes)) == (nodes >= 4 * _FAR)
+
+
+def test_kernel_evals_counts_tiles_and_crosses(monkeypatch):
+    import drivendelta.oracle as oracle_mod
+
+    ranks = []
+    aca = oracle_mod._cross_approximation
+
+    def recording(row, col, m, k):
+        uv = aca(row, col, m, k)
+        ranks.append(len(uv[0]))
+        return uv
+
+    monkeypatch.setattr(oracle_mod, "_cross_approximation", recording)
+    params = from_dimensionless(0.7, 4.0)
+    grid = solve_boundary_function(params, 4.0 * math.pi)
+    n = grid.n_steps
+    expected = 0
+    far = iter(ranks)
+    for kind, *span in _partition(0, n + 1):
+        if kind == "leaf":
+            # each row block: its history in the leaf plus its square tile
+            lo, hi = span
+            for j0 in range(max(lo, 1), hi, _BLOCK):
+                rows = min(j0 + _BLOCK, hi) - j0
+                expected += rows * (j0 - lo) + rows * rows
+        else:
+            j0, j1, i0, i1 = span
+            size = (j1 - j0, i1 - i0)
+            expected += next(far) * sum(size) if kind == "far" else size[0] * size[1]
+    assert ranks and next(far, None) is None
+    assert grid.kernel_evals == expected < n * (n + 1) // 2
+
+
+def test_weights_against_decimal_reference():
+    # 50-digit differences of L^(3/2); the direct float differences lose
+    # digits like eps*L^2 (4e-9 relative at L = 4000)
+    n = 30000
+    with localcontext() as ctx:
+        ctx.prec = 50
+        roots = [Decimal(lag).sqrt() for lag in range(n + 2)]
+        power = [lag * root for lag, root in enumerate(roots)]
+        mid = [Decimal(4) / 3 * (power[lag + 1] - 2 * power[lag] + power[lag - 1])
+               for lag in range(1, n + 1)]
+        first = [2 * roots[lag] - Decimal(4) / 3 * (power[lag] - power[lag - 1])
+                 for lag in range(1, n + 1)]
+    dt = 0.37
+    w_mid, w_first, w_diag = _weights(n, dt)
+    scale = math.sqrt(dt)
+    assert w_mid[0] == w_first[0] == 0.0
+    assert np.max(np.abs(w_mid[1:] / (scale * np.array(mid, dtype=float)) - 1.0)) <= 1e-14
+    assert np.max(np.abs(w_first[1:] / (scale * np.array(first, dtype=float)) - 1.0)) <= 1e-14
+    assert w_diag == pytest.approx(4.0 / 3.0 * scale, rel=1e-15)
 
 
 def test_cis_matches_complex_exp():
