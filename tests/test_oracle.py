@@ -237,29 +237,30 @@ def _reference_march(t, dt, n, gamma, h, driven):
     return f
 
 
-def _march_deviation(params, t_f, n, driven=True, compressed=False):
+def _march_deviation(params, t_f, n, driven=True):
     dt = t_f / n
     t = dt * np.arange(n + 1)
     args = (t, dt, n, params.gamma, params.h, driven)
     f, kernel_evals = _march(*args)
     # the dense march evaluates every pair, plus the upper halves of its
-    # diagonal tiles; a compressed one evaluates fewer entries than pairs
-    assert (kernel_evals < n * (n + 1) // 2) == compressed
+    # diagonal tiles; from n + 1 = 4 * _FAR nodes on, far blocks are
+    # compressed and fewer entries than pairs are evaluated
+    assert (kernel_evals < n * (n + 1) // 2) == (n + 1 >= 4 * _FAR)
     dev = np.max(np.abs(f - _reference_march(*args)))
     return dev / math.sqrt(params.gamma / params.h)
 
 
-@pytest.mark.parametrize("z, cycles, compressed", [(1.0, 1, False),
-                                                   (4.0, 1, True),
-                                                   (4.0, 2, True)])
-def test_march_matches_reference_driven(z, cycles, compressed):
+@pytest.mark.parametrize("z, cycles", [pytest.param(1.0, 1, id="1.0"),
+                                       pytest.param(4.0, 1, id="4.0"),
+                                       pytest.param(4.0, 2, id="4.0-2cycles")])
+def test_march_matches_reference_driven(z, cycles):
     # z = 4 compresses far blocks (n = 1971 and 3941, two and three levels
     # of the hierarchy); measured deviations 4e-15, 9e-14 and 3e-13
     params = from_dimensionless(0.7, z)
     t_f = 2.0 * math.pi * cycles
     n = int(math.ceil(t_f / default_time_step(params)))
     assert n > 8 * _BLOCK
-    assert _march_deviation(params, t_f, n, compressed=compressed) < 1e-12
+    assert _march_deviation(params, t_f, n) < 1e-12
 
 
 def test_march_matches_reference_field_off():
@@ -273,8 +274,7 @@ def test_march_matches_reference_block_edges(n):
     # fewer rows than one block, row counts that leave a partial block, and
     # the last dense march and the first split one (n + 1 = 4 * _FAR nodes,
     # whose quarters are the smallest compressed blocks)
-    compressed = n + 1 >= 4 * _FAR
-    assert _march_deviation(P_SMALL, 0.5 * math.pi, n, compressed=compressed) < 1e-12
+    assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
 
 
 def test_march_matches_reference_half_resolution_companion():
