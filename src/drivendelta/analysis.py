@@ -61,7 +61,7 @@ class RateScan:
     peaks: np.ndarray               # refined peak positions in z
     peak_indices: np.ndarray
     thresholds: np.ndarray
-    missing_indices: list = field(default_factory=list)
+    missing_indices: dict = field(default_factory=dict)  # {index: reason}
     filter_settings: dict = field(default_factory=dict)
 
 
@@ -133,9 +133,9 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     """Evaluate Gamma over a z grid and post-process the curve.
 
     The rates come from :func:`engine_rates` with n_first = 0.  Failed
-    points are recorded as missing samples and linearly interpolated before
-    smoothing; the scan continues.  Invalid input raises ValueError before
-    any engine runs.
+    points are recorded as missing samples, each with the engine's reason,
+    and linearly interpolated before smoothing; the scan continues.
+    Invalid input raises ValueError before any engine runs.
 
     Parameters
     ----------
@@ -159,10 +159,9 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
 
     gamma_param = _gamma_at(mode, fixed_value, z_values)
-    raw, failures = engine_rates(engine, from_dimensionless(gamma_param, z_values),
-                                 0, n_cycles, include_odd=include_odd,
-                                 oracle_dt=oracle_dt)
-    missing = sorted(failures)
+    raw, missing = engine_rates(engine, from_dimensionless(gamma_param, z_values),
+                                0, n_cycles, include_odd=include_odd,
+                                oracle_dt=oracle_dt)
 
     filled = _fill_missing(z_values, raw, missing)
     window = min(sg_window, _largest_odd(z_values.size))
@@ -362,7 +361,7 @@ def write_scan_json(scan: RateScan, path):
         "fixed_value": scan.fixed_value,
         "n_cycles": scan.n_cycles,
         "filter_settings": scan.filter_settings,
-        "missing_indices": list(scan.missing_indices),
+        "missing_indices": sorted(scan.missing_indices),
         "detected_period": period,
         "thresholds": [float(t) for t in scan.thresholds],
         "z": [float(z) for z in scan.z_values],

@@ -103,9 +103,22 @@ def _merge_config(args, config_path, defaults):
             merged[key] = cli_val
         elif key in config:
             merged[key] = config[key]
+            if isinstance(hard_default, bool) and not isinstance(config[key], bool):
+                raise _UsageError(f"--{key.replace('_', '-')} must be true or "
+                                  f"false, got {config[key]!r}")
         else:
             merged[key] = hard_default
     return merged
+
+
+def _positive(value, what):
+    """A positive finite number from a flag or a config file; None stays unset."""
+    if value is None:
+        return None
+    value = _finite(value, what)
+    if not value > 0.0:
+        raise _UsageError(f"{what} must be positive, got {value!r}")
+    return value
 
 
 def _whole(value, what):
@@ -126,10 +139,7 @@ def _mode_and_value(opt):
         mode, value, flag = "fixed_gamma", opt["gamma"], "--gamma"
     else:
         mode, value, flag = "fixed_n_io", opt["n_io"], "--n-io"
-    value = _finite(value, flag)
-    if not value > 0.0:
-        raise _UsageError(f"{flag} must be positive, got {value!r}")
-    return mode, value
+    return mode, _positive(value, flag)
 
 
 def _mode_and_grid(opt):
@@ -161,8 +171,10 @@ def cmd_scan(args):
         scan = analysis.scan_rate(
             opt["engine"], mode, fixed, z_values,
             n_cycles=_whole(opt["cycles"], "--cycles"),
-            include_odd=bool(opt["include_odd"]), oracle_dt=opt["oracle_dt"],
-            sg_window=int(opt["sg_window"]), sg_order=int(opt["sg_order"]))
+            include_odd=opt["include_odd"],
+            oracle_dt=_positive(opt["oracle_dt"], "--oracle-dt"),
+            sg_window=_whole(opt["sg_window"], "--sg-window"),
+            sg_order=_whole(opt["sg_order"], "--sg-order"))
     except ValueError as exc:
         # engine failures never leave scan_rate; this is its input check
         raise _UsageError(str(exc))
@@ -182,11 +194,18 @@ def cmd_scan(args):
     print(f"WKB background 2*pi*D_avg at z={mid:.6g}: {bg:.6g}")
     for path in written:
         print(f"wrote {path}")
+    _warn_failures(scan.engine, z_values, scan.missing_indices)
     if scan.missing_indices:
         print(f"warning: {len(scan.missing_indices)} samples failed and were "
               "interpolated", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
+
+
+def _warn_failures(engine, z_values, failures):
+    for i, reason in sorted(failures.items()):
+        print(f"warning: {engine} failed at z={z_values[i]:g}: {reason}",
+              file=sys.stderr)
 
 
 def _emit_scan(scan, stem, fmt):
@@ -223,6 +242,7 @@ def cmd_compare(args):
     n_last = _whole(opt["cycles"], "--cycles")
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
+    oracle_dt = _positive(opt["oracle_dt"], "--oracle-dt")
 
     gamma_param = analysis._gamma_at(mode, fixed, z_values)
     for gamma in gamma_param[gamma_param > GAMMA_VALIDATED_MAX]:
@@ -233,11 +253,9 @@ def cmd_compare(args):
     failures = 0
     for engine in ("semiclassical", "oracle"):
         rates[engine], failed = analysis.engine_rates(
-            engine, params, 1, n_last, include_odd=bool(opt["include_odd"]),
-            oracle_dt=opt["oracle_dt"])
-        for i, reason in sorted(failed.items()):
-            print(f"warning: {engine} failed at z={z_values[i]:g}: {reason}",
-                  file=sys.stderr)
+            engine, params, 1, n_last, include_odd=opt["include_odd"],
+            oracle_dt=oracle_dt)
+        _warn_failures(engine, z_values, failed)
         failures += len(failed)
     sc_arr, or_arr = rates["semiclassical"], rates["oracle"]
 
@@ -319,11 +337,7 @@ def _check(report, name, ok, detail=""):
 
 
 def cmd_selfcheck(args):
-    flip = bool(getattr(args, "debug_flip_branch", False))
-    oracle_dt = getattr(args, "oracle_dt", None)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = 7
+    oracle_dt = _positive(args.oracle_dt, "--oracle-dt")
     report = []
 
     gammas = np.linspace(0.05, 5.0, 12)
@@ -333,13 +347,11 @@ def cmd_selfcheck(args):
     _check(report, "complex-time identities cos/sin(t0)", err < 1e-14,
            f"max err {err:.1e}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     ws = rng.normal(size=24) + 1j * rng.normal(size=24)
     sq_err = max(abs(semiclassical.branched_sqrt(w) ** 2 - w) / abs(w) for w in ws)
     sign = semiclassical.branched_sqrt(4.0)
     sign_ok = abs(sign - (-2.0)) < 1e-14
-    if flip:
-        sign_ok = not sign_ok  # debug hook: negative control for the harness
     _check(report, "branched sqrt sheet", sq_err < 1e-14 and sign_ok,
            f"square err {sq_err:.1e}, sqrt(4)={sign:.3g}")
 
@@ -447,11 +459,8 @@ def build_parser():
 
     p_self = sub.add_parser("selfcheck", help="itemized invariant suite")
     p_self.add_argument("--oracle-dt", dest="oracle_dt", type=float)
-    p_self.add_argument("--seed", type=int,
+    p_self.add_argument("--seed", type=int, default=7,
                         help="seed for the randomized lattice checks")
-    p_self.add_argument("--debug-flip-branch", dest="debug_flip_branch",
-                        action="store_true",
-                        help="negative control: invert the branch check")
     p_self.set_defaults(func=cmd_selfcheck)
     return parser
 

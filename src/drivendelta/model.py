@@ -23,12 +23,9 @@ from .errors import InfiniteRateError, NumericError
 
 __all__ = [
     "ModelParams",
-    "GroundState",
     "from_physical",
     "from_dimensionless",
-    "ground_state",
     "channel_threshold",
-    "energy_balance",
     "volkov_phase",
     "decay_rate",
 ]
@@ -66,22 +63,6 @@ class ModelParams:
         """Point i of a one-dimensional parameter grid, as scalar ModelParams."""
         return ModelParams(**{name: float(value[i]) if np.ndim(value) else value
                               for name, value in vars(self).items()})
-
-
-@dataclass(frozen=True)
-class GroundState:
-    """The single bound state in transformed units.
-
-    ``psi0(x) = norm_coeff * exp(-gamma*|x|/h)`` with energy ``-gamma^2/2``.
-    """
-
-    energy: float
-    norm_coeff: float
-    gamma: float
-    h: float
-
-    def wavefunction(self, x):
-        return self.norm_coeff * np.exp(-(self.gamma / self.h) * np.abs(x))
 
 
 def unbox(x):
@@ -132,16 +113,6 @@ def from_dimensionless(gamma, z):
     return from_physical(alpha, mu, omega)
 
 
-def ground_state(params: ModelParams) -> GroundState:
-    """Bound state of the undriven atom in transformed units."""
-    return GroundState(
-        energy=-0.5 * params.gamma**2,
-        norm_coeff=math.sqrt(params.gamma / params.h),
-        gamma=params.gamma,
-        h=params.h,
-    )
-
-
 def channel_threshold(k, gamma):
     """Closing value z_k = k/(1 + 2*gamma^2) of the k-photon channel."""
     if int(k) != k or k < 1:
@@ -149,17 +120,6 @@ def channel_threshold(k, gamma):
     if gamma < 0.0:
         raise ValueError(f"gamma must be non-negative, got gamma={gamma!r}")
     return k / (1.0 + 2.0 * gamma * gamma)
-
-
-def energy_balance(k, gamma, z):
-    """Residual kinetic energy (units of the photon energy) of channel k.
-
-    Positive for an open channel, zero exactly at z = z_k, negative when
-    the channel is ponderomotively closed.
-    """
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got k={k!r}")
-    return k - 2.0 * gamma * gamma * z - z
 
 
 def volkov_phase(t):
@@ -176,7 +136,7 @@ def rate_failure(rate):
     """The engine error behind a non-finite rate; +inf is a vanished probability."""
     if rate == math.inf:
         return InfiniteRateError("survival amplitude vanished; rate diverges")
-    return NumericError(f"survival probability is not finite; rate is {rate!r}")
+    return NumericError(f"survival probability is not finite; rate is {rate}")
 
 
 def decay_rate(probability, n_first, n_last):

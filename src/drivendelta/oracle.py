@@ -59,22 +59,17 @@ from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
 from .errors import ConvergenceError
-from .model import ModelParams, decay_rate, from_physical, volkov_phase
+from .model import ModelParams, decay_rate, volkov_phase
 
 __all__ = [
     "VolterraGrid",
     "erfcx_complex",
-    "erfc_complex",
     "default_time_step",
     "solve_boundary_function",
     "survival_probability",
     "rate_from_oracle",
     "rate_between_cycles",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
-
-CHECKPOINT_SCHEMA_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -99,12 +94,6 @@ def erfcx_complex(v):
         vn = v[neg]
         out[neg] = 2.0 * np.exp(vn * vn) - wofz(-1j * vn)
     return out[0] if scalar else out
-
-
-def erfc_complex(z):
-    """Complementary error function for complex argument, elementwise."""
-    z = np.asarray(z, dtype=complex)
-    return np.exp(-z * z) * erfcx_complex(z)
 
 
 def _two_sided_overlap(beta, center, b_lin, lam):
@@ -625,13 +614,12 @@ def survival_probability(grid: VolterraGrid, t_f=None):
     return p, float(abs(p) ** 2)
 
 
-def rate_from_oracle(params: ModelParams, n, dt=None, driven=True):
+def rate_from_oracle(params: ModelParams, n, dt=None):
     """Rate -(2*pi/t_f)*ln|p|^2 over n cycles: rate_between_cycles(params, 0, n)."""
-    return rate_between_cycles(params, 0, n, dt=dt, driven=driven)
+    return rate_between_cycles(params, 0, n, dt=dt)
 
 
-def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None,
-                        driven=True):
+def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None):
     """Per-cycle rate from the decay between two whole-cycle checkpoints.
 
     -ln(w(n_last)/w(n_first)) / (n_last - n_first) cancels the one-time
@@ -642,50 +630,7 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None,
     single-interval rate.  Failures as in :func:`drivendelta.model.decay_rate`.
     """
     solve = functools.cache(lambda: solve_boundary_function(
-        params, 2.0 * math.pi * n_last, dt=dt, driven=driven))
+        params, 2.0 * math.pi * n_last, dt=dt))
     return decay_rate(
         lambda n: survival_probability(solve(), t_f=2.0 * math.pi * n)[1],
         n_first, n_last)
-
-
-# ----------------------------------------------------------------------
-# checkpoints
-# ----------------------------------------------------------------------
-
-def save_checkpoint(path, grid: VolterraGrid, p=None):
-    """Dump (params, dt, boundary function, projection) as an .npz archive.
-
-    Schema (documented in the README): scalar arrays ``schema_version``,
-    ``alpha``, ``mu``, ``omega``, ``dt``, ``n_steps``, ``driven``; complex
-    array ``f``; optional complex scalar ``p``.
-    """
-    payload = dict(
-        schema_version=np.int64(CHECKPOINT_SCHEMA_VERSION),
-        alpha=grid.params.alpha,
-        mu=grid.params.mu,
-        omega=grid.params.omega,
-        dt=grid.dt,
-        n_steps=np.int64(grid.n_steps),
-        driven=np.bool_(grid.driven),
-        f=grid.f,
-    )
-    if p is not None:
-        payload["p"] = np.complex128(p)
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (grid, p or None)."""
-    with np.load(path) as data:
-        version = int(data["schema_version"])
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported checkpoint schema {version}")
-        params = from_physical(float(data["alpha"]), float(data["mu"]),
-                               float(data["omega"]))
-        dt = float(data["dt"])
-        n = int(data["n_steps"])
-        grid = VolterraGrid(params=params, dt=dt, n_steps=n,
-                            t=dt * np.arange(n + 1), f=data["f"].copy(),
-                            driven=bool(data["driven"]))
-        p = complex(data["p"]) if "p" in data else None
-    return grid, p

@@ -16,7 +16,7 @@ call; a scan over z costs a few array operations per burst.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +66,13 @@ def tunnel_start_time(gamma):
 
 @dataclass(frozen=True)
 class ComplexPath:
-    """Boundary-value solution x(t) = -cos t + cos(t_start) + y + v0*(t - t_start).
-
-    ``kind`` is "tunneling" when the start time is complex; the imaginary
-    part of the start velocity then equals gamma up to the O(1/t_f) drift
-    correction carried by v0.
-    """
+    """Boundary-value solution x(t) = -cos t + cos(t_start) + y + v0*(t - t_start)."""
 
     t_start: complex
     t_end: complex
     y: complex
     x: complex
     v0: complex
-    kind: str = field(default="classical")
 
     def position(self, t):
         return -np.cos(t) + np.cos(self.t_start) + self.y + self.v0 * (t - self.t_start)
@@ -92,10 +86,7 @@ def make_path(t_start, t_end, y, x) -> ComplexPath:
     if t_end == t_start:
         raise DegeneratePathError("path endpoints coincide in time")
     v0 = (x - y + np.cos(t_end) - np.cos(t_start)) / (t_end - t_start)
-    kind = "classical"
-    if abs(complex(t_start).imag) > 0.0 or abs(complex(t_end).imag) > 0.0:
-        kind = "tunneling"
-    return ComplexPath(t_start=t_start, t_end=t_end, y=y, x=x, v0=v0, kind=kind)
+    return ComplexPath(t_start=t_start, t_end=t_end, y=y, x=x, v0=v0)
 
 
 def _volkov_action(t_f, t_i, x=0.0, y=0.0):

@@ -201,7 +201,10 @@ def test_scan_records_and_interpolates_failures(monkeypatch):
     monkeypatch.setattr(sc_mod, "rate_between_cycles", flaky)
     z = np.arange(8.0, 9.0 + 0.005, 0.02)
     scan = scan_rate("semiclassical", "fixed_gamma", 0.7, z, n_cycles=1)
-    assert scan.missing_indices == failed
+    # each failed sample keeps its reason
+    assert list(scan.missing_indices) == failed
+    for i, reason in scan.missing_indices.items():
+        assert ("rate diverges" if i in failed[::2] else "not finite") in reason
     assert np.all(np.isnan(scan.gamma_raw[failed]))
     good = np.setdiff1d(np.arange(z.size), failed)
     assert np.all(np.isfinite(scan.gamma_raw[good]))
@@ -220,7 +223,8 @@ def test_oracle_scan_records_engine_failures_per_point(monkeypatch):
     monkeypatch.setattr(oracle_mod, "rate_between_cycles", flaky)
     z = np.arange(1.0, 2.0 + 0.05, 0.1)
     scan = scan_rate("oracle", "fixed_gamma", 0.7, z, n_cycles=1)
-    assert scan.missing_indices == [3, 4]
+    assert scan.missing_indices == {3: "synthetic engine failure",
+                                    4: "synthetic engine failure"}
     assert np.all(np.isnan(scan.gamma_raw[[3, 4]]))
     assert np.all(np.isfinite(scan.gamma_smooth))
 

@@ -112,6 +112,28 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):
+    import drivendelta.analysis as analysis_mod
+
+    real = analysis_mod.semiclassical.rate_between_cycles
+
+    def flaky(params, n_first, n_last, include_odd=False):
+        rates = real(params, n_first, n_last, include_odd=include_odd)
+        rates[[2, 5]] = np.inf, np.nan
+        return rates
+
+    monkeypatch.setattr(analysis_mod.semiclassical, "rate_between_cycles", flaky)
+    code = run(["scan", "--gamma", "0.7", "--z", "8:9:0.1",
+                "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "warning: semiclassical failed at z=8.2: survival amplitude " \
+           "vanished; rate diverges" in err
+    assert "warning: semiclassical failed at z=8.5: survival probability " \
+           "is not finite; rate is nan" in err
+    assert "2 samples failed and were interpolated" in err
+
+
 def test_scan_deterministic_outputs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "--engine", "semiclassical", "--gamma", "0.7",
@@ -240,6 +262,34 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["compare", "--gamma", "0.7", "--z", "5:5:1", "--oracle-dt", "-1"], None),
+    (["scan", "--engine", "oracle", "--gamma", "0.7", "--z", "1:2:0.5",
+      "--oracle-dt", "inf"], None),
+    (["scan", "--engine", "oracle"], {"oracle_dt": "x"}),
+    (["selfcheck", "--oracle-dt", "-1"], None),
+    (["scan"], {"sg_window": None}),
+    (["scan"], {"include_odd": "false"}),
+], ids=["compare-oracle-dt-negative", "scan-oracle-dt-inf",
+        "config-oracle-dt-text", "selfcheck-oracle-dt-negative",
+        "config-sg-window-null", "config-include-odd-string"])
+def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
+    # each used to end in a traceback, or (include_odd "false") to mean true
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gamma": 0.7, "z": "6:7:0.5", **config}))
+        argv = [*argv, "--config", str(path)]
+    if argv[0] != "selfcheck":
+        argv = [*argv, "--out", str(tmp_path / "o.csv")]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "usage error" in captured.err and "must be" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_peak_offsets_use_the_scan_prominence_rule():
     # a ripple far below 5% of the normalized span makes no peaks of its own
     z = np.arange(6.0, 9.0 + 0.005, 0.01)
@@ -330,8 +380,13 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selfcheck_branch_negative_control(capsys):
-    assert run(["selfcheck", "--debug-flip-branch"]) == 2
+def test_selfcheck_branch_negative_control(capsys, monkeypatch):
+    # a square root on the wrong sheet must fail the sheet check
+    import drivendelta.semiclassical as sc_mod
+
+    real = sc_mod.branched_sqrt
+    monkeypatch.setattr(sc_mod, "branched_sqrt", lambda w: -real(w))
+    assert run(["selfcheck"]) == 2
     out = capsys.readouterr().out
     assert "[FAIL] branched sqrt sheet" in out
 

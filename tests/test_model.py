@@ -3,16 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from drivendelta.errors import InfiniteRateError, NumericError
 from drivendelta.model import (
     channel_threshold,
     decay_rate,
-    energy_balance,
     from_dimensionless,
     from_physical,
-    ground_state,
     rate_failure,
     volkov_phase,
 )
@@ -105,35 +102,6 @@ def test_channel_threshold_rejects_bad_k():
         channel_threshold(0, 0.7)
     with pytest.raises(ValueError):
         channel_threshold(-3, 0.7)
-
-
-def test_energy_balance_examples():
-    # zero exactly at the threshold
-    z1 = channel_threshold(1, 0.7)
-    assert energy_balance(1, 0.7, z1) == pytest.approx(0.0, abs=1e-12)
-    # gamma = 0 limit
-    assert energy_balance(5, 0.0, 3.0) == pytest.approx(2.0, rel=1e-12)
-    # closed channel
-    assert energy_balance(2, 0.7, 1.2) == pytest.approx(2.0 - 1.98 * 1.2, rel=1e-12)
-    assert energy_balance(2, 0.7, 1.2) < 0.0
-
-
-def test_energy_balance_zero_at_threshold_many():
-    for gamma in (0.3, 0.7, 1.6):
-        for k in (1, 4, 12):
-            z_k = channel_threshold(k, gamma)
-            assert energy_balance(k, gamma, z_k) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_ground_state_energy_and_norm():
-    p = from_dimensionless(0.7, 10.0)
-    gs = ground_state(p)
-    assert gs.energy == pytest.approx(-0.5 * 0.49, rel=1e-12)
-    assert gs.norm_coeff == pytest.approx(math.sqrt(0.7 / 0.025), rel=1e-12)
-    # analytic norm check by quadrature
-    norm, _ = quad(lambda x: gs.wavefunction(x) ** 2, -2.0, 2.0,
-                   points=[0.0], limit=200)
-    assert norm == pytest.approx(1.0, abs=1e-10)
 
 
 def test_from_dimensionless_on_a_grid_matches_points():

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from drivendelta.errors import ConvergenceError
-from drivendelta.model import from_dimensionless, ground_state
+from drivendelta.model import from_dimensionless
 from drivendelta.oracle import (
     _BLOCK,
     _FAR,
@@ -19,12 +19,9 @@ from drivendelta.oracle import (
     _partition,
     _weights,
     default_time_step,
-    erfc_complex,
     erfcx_complex,
-    load_checkpoint,
     rate_between_cycles,
     rate_from_oracle,
-    save_checkpoint,
     solve_boundary_function,
     survival_probability,
 )
@@ -46,16 +43,18 @@ def _lattice():
 
 
 def test_erfc_reflection_symmetry():
+    # erfc(-z) = 2 - erfc(z), times exp(z^2)
     z = _lattice()
-    lhs = erfc_complex(-z)
-    rhs = 2.0 - erfc_complex(z)
-    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
+    lhs = erfcx_complex(-z)
+    rhs = 2.0 * np.exp(z * z) - erfcx_complex(z)
+    scale = np.maximum(np.abs(np.exp(z * z)), np.abs(rhs))
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 def test_erfc_conjugation_symmetry():
     z = _lattice()
-    lhs = erfc_complex(np.conj(z))
-    rhs = np.conj(erfc_complex(z))
+    lhs = erfcx_complex(np.conj(z))
+    rhs = np.conj(erfcx_complex(z))
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -82,8 +81,8 @@ def test_erfcx_real_axis_matches_scipy():
 
 def test_initial_value_is_ground_state_origin():
     grid = solve_boundary_function(P_SMALL, 2.0 * math.pi)
-    gs = ground_state(P_SMALL)
-    assert grid.f[0] == pytest.approx(gs.norm_coeff, rel=1e-14)
+    assert grid.f[0] == pytest.approx(math.sqrt(P_SMALL.gamma / P_SMALL.h),
+                                      rel=1e-14)
 
 
 def test_field_off_pure_bound_phase():
@@ -110,19 +109,24 @@ def test_field_off_unitarity_tight_at_fine_dt():
     assert abs(w - 1.0) < 2e-6
 
 
+def _psi0(params, x):
+    """Bound state sqrt(gamma/h)*exp(-gamma*|x|/h) in transformed units."""
+    lam = params.gamma / params.h
+    return math.sqrt(lam) * np.exp(-lam * np.abs(x))
+
+
 def test_inhomogeneous_term_is_spread_ground_state():
     # g(t) must equal the direct overlap of the shared Volkov kernel with
     # the initial bound state: quadrature cross-check of the closed form
     params = P_SMALL
     gamma, h = params.gamma, params.h
-    gs = ground_state(params)
     grid = solve_boundary_function(params, 2.0 * math.pi)
 
     for t in (0.4, 1.7):
         span = 60.0 * h / gamma
 
         def integrand(y, part):
-            val = volkov_propagator(0.0, t, y, 0.0, params) * gs.wavefunction(y)
+            val = volkov_propagator(0.0, t, y, 0.0, params) * _psi0(params, y)
             return val.real if part == "re" else val.imag
 
         re, _ = quad(integrand, -span, span, args=("re",), points=[0.0],
@@ -136,7 +140,6 @@ def test_inhomogeneous_term_is_spread_ground_state():
 def test_projection_overlap_closed_form():
     params = P_SMALL
     gamma, h = params.gamma, params.h
-    gs = ground_state(params)
     from drivendelta.oracle import _bound_overlap
 
     t_f = 2.0 * math.pi
@@ -144,7 +147,7 @@ def test_projection_overlap_closed_form():
         span = 60.0 * h / gamma
 
         def integrand(x, part):
-            val = gs.wavefunction(x) * volkov_propagator(x, t_f, 0.0, t_src, params)
+            val = _psi0(params, x) * volkov_propagator(x, t_f, 0.0, t_src, params)
             return val.real if part == "re" else val.imag
 
         re, _ = quad(integrand, -span, span, args=("re",), points=[0.0],
@@ -416,8 +419,6 @@ def test_rate_from_oracle_behaviour():
     params = P_SMALL
     g_driven = rate_from_oracle(params, 1)
     assert g_driven > 0.0
-    g_off = rate_from_oracle(P_OFF, 1, driven=False)
-    assert abs(g_off) < 1e-4
 
 
 def test_modulation_visible_between_nearby_z():
@@ -468,29 +469,3 @@ def test_rate_between_cycles_rejects_cycles_before_solving(monkeypatch):
     for n_first, n_last in ((2, 2), (-1, 1), (0, 0), (1, 2.5)):
         with pytest.raises(ValueError):
             rate_between_cycles(P_SMALL, n_first, n_last)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    params = P_SMALL
-    grid = solve_boundary_function(params, 2.0 * math.pi)
-    p, _ = survival_probability(grid)
-    path = tmp_path / "solve.npz"
-    save_checkpoint(path, grid, p)
-    loaded, p_loaded = load_checkpoint(path)
-    assert p_loaded == pytest.approx(p, rel=1e-15)
-    assert loaded.dt == grid.dt
-    assert loaded.n_steps == grid.n_steps
-    assert loaded.driven == grid.driven
-    np.testing.assert_allclose(loaded.f, grid.f, rtol=1e-15)
-    np.testing.assert_allclose(loaded.t, grid.t, rtol=1e-15)
-    assert loaded.params.gamma == pytest.approx(params.gamma, rel=1e-15)
-    assert loaded.params.z == pytest.approx(params.z, rel=1e-15)
-
-
-def test_checkpoint_without_projection(tmp_path):
-    grid = solve_boundary_function(P_SMALL, math.pi)
-    path = tmp_path / "partial.npz"
-    save_checkpoint(path, grid)
-    loaded, p_loaded = load_checkpoint(path)
-    assert p_loaded is None
-    assert loaded.n_steps == grid.n_steps

@@ -99,7 +99,6 @@ def test_make_path_trivial_cycle():
     assert path.v0 == pytest.approx(0.0, abs=1e-16)
     ts = np.linspace(0.0, 2.0 * math.pi, 64)
     assert np.allclose(path.position(ts), 1.0 - np.cos(ts), atol=1e-15)
-    assert path.kind == "classical"
 
 
 def test_make_path_endpoint_invariants():
@@ -118,7 +117,6 @@ def test_make_path_tunneling_example():
     path = make_path(t0, 2.0 * math.pi, 0.0, 0.0)
     expected_v0 = (1.0 - math.sqrt(1.49)) / (2.0 * math.pi - t0)
     assert path.v0 == pytest.approx(expected_v0, rel=1e-14)
-    assert path.kind == "tunneling"
     # emission velocity: sin(t0) carries exactly i*gamma; the drift v0 adds
     # only the finite-time correction
     assert cmath.sin(t0).imag == pytest.approx(0.7, abs=1e-14)
