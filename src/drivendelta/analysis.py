@@ -11,7 +11,6 @@ of the rate across the scan.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ __all__ = [
     "windowed_background_mean",
     "barrier_traversal_time",
     "appendix_c_demo",
+    "write_table",
     "write_scan_csv",
     "write_scan_json",
     "SCAN_SCHEMA_VERSION",
@@ -78,23 +78,17 @@ def _gamma_at(mode, fixed_value, z):
 
 
 def _thresholds_in_range(mode, fixed_value, z_lo, z_hi):
-    """(k, z_k) of every channel that closes at 0 < z_k in [z_lo, z_hi]."""
+    """Arrays k and z_k of every channel that closes at 0 < z_k in [z_lo, z_hi]."""
     if mode == "fixed_gamma":
         spacing = channel_threshold(1, fixed_value)
-        ks = range(max(1, math.ceil(z_lo / spacing - 1e-9)),
-                   math.floor(z_hi / spacing + 1e-9) + 1)
-        return [(k, channel_threshold(k, fixed_value)) for k in ks]
+        ks = np.arange(max(1, math.ceil(z_lo / spacing - 1e-9)),
+                       math.floor(z_hi / spacing + 1e-9) + 1)
+        return ks, channel_threshold(ks, fixed_value)
     # fixed n_io: k = n_io + z at threshold, so z_k = k - n_io with unit spacing
-    ks = range(max(math.floor(fixed_value) + 1,
-                   math.ceil(fixed_value + z_lo - 1e-9)),
-               math.floor(fixed_value + z_hi + 1e-9) + 1)
-    return [(k, k - fixed_value) for k in ks]
-
-
-def nearest_threshold_k(mode, fixed_value, z, gamma):
-    if mode == "fixed_gamma":
-        return max(1, int(round(z * (1.0 + 2.0 * gamma**2))))
-    return max(1, int(round(z + fixed_value)))
+    ks = np.arange(max(math.floor(fixed_value) + 1,
+                       math.ceil(fixed_value + z_lo - 1e-9)),
+                   math.floor(fixed_value + z_hi + 1e-9) + 1)
+    return ks, ks - fixed_value
 
 
 def engine_rates(engine, params, n_first, n_last, include_odd=False,
@@ -157,6 +151,7 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         raise ValueError(f"{name} must be positive, got {name}={fixed_value!r}")
     if int(n_cycles) != n_cycles or n_cycles < 1:
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
+    _check_filter(sg_window, sg_order)
 
     gamma_param = _gamma_at(mode, fixed_value, z_values)
     raw, missing = engine_rates(engine, from_dimensionless(gamma_param, z_values),
@@ -164,25 +159,22 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
                                 oracle_dt=oracle_dt)
 
     filled = _fill_missing(z_values, raw, missing)
-    window = min(sg_window, _largest_odd(z_values.size))
+    # a window longer than the grid shrinks to the grid's largest odd count
+    window = min(sg_window, z_values.size - 1 + z_values.size % 2)
     order = min(sg_order, max(window - 1, 0))
     smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
     peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma_param)
-    thresholds = _thresholds_in_range(mode, fixed_value,
-                                      z_values[0], z_values[-1])
+    _, thresholds = _thresholds_in_range(mode, fixed_value,
+                                         z_values[0], z_values[-1])
     return RateScan(mode=mode, fixed_value=fixed_value, engine=engine,
                     n_cycles=n_cycles, z_values=z_values,
                     gamma_param=gamma_param, gamma_raw=raw,
                     gamma_smooth=smoothed, peaks=peak_z,
                     peak_indices=peak_idx,
-                    thresholds=np.array([z_k for _, z_k in thresholds]),
+                    thresholds=thresholds,
                     missing_indices=missing,
                     filter_settings={"sg_window": window, "sg_order": order,
                                      "prominence_frac": PROMINENCE_FRAC})
-
-
-def _largest_odd(n):
-    return n if n % 2 else n - 1
 
 
 def _fill_missing(z, raw, missing):
@@ -220,6 +212,12 @@ def _parabolic_refine(z, y, i):
     return z[i] + shift * 0.5 * (z[i + 1] - z[i - 1])
 
 
+def _check_filter(window, poly_order):
+    if window % 2 == 0 or window < 3 or not 0 <= poly_order < window:
+        raise ValueError(f"smoothing window must be odd and >= 3, and order in "
+                         f"[0, window): got window={window!r}, order={poly_order!r}")
+
+
 def savitzky_golay(series, window, poly_order):
     """Least-squares local polynomial smoothing.
 
@@ -228,11 +226,7 @@ def savitzky_golay(series, window, poly_order):
     samples are invented beyond the data.
     """
     series = np.asarray(series, dtype=float)
-    if window % 2 == 0 or window < 3:
-        raise ValueError(f"window must be an odd count >= 3, got {window!r}")
-    if not 0 <= poly_order < window:
-        raise ValueError(
-            f"poly_order must satisfy 0 <= order < window, got {poly_order!r}")
+    _check_filter(window, poly_order)
     n = series.size
     half = window // 2
     out = np.empty_like(series)
@@ -324,27 +318,32 @@ def appendix_c_demo():
 # emission
 # ----------------------------------------------------------------------
 
-def _fmt(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return f"{x:.12g}"
+def write_table(fh, header, columns):
+    """Write a comma-separated table of whole columns to an open text file.
+
+    ``header`` names the columns.  Integer columns print as ``%d``, all
+    others as ``%.12g`` (NaN as ``nan``); every row ends in a line feed.
+    """
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g"
+                   for c in columns) + "\n"
+    fh.write(",".join(header) + "\n")
+    fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def write_scan_csv(scan: RateScan, path):
     """Columns: z, gamma_param, Gamma_raw, Gamma_smooth, is_peak, nearest_threshold_k."""
-    peak_set = set(int(i) for i in scan.peak_indices)
+    is_peak = np.zeros(scan.z_values.size, dtype=int)
+    is_peak[scan.peak_indices] = 1
+    if scan.mode == "fixed_gamma":
+        k = scan.z_values * (1.0 + 2.0 * scan.gamma_param**2)
+    else:
+        k = scan.z_values + scan.fixed_value
+    nearest_k = np.maximum(np.rint(k), 1.0).astype(int)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "gamma_param", "Gamma_raw", "Gamma_smooth",
-                         "is_peak", "nearest_threshold_k"])
-        for i, z in enumerate(scan.z_values):
-            writer.writerow([
-                _fmt(z), _fmt(scan.gamma_param[i]), _fmt(scan.gamma_raw[i]),
-                _fmt(scan.gamma_smooth[i]),
-                1 if i in peak_set else 0,
-                nearest_threshold_k(scan.mode, scan.fixed_value, z,
-                                    scan.gamma_param[i]),
-            ])
+        write_table(fh, ["z", "gamma_param", "Gamma_raw", "Gamma_smooth",
+                         "is_peak", "nearest_threshold_k"],
+                    [scan.z_values, scan.gamma_param, scan.gamma_raw,
+                     scan.gamma_smooth, is_peak, nearest_k])
 
 
 def write_scan_json(scan: RateScan, path):
@@ -363,12 +362,13 @@ def write_scan_json(scan: RateScan, path):
         "filter_settings": scan.filter_settings,
         "missing_indices": sorted(scan.missing_indices),
         "detected_period": period,
-        "thresholds": [float(t) for t in scan.thresholds],
-        "z": [float(z) for z in scan.z_values],
-        "gamma_param": [float(g) for g in scan.gamma_param],
-        "Gamma_raw": [None if math.isnan(v) else float(v) for v in scan.gamma_raw],
-        "Gamma_smooth": [float(v) for v in scan.gamma_smooth],
-        "peaks": [float(p) for p in scan.peaks],
+        "thresholds": scan.thresholds.tolist(),
+        "z": scan.z_values.tolist(),
+        "gamma_param": scan.gamma_param.tolist(),
+        "Gamma_raw": [None if math.isnan(v) else v
+                      for v in scan.gamma_raw.tolist()],
+        "Gamma_smooth": scan.gamma_smooth.tolist(),
+        "peaks": scan.peaks.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -259,12 +259,12 @@ def cmd_compare(args):
         failures += len(failed)
     sc_arr, or_arr = rates["semiclassical"], rates["oracle"]
 
+    ratio = or_arr / np.where(sc_arr != 0.0, sc_arr, np.nan)
     path = _resolve_out(opt["out"], "compare.csv")
     with open(path, "w") as fh:
-        fh.write("z,gamma_param,Gamma_semiclassical,Gamma_oracle,ratio\n")
-        for z, gamma, sc, orc in zip(z_values, gamma_param, sc_arr, or_arr):
-            ratio = orc / sc if sc and not math.isnan(orc) else float("nan")
-            fh.write(f"{z:.12g},{gamma:.12g},{sc:.12g},{orc:.12g},{ratio:.12g}\n")
+        analysis.write_table(
+            fh, ["z", "gamma_param", "Gamma_semiclassical", "Gamma_oracle",
+                 "ratio"], [z_values, gamma_param, sc_arr, or_arr, ratio])
     print(f"wrote {path}")
 
     good = np.isfinite(sc_arr) & np.isfinite(or_arr)
@@ -304,17 +304,16 @@ def cmd_thresholds(args):
         raise _UsageError("--z start:stop is required")
     mode, fixed = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
-    lines = ["k,z_k,gamma_at_threshold"]
-    for k, z_k in analysis._thresholds_in_range(mode, fixed, lo, hi):
-        lines.append(f"{k},{z_k:.12g},{analysis._gamma_at(mode, fixed, z_k):.12g}")
-    text = "\n".join(lines) + "\n"
+    ks, z_k = analysis._thresholds_in_range(mode, fixed, lo, hi)
+    header = ["k", "z_k", "gamma_at_threshold"]
+    columns = [ks, z_k, analysis._gamma_at(mode, fixed, z_k)]
     if opt["out"]:
         path = _resolve_out(opt["out"], "thresholds.csv")
         with open(path, "w") as fh:
-            fh.write(text)
+            analysis.write_table(fh, header, columns)
         print(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        analysis.write_table(sys.stdout, header, columns)
     return EXIT_OK
 
 

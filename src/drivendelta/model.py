@@ -114,8 +114,8 @@ def from_dimensionless(gamma, z):
 
 
 def channel_threshold(k, gamma):
-    """Closing value z_k = k/(1 + 2*gamma^2) of the k-photon channel."""
-    if int(k) != k or k < 1:
+    """Closing value z_k = k/(1 + 2*gamma^2) of channel k (a scalar or an array)."""
+    if not all_true((np.floor(k) == k) & (k >= 1)):
         raise ValueError(f"k must be a positive integer, got k={k!r}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be non-negative, got gamma={gamma!r}")

@@ -240,7 +240,7 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     """
     if dt is None:
         dt = default_time_step(params)
-    if not dt > 0.0:
+    if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got dt={dt!r}")
     gamma, h = params.gamma, params.h
     n = int(math.ceil(t_f / dt - 1e-12))

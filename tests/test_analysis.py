@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import drivendelta.analysis as analysis_mod
 import drivendelta.oracle as oracle_mod
 import drivendelta.semiclassical as sc_mod
 from drivendelta.analysis import (
@@ -288,6 +289,28 @@ def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
     for engine_name in ("semiclassical", "oracle"):
         with pytest.raises(ValueError):
             scan_rate(engine_name, mode, fixed, z, n_cycles=cycles)
+
+
+@pytest.mark.parametrize("sg_window, sg_order", [
+    (-3, 0), (1, 0), (30, 3), (31, -1), (5, 5),
+])
+def test_scan_rejects_bad_smoothing_before_any_engine_call(monkeypatch, sg_window,
+                                                           sg_order):
+    def engine(*args, **kwargs):
+        raise AssertionError("engine called on invalid smoothing options")
+
+    monkeypatch.setattr(analysis_mod, "engine_rates", engine)
+    for engine_name in ("semiclassical", "oracle"):
+        with pytest.raises(ValueError, match="smoothing"):
+            scan_rate(engine_name, "fixed_gamma", 0.7, [6.0, 7.0],
+                      sg_window=sg_window, sg_order=sg_order)
+
+
+def test_scan_clamps_the_window_to_a_short_grid():
+    scan = scan_rate("semiclassical", "fixed_gamma", 0.7, [6.0, 6.1, 6.2, 6.3],
+                     sg_window=31, sg_order=3)
+    assert scan.filter_settings["sg_window"] == 3
+    assert scan.filter_settings["sg_order"] == 2
 
 
 def test_scan_propagates_non_engine_errors(monkeypatch):

@@ -93,6 +93,9 @@ def test_scan_usage_errors(capsys):
      "--z", "1:2:0.5"],
     ["--n-io", "9.8", "--z", "0:2:0.5"],
     ["--engine", "semiclassical", "--gamma", "0.7", "--z=-1:2:0.5"],
+    ["--gamma", "0.7", "--z", "6:8:0.1", "--sg-window", "-3"],
+    ["--gamma", "0.7", "--z", "6:8:0.1", "--sg-window", "30"],
+    ["--gamma", "0.7", "--z", "6:8:0.1", "--sg-order", "-1"],
 ])
 def test_scan_invalid_input_is_usage_error(tmp_path, capsys, argv):
     code = run(["scan", *argv, "--out", str(tmp_path / "scan.csv")])
@@ -123,7 +126,7 @@ def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):
         return rates
 
     monkeypatch.setattr(analysis_mod.semiclassical, "rate_between_cycles", flaky)
-    code = run(["scan", "--gamma", "0.7", "--z", "8:9:0.1",
+    code = run(["scan", "--gamma", "0.7", "--z", "8:9:0.1", "--format", "both",
                 "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
     assert code == 2
@@ -132,6 +135,14 @@ def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):
     assert "warning: semiclassical failed at z=8.5: survival probability " \
            "is not finite; rate is nan" in err
     assert "2 samples failed and were interpolated" in err
+
+    text = (tmp_path / "s.csv").read_bytes().decode()
+    assert "\r" not in text
+    rows = list(csv.DictReader(text.splitlines()))
+    assert [i for i, row in enumerate(rows) if row["Gamma_raw"] == "nan"] == [2, 5]
+    assert all(row["Gamma_smooth"] != "nan" for row in rows)
+    raw = json.loads((tmp_path / "s.json").read_text())["Gamma_raw"]
+    assert [i for i, v in enumerate(raw) if v is None] == [2, 5]
 
 
 def test_scan_deterministic_outputs(tmp_path):

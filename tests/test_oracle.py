@@ -427,6 +427,13 @@ def test_modulation_visible_between_nearby_z():
     assert abs(g_a - g_b) > 0.05 * max(abs(g_a), abs(g_b))
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_solve_rejects_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
+                                dt=dt)
+
+
 def test_convergence_check_raises_on_coarse_dt():
     params = from_dimensionless(0.7, 10.0)
     with pytest.raises(ConvergenceError) as err:
