@@ -78,16 +78,24 @@ def _gamma_at(mode, fixed_value, z):
 
 
 def _thresholds_in_range(mode, fixed_value, z_lo, z_hi):
-    """Arrays k and z_k of every channel that closes at 0 < z_k in [z_lo, z_hi]."""
+    """Arrays k and z_k of every channel that closes at 0 < z_k in [z_lo, z_hi].
+
+    A range with more channels than an array can hold is a ValueError.
+    """
     if mode == "fixed_gamma":
-        spacing = channel_threshold(1, fixed_value)
-        ks = np.arange(max(1, math.ceil(z_lo / spacing - 1e-9)),
-                       math.floor(z_hi / spacing + 1e-9) + 1)
+        first, shift, spacing = 1, 0.0, channel_threshold(1, fixed_value)
+    else:
+        # fixed n_io: k = n_io + z at threshold, so z_k = k - n_io with unit
+        # spacing
+        first, shift, spacing = math.floor(fixed_value) + 1, fixed_value, 1.0
+    try:
+        ks = np.arange(max(first, math.ceil((shift + z_lo) / spacing - 1e-9)),
+                       math.floor((shift + z_hi) / spacing + 1e-9) + 1)
+    except (ArithmeticError, ValueError, MemoryError):
+        raise ValueError(f"the z range {z_lo:g}:{z_hi:g} must be narrower: its "
+                         "channel thresholds do not fit in memory") from None
+    if mode == "fixed_gamma":
         return ks, channel_threshold(ks, fixed_value)
-    # fixed n_io: k = n_io + z at threshold, so z_k = k - n_io with unit spacing
-    ks = np.arange(max(math.floor(fixed_value) + 1,
-                       math.ceil(fixed_value + z_lo - 1e-9)),
-                   math.floor(fixed_value + z_hi + 1e-9) + 1)
     return ks, ks - fixed_value
 
 

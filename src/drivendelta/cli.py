@@ -71,17 +71,30 @@ def parse_range(text, require_step=True):
 
 
 def range_values(lo, hi, step):
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
-    values = lo + step * np.arange(count)
+    try:
+        count = int(math.floor((hi - lo) / step + 0.5)) + 1
+        values = lo + step * np.arange(count)
+    except (OverflowError, ValueError, MemoryError):
+        raise _UsageError(f"the z grid {lo:g}:{hi:g}:{step:g} must be coarser: "
+                          f"its {(hi - lo) / step:.3g} points do not fit in "
+                          "memory") from None
     return values[values < hi + 0.5 * step]
 
 
 def _resolve_out(path, default_name):
+    """The output path, a relative one under DRIVENDELTA_OUTDIR.
+
+    Commands resolve it before any engine runs, so that a missing output
+    directory is a usage error and costs no solve.
+    """
     if path is None:
         path = default_name
     if not os.path.isabs(path):
         base = os.environ.get("DRIVENDELTA_OUTDIR", ".")
         path = os.path.join(base, path)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise _UsageError(f"output directory {folder!r} does not exist")
     return path
 
 
@@ -167,6 +180,8 @@ _SCAN_DEFAULTS = dict(engine="semiclassical", gamma=None, n_io=None, z=None,
 def cmd_scan(args):
     opt = _merge_config(args, args.config, _SCAN_DEFAULTS)
     mode, fixed, z_values = _mode_and_grid(opt)
+    paths = _scan_paths(_resolve_out(opt["out"], f"scan_{opt['engine']}.csv"),
+                        opt["format"])
     try:
         scan = analysis.scan_rate(
             opt["engine"], mode, fixed, z_values,
@@ -179,8 +194,11 @@ def cmd_scan(args):
         # engine failures never leave scan_rate; this is its input check
         raise _UsageError(str(exc))
 
-    stem = _resolve_out(opt["out"], f"scan_{opt['engine']}.csv")
-    written = _emit_scan(scan, stem, opt["format"])
+    for path in paths:
+        if path.endswith(".csv"):
+            analysis.write_scan_csv(scan, path)
+        else:
+            analysis.write_scan_json(scan, path)
 
     mid = 0.5 * (z_values[0] + z_values[-1])
     bg = analysis.wkb_background(analysis._gamma_at(mode, fixed, mid), mid)
@@ -192,7 +210,7 @@ def cmd_scan(args):
     print(f"samples: {z_values.size}")
     print(f"detected modulation period dz: {period_text}")
     print(f"WKB background 2*pi*D_avg at z={mid:.6g}: {bg:.6g}")
-    for path in written:
+    for path in paths:
         print(f"wrote {path}")
     _warn_failures(scan.engine, z_values, scan.missing_indices)
     if scan.missing_indices:
@@ -208,7 +226,8 @@ def _warn_failures(engine, z_values, failures):
               file=sys.stderr)
 
 
-def _emit_scan(scan, stem, fmt):
+def _scan_paths(stem, fmt):
+    """The CSV and/or JSON path a scan writes: ``stem`` without its suffix."""
     if fmt not in ("csv", "json", "both"):
         raise _UsageError(f"unknown format {fmt!r}")
     base = stem
@@ -216,16 +235,8 @@ def _emit_scan(scan, stem, fmt):
         if base.endswith(suffix):
             base = base[:-len(suffix)]
             break
-    written = []
-    if fmt in ("csv", "both"):
-        path = base + ".csv"
-        analysis.write_scan_csv(scan, path)
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = base + ".json"
-        analysis.write_scan_json(scan, path)
-        written.append(path)
-    return written
+    return [base + suffix for suffix in (".csv", ".json")
+            if fmt in (suffix[1:], "both")]
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +254,7 @@ def cmd_compare(args):
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
     oracle_dt = _positive(opt["oracle_dt"], "--oracle-dt")
+    path = _resolve_out(opt["out"], "compare.csv")
 
     gamma_param = analysis._gamma_at(mode, fixed, z_values)
     for gamma in gamma_param[gamma_param > GAMMA_VALIDATED_MAX]:
@@ -257,10 +269,15 @@ def cmd_compare(args):
             oracle_dt=oracle_dt)
         _warn_failures(engine, z_values, failed)
         failures += len(failed)
+        below = z_values[rates[engine] < 0.0]
+        if below.size:
+            print(f"warning: {engine} rate below zero at z="
+                  + ", ".join(f"{z:g}" for z in below)
+                  + f": the survival probability rose from cycle 1 to {n_last}",
+                  file=sys.stderr)
     sc_arr, or_arr = rates["semiclassical"], rates["oracle"]
 
     ratio = or_arr / np.where(sc_arr != 0.0, sc_arr, np.nan)
-    path = _resolve_out(opt["out"], "compare.csv")
     with open(path, "w") as fh:
         analysis.write_table(
             fh, ["z", "gamma_param", "Gamma_semiclassical", "Gamma_oracle",
@@ -304,11 +321,14 @@ def cmd_thresholds(args):
         raise _UsageError("--z start:stop is required")
     mode, fixed = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
-    ks, z_k = analysis._thresholds_in_range(mode, fixed, lo, hi)
+    path = opt["out"] and _resolve_out(opt["out"], "thresholds.csv")
+    try:
+        ks, z_k = analysis._thresholds_in_range(mode, fixed, lo, hi)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     header = ["k", "z_k", "gamma_at_threshold"]
     columns = [ks, z_k, analysis._gamma_at(mode, fixed, z_k)]
-    if opt["out"]:
-        path = _resolve_out(opt["out"], "thresholds.csv")
+    if path:
         with open(path, "w") as fh:
             analysis.write_table(fh, header, columns)
         print(f"wrote {path}")

@@ -96,18 +96,25 @@ def erfcx_complex(v):
     return out[0] if scalar else out
 
 
-def _two_sided_overlap(beta, center, b_lin, lam):
-    """integral exp(i*beta*(y-center)^2 + i*b_lin*y - lam*|y|) dy.
+def _two_sided_overlap(duration, phase, center, b_lin, gamma, h):
+    """The bound state carried by the free propagator over ``duration``.
 
-    beta, lam > 0 real; the Fresnel-type Gaussian against the two-sided
-    exponential splits at y = 0 into two half-line integrals, each a scaled
-    complementary error function.
+    sqrt(gamma/h)*exp(i*phase/h)/sqrt(2*pi*i*h*T) times
+    integral exp(i*beta*(y-center)^2 + i*b_lin*y - lam*|y|) dy, with
+    T = duration, beta = 1/(2*h*T) and lam = gamma/h.  The Fresnel-type
+    Gaussian against the two-sided exponential splits at y = 0 into two
+    half-line integrals, each a scaled complementary error function.
     """
+    beta = 1.0 / (2.0 * h * duration)
+    lam = gamma / h
+    pref = (1.0 / np.sqrt(2j * np.pi * h * duration) * math.sqrt(gamma / h)
+            * np.exp((1j / h) * phase))
     q_sqrt = np.sqrt(beta) * np.exp(-0.25j * np.pi)  # principal sqrt(-i*beta)
     u_plus = lam + 2j * beta * center - 1j * b_lin
     u_minus = lam - 2j * beta * center + 1j * b_lin
     e = erfcx_complex(u_plus / (2.0 * q_sqrt)) + erfcx_complex(u_minus / (2.0 * q_sqrt))
-    return np.exp(1j * beta * center * center) * 0.5 * math.sqrt(math.pi) / q_sqrt * e
+    return pref * (np.exp(1j * beta * center * center) * 0.5 * math.sqrt(math.pi)
+                   / q_sqrt * e)
 
 
 # ----------------------------------------------------------------------
@@ -132,26 +139,18 @@ def _drive(t, driven=True):
 def _inhomogeneity(t, gamma, h, driven):
     """(U(t,0) psi0)(x=0): the freely spread bound state at the origin."""
     t = np.asarray(t, dtype=float)
-    beta = 1.0 / (2.0 * h * t)
-    lam = gamma / h
     _, cos_t, phi = _drive(t, driven)
     _, cos_0, _ = _drive(0.0, driven)
-    pref = 1.0 / np.sqrt(2j * np.pi * h * t)
-    return (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi)
-            * _two_sided_overlap(beta, cos_t - cos_0, 0.0, lam))
+    return _two_sided_overlap(t, phi, cos_t - cos_0, 0.0, gamma, h)
 
 
 def _bound_overlap(t_f, t_src, gamma, h, driven):
     """integral psi0(x) U(x,t_f;0,t_src) dx for source times t_src < t_f."""
     t_src = np.asarray(t_src, dtype=float)
-    big_t = t_f - t_src
-    beta = 1.0 / (2.0 * h * big_t)
-    lam = gamma / h
     sin_f, cos_f, phi_f = _drive(t_f, driven)
     _, cos_s, phi_s = _drive(t_src, driven)
-    pref = 1.0 / np.sqrt(2j * np.pi * h * big_t)
-    return (pref * math.sqrt(gamma / h) * np.exp((1j / h) * (phi_f - phi_s))
-            * _two_sided_overlap(beta, cos_s - cos_f, sin_f / h, lam))
+    return _two_sided_overlap(t_f - t_src, phi_f - phi_s, cos_s - cos_f,
+                              sin_f / h, gamma, h)
 
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every quadrature panel
@@ -168,7 +167,6 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
     lam = gamma / h
     span = 40.0 / lam
     beta = 1.0 / (2.0 * h * t_f)
-    pref = 1.0 / np.sqrt(2j * np.pi * h * t_f)
     sin_f, cos_f, phi_f = _drive(t_f, driven)
     _, cos_0, _ = _drive(0.0, driven)
     shift = cos_f - cos_0
@@ -179,8 +177,7 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
     for lo in (-span, 0.0):
         mid = lo + half_width * (2.0 * np.arange(panels) + 1.0)
         y = mid[:, None] + half_width * _GL_NODES
-        inner = (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi_f)
-                 * _two_sided_overlap(beta, y - shift, sin_f / h, lam))
+        inner = _two_sided_overlap(t_f, phi_f, y - shift, sin_f / h, gamma, h)
         vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
         total += half_width * np.sum(vals * _GL_WEIGHTS)
     return total
@@ -289,7 +286,7 @@ class _Cis:
     """
 
     def __init__(self, size):
-        self._q, self._r, self._r2, self._tmp = np.empty((4, size))
+        self._real = np.empty((4, size))
         self._idx = np.empty(size, dtype=np.int64)
         self._poly = np.empty(size, dtype=complex)
 
@@ -297,8 +294,9 @@ class _Cis:
         x = np.asarray(x, dtype=float)
         if out is None:
             out = np.empty(x.shape, dtype=complex)
-        q, r, r2, tmp, idx, poly = (buf[:x.size].reshape(x.shape) for buf in (
-            self._q, self._r, self._r2, self._tmp, self._idx, self._poly))
+        q, r, r2, tmp = self._real[:, :x.size].reshape((4,) + x.shape)
+        idx = self._idx[:x.size].reshape(x.shape)
+        poly = self._poly[:x.size].reshape(x.shape)
         np.multiply(x, 1.0 / _CIS_STEP, out=q)
         np.rint(q, out=q)
         np.multiply(q, _CIS_STEP_HI, out=r)
@@ -381,11 +379,12 @@ def _weights(n, dt):
 def _lag_windows(table):
     """Zero-copy windows over ``table`` (lags 0..n) for :func:`_lagged`.
 
-    The table is padded with _TILE zeros below lag 0 and reversed, so
-    windows[p, b] = table[n - p - b] and negative lags weigh nothing.
+    The table is padded with n + 1 zeros below lag 0 and reversed, so
+    windows[p, b] = table[n - p - b] and negative lags weigh nothing.  Each
+    window is as wide as the table, so a block may span the whole history.
     """
-    rev = np.concatenate((np.zeros(_TILE), table))[::-1].copy()
-    return sliding_window_view(rev, _TILE)
+    rev = np.concatenate((np.zeros(table.size), table))[::-1].copy()
+    return sliding_window_view(rev, table.size)
 
 
 def _lagged(windows, lag0, rows, cols):
@@ -397,10 +396,12 @@ def _lagged(windows, lag0, rows, cols):
 def _cross_approximation(row, col, m, k):
     """Partially pivoted adaptive cross approximation of an m x k block.
 
-    ``row(a)`` and ``col(b)`` return one row and one column of the block.
-    Returns (U, V) with block ~ U.T @ V, or None once the rank grows past
-    the point where the crosses cost as much as the dense block.  The
-    stopping rule is Bebendorf's: |u_r|*|v_r| <= _ACA_TOL * |U.T @ V|_F.
+    ``row(a)`` and ``col(b)`` return one row and one column of the block,
+    possibly in a buffer that the next call overwrites; each is copied into
+    V or U before the next is asked for.  Returns (U, V) with block
+    ~ U.T @ V, or None once the rank grows past the point where the crosses
+    cost as much as the dense block.  The stopping rule is Bebendorf's:
+    |u_r|*|v_r| <= _ACA_TOL * |U.T @ V|_F.
     """
     limit = m * k // (4 * (m + k))
     # room for 32 crosses (the ranks seen are 9 to 31), doubled when full
@@ -414,15 +415,15 @@ def _cross_approximation(row, col, m, k):
             big_u = np.concatenate((big_u, np.empty_like(big_u)))
             big_v = np.concatenate((big_v, np.empty_like(big_v)))
         unused[a] = False
-        v = row(a)
+        u, v = big_u[r], big_v[r]
+        v[:] = row(a)
         v -= np.einsum("l,lk->k", big_u[:r, a], big_v[:r])
         b = int(np.argmax(np.abs(v)))
         if v[b] == 0.0:
             return None
         v /= v[b]
-        u = col(b)
+        u[:] = col(b)
         u -= np.einsum("l,lm->m", big_v[:r, b], big_u[:r])
-        big_u[r], big_v[r] = u, v
         cross = (np.vdot(u, u) * np.vdot(v, v)).real
         overlap = (np.einsum("lm,m->l", big_u[:r], u.conj())
                    * np.einsum("lk,k->l", big_v[:r], v.conj()))
@@ -494,13 +495,15 @@ def _march(t, dt, n, gamma, h, driven):
     big_g[1:] = _inhomogeneity(t[1:], gamma, h, driven) * np.conj(rot[1:])
 
     # cross approximations need whole rows and columns of far blocks
-    cis = _Cis(max(_BLOCK * _TILE, n + 1))
-    x_buf = np.empty(_BLOCK * _TILE)
-    k_buf = np.empty(_BLOCK * _TILE, dtype=complex)
+    room = max(_BLOCK * _TILE, n + 1)
+    cis = _Cis(room)
+    x_buf = np.empty(room)
+    k_buf = np.empty(room, dtype=complex)
     evals = 0
 
     def kernel(j0, j1, i0, i1):
-        # W_ji * exp(i*x_ji) for rows j0..j1-1 against columns i0..i1-1
+        # W_ji * exp(i*x_ji) for rows j0..j1-1 against columns i0..i1-1, in
+        # k_buf: the next call overwrites it
         nonlocal evals
         shape = (j1 - j0, i1 - i0)
         size = shape[0] * shape[1]
@@ -514,25 +517,6 @@ def _march(t, dt, n, gamma, h, driven):
             weight = weight.copy()
             weight[:, 0] = w_first[j0:j1]
         return cis(x, weight, out=k_buf[:size].reshape(shape))
-
-    def kernel_row(j, i0, i1):
-        # row j against columns i0..i1-1: lags j - i0 down to j - i1 + 1
-        nonlocal evals
-        evals += i1 - i0
-        lags = slice(j - i1 + 1, j - i0 + 1)
-        weight = w_mid[lags][::-1]
-        if i0 == 0:
-            weight = weight.copy()
-            weight[0] = w_first[j]
-        return cis((cos_t[j] - cos_t[i0:i1]) ** 2 * inv[lags][::-1], weight)
-
-    def kernel_col(j0, j1, i):
-        # column i against rows j0..j1-1: lags j0 - i up to j1 - 1 - i
-        nonlocal evals
-        evals += j1 - j0
-        lags = slice(j0 - i, j1 - i)
-        return cis((cos_t[j0:j1] - cos_t[i]) ** 2 * inv[lags],
-                   w_first[j0:j1] if i == 0 else w_mid[lags])
 
     big_f = np.empty(n + 1, dtype=complex)
     big_f[0] = big_g[0]
@@ -548,9 +532,10 @@ def _march(t, dt, n, gamma, h, driven):
 
     def far(j0, j1, i0, i1):
         # False when the cross approximation does not converge
-        uv = _cross_approximation(lambda a: kernel_row(j0 + a, i0, i1),
-                                  lambda b: kernel_col(j0, j1, i0 + b),
-                                  j1 - j0, i1 - i0)
+        uv = _cross_approximation(
+            lambda a: kernel(j0 + a, j0 + a + 1, i0, i1)[0],
+            lambda b: kernel(j0, j1, i0 + b, i0 + b + 1)[:, 0],
+            j1 - j0, i1 - i0)
         if uv is None:
             return False
         acc[j0:j1] += np.einsum("lm,l->m", uv[0],

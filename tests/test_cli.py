@@ -96,6 +96,9 @@ def test_scan_usage_errors(capsys):
     ["--gamma", "0.7", "--z", "6:8:0.1", "--sg-window", "-3"],
     ["--gamma", "0.7", "--z", "6:8:0.1", "--sg-window", "30"],
     ["--gamma", "0.7", "--z", "6:8:0.1", "--sg-order", "-1"],
+    # grids that numpy refuses to allocate at once
+    ["--gamma", "0.7", "--z", "1:1e300:1"],
+    ["--gamma", "0.7", "--z", "1:2:1e-300"],
 ])
 def test_scan_invalid_input_is_usage_error(tmp_path, capsys, argv):
     code = run(["scan", *argv, "--out", str(tmp_path / "scan.csv")])
@@ -220,6 +223,8 @@ def test_thresholds_match_the_scan_thresholds(capsys):
     ["--gamma", "-0.7", "--z", "6:8"],
     ["--gamma", "0", "--z", "6:8"],
     ["--gamma", "nan", "--z", "6:8"],
+    # more channels than numpy allocates
+    ["--gamma", "0.7", "--z", "1:1e300"],
 ])
 def test_thresholds_reject_non_positive_parameter(capsys, argv):
     code = run(["thresholds", *argv])
@@ -247,6 +252,33 @@ def test_range_fields_must_be_finite_numbers(tmp_path, capsys, command, z_spec):
     assert code == 1
     assert "usage error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize("via", ["out", "outdir"])
+def test_missing_output_directory_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                 command, via):
+    # the output path is checked before any engine runs; compare used to
+    # solve the oracle and then end in a FileNotFoundError traceback
+    import drivendelta.analysis as analysis_mod
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the output path was checked")
+
+    monkeypatch.setattr(analysis_mod, "engine_rates", no_engine)
+    missing = tmp_path / "missing"
+    if via == "outdir":
+        monkeypatch.setenv("DRIVENDELTA_OUTDIR", str(missing))
+        out = "out.csv"
+    else:
+        out = str(missing / "out.csv")
+    code = run([command, *_COMMAND_ARGS[command], "--z", "0.5:0.5:1", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"usage error: output directory {str(missing)!r} does not exist" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not missing.exists()
 
 
 def test_config_parameter_must_be_a_number(tmp_path, capsys):
@@ -343,9 +375,27 @@ def test_compare_warns_beyond_validated_gamma(tmp_path, capsys):
     assert "exceeds the validated range" in captured.err
 
 
+def test_compare_warns_on_negative_rates(tmp_path, capsys):
+    # the oracle's survival probability rises from cycle 1 to 2 at z = 0.8;
+    # the warning names that point only and changes neither CSV nor exit code
+    out = tmp_path / "cmp.csv"
+    code = run(["compare", "--gamma", "0.7", "--z", "0.5:0.9:0.1",
+                "--cycles", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert [line for line in err.splitlines() if "below zero" in line] == [
+        "warning: oracle rate below zero at z=0.8: the survival probability "
+        "rose from cycle 1 to 2"]
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["z"] for row in rows if float(row["Gamma_oracle"]) < 0.0] == ["0.8"]
+    assert all(float(row["Gamma_semiclassical"]) > 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ["--gamma", "0", "--z", "5:5:1"],
     ["--n-io", "9.8", "--z", "0:1:0.5"],
+    ["--gamma", "0.7", "--z", "1:1e300:1"],
 ])
 def test_compare_invalid_input_is_usage_error(tmp_path, capsys, argv):
     code = run(["compare", *argv, "--out", str(tmp_path / "cmp.csv")])

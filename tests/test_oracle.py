@@ -162,14 +162,12 @@ def _simpson_free_overlap(t_f, gamma, h, n_nodes):
     """<psi0| U(t_f, 0) |psi0> by composite Simpson on each half-line."""
     lam = gamma / h
     span = 40.0 / lam
-    beta = 1.0 / (2.0 * h * t_f)
-    pref = 1.0 / np.sqrt(2j * np.pi * h * t_f)
     sin_f, cos_f, phi_f = _drive(t_f)
     total = 0.0j
     for lo, hi in ((-span, 0.0), (0.0, span)):
         y = np.linspace(lo, hi, n_nodes)
-        inner = (pref * math.sqrt(gamma / h) * np.exp((1j / h) * phi_f)
-                 * _two_sided_overlap(beta, y - (cos_f - 1.0), sin_f / h, lam))
+        inner = _two_sided_overlap(t_f, phi_f, y - (cos_f - 1.0), sin_f / h,
+                                   gamma, h)
         vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
         total += simpson(vals.real, x=y) + 1j * simpson(vals.imag, x=y)
     return total
@@ -346,6 +344,30 @@ def test_kernel_evals_counts_tiles_and_crosses(monkeypatch):
             expected += next(far) * sum(size) if kind == "far" else size[0] * size[1]
     assert ranks and next(far, None) is None
     assert grid.kernel_evals == expected < n * (n + 1) // 2
+
+
+def test_far_blocks_fall_back_to_dense_tiles(monkeypatch):
+    # a far block whose cross approximation does not converge is summed on
+    # the dense tiles, so the march evaluates every entry the dense march does
+    import drivendelta.oracle as oracle_mod
+
+    declined = []
+
+    def no_cross(row, col, m, k):
+        declined.append((m, k))
+
+    monkeypatch.setattr(oracle_mod, "_cross_approximation", no_cross)
+    params = from_dimensionless(0.7, 4.0)
+    t_f = 4.0 * math.pi
+    n = int(math.ceil(t_f / default_time_step(params)))
+    assert n == 3941
+    dt = t_f / n
+    args = (dt * np.arange(n + 1), dt, n, params.gamma, params.h, True)
+    f, kernel_evals = _march(*args)
+    assert declined
+    assert kernel_evals == 7_832_398
+    scale = math.sqrt(params.gamma / params.h)
+    assert np.max(np.abs(f - _reference_march(*args))) / scale < 1e-12
 
 
 def test_weights_against_decimal_reference():
