@@ -516,7 +516,10 @@ def _march(t, dt, n, gamma, h, driven):
         if i0 == 0:
             weight = weight.copy()
             weight[:, 0] = w_first[j0:j1]
-        return cis(x, weight, out=k_buf[:size].reshape(shape))
+        # cis runs faster on flat, contiguous operands: the weight of a row
+        # or column flattens to a view, a tile's Toeplitz view to a copy
+        return cis(x.reshape(size), weight.reshape(size),
+                   out=k_buf[:size]).reshape(shape)
 
     big_f = np.empty(n + 1, dtype=complex)
     big_f[0] = big_g[0]
