@@ -115,12 +115,12 @@ def quasi_energy_averaged(params: ModelParams) -> QuasiEnergy:
     )
 
 
-def bound_propagator_factor(params: ModelParams, t_end, t_start=0.0):
-    """Phase/decay factor exp(-i*E_avg*(t_end - t_start)/h) of the bound part.
+def bound_propagator_factor(params: ModelParams, t_end):
+    """Phase/decay factor exp(-i*E_avg*t_end/h) of the bound part from t = 0.
 
     Durations may be complex (analytic continuation onto the tunneling
     contour); for a real duration t the squared modulus is exp(-D_avg*t).
     """
     e_m = quasi_energy_averaged(params).e_m
-    return np.exp(-1j * e_m * (t_end - t_start) / params.h)
+    return np.exp(-1j * e_m * t_end / params.h)
 

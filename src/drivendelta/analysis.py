@@ -21,8 +21,8 @@ from scipy.signal import find_peaks
 
 from . import oracle, semiclassical
 from .adiabatic import rate_cycle_averaged
-from .errors import ENGINE_ERRORS, InsufficientDataError, NumericError
-from .model import channel_threshold, from_dimensionless, rate_failure, unbox
+from .errors import InsufficientDataError, NumericError
+from .model import channel_threshold, failure_reason, from_dimensionless, unbox
 
 __all__ = [
     "RateScan",
@@ -104,29 +104,25 @@ def engine_rates(engine, params, n_first, n_last, include_odd=False,
     """Rates of one engine over a parameter grid, and why each failed point failed.
 
     Each rate is the engine's ``rate_between_cycles(params, n_first,
-    n_last)``.  The semiclassical engine makes one grid call, in which a
-    point failed where its rate is not finite; the oracle solves point by
-    point, and a point failed where it raised ``errors.ENGINE_ERRORS`` (any
-    other exception propagates).  Returns (rates, {index: reason}), with
-    NaN rates at the failed points.
+    n_last)``: one grid call for the semiclassical engine, one call per
+    point for the oracle.  A point failed where its rate is not finite
+    (:func:`drivendelta.model.failure_reason` says why); any exception
+    propagates.  Returns (rates, {index: reason}), with NaN rates at the
+    failed points.
     """
     if engine == "semiclassical":
-        rates = np.array(semiclassical.rate_between_cycles(
-            params, n_first, n_last, include_odd=include_odd), dtype=float)
-        failures = {int(i): str(rate_failure(rates[i]))
-                    for i in np.flatnonzero(~np.isfinite(rates))}
+        rates = semiclassical.rate_between_cycles(
+            params, n_first, n_last, include_odd=include_odd)
     elif engine == "oracle":
-        rates = np.full(np.shape(params.z), np.nan)
-        failures = {}
-        for i in range(rates.size):
-            try:
-                rates[i] = oracle.rate_between_cycles(
-                    params.point(i), n_first, n_last, dt=oracle_dt)
-            except ENGINE_ERRORS as exc:
-                failures[i] = str(exc)
+        rates = [oracle.rate_between_cycles(params.point(i), n_first, n_last,
+                                            dt=oracle_dt)
+                 for i in range(np.size(params.z))]
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    rates[list(failures)] = np.nan
+    rates = np.array(rates, dtype=float)
+    failed = ~np.isfinite(rates)
+    failures = {int(i): failure_reason(rates[i]) for i in np.flatnonzero(failed)}
+    rates[failed] = np.nan
     return rates, failures
 
 
@@ -304,17 +300,12 @@ def barrier_traversal_time(x_start, x_end, energy=-0.5):
     maps the classically forbidden stretch |x| < sqrt(-2E) to a positive
     imaginary time increment.
     """
-    def f_re(x):
-        return (1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x)).real
-
-    def f_im(x):
-        return (1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x)).imag
-
-    re, re_err = quad(f_re, x_start, x_end, limit=400, epsabs=1e-13, epsrel=1e-13)
-    im, im_err = quad(f_im, x_start, x_end, limit=400, epsabs=1e-13, epsrel=1e-13)
-    if re_err + im_err > 1e-10 * max(1.0, abs(re) + abs(im)):
+    value, err = quad(
+        lambda x: 1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x),
+        x_start, x_end, complex_func=True, limit=400, epsabs=1e-13, epsrel=1e-13)
+    if err.real + err.imag > 1e-10 * max(1.0, abs(value.real) + abs(value.imag)):
         raise NumericError("barrier traversal quadrature did not converge")
-    return re + 1j * im
+    return value
 
 
 def appendix_c_demo():

@@ -44,10 +44,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(text, what):
+    """A finite float from a flag or a config value (a JSON boolean is not one)."""
     try:
         value = float(text)
     except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be a number, got {text!r}") from None
+        value = None
+    if value is None or isinstance(text, bool):
+        raise _UsageError(f"{what} must be a number, got {text!r}")
     if not math.isfinite(value):
         raise _UsageError(f"{what} must be finite, got {text!r}")
     return value
@@ -89,6 +92,8 @@ def _resolve_out(path, default_name):
     """
     if path is None:
         path = default_name
+    if not isinstance(path, str):
+        raise _UsageError(f"--out must be a path, got {path!r}")
     if not os.path.isabs(path):
         base = os.environ.get("DRIVENDELTA_OUTDIR", ".")
         path = os.path.join(base, path)
@@ -321,7 +326,7 @@ def cmd_thresholds(args):
         raise _UsageError("--z start:stop is required")
     mode, fixed = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
-    path = opt["out"] and _resolve_out(opt["out"], "thresholds.csv")
+    path = opt["out"] not in (None, "") and _resolve_out(opt["out"], "thresholds.csv")
     try:
         ks, z_k = analysis._thresholds_in_range(mode, fixed, lo, hi)
     except ValueError as exc:

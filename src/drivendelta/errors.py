@@ -21,15 +21,10 @@ class DegeneratePathError(ValueError):
     """Boundary-value path with coincident start and end times."""
 
 
-class InfiniteRateError(ArithmeticError):
-    """Survival amplitude is exactly zero; the decay rate diverges."""
-
-
 class InsufficientDataError(ValueError):
     """Not enough detected structure to estimate the requested statistic."""
 
 
-# failures of a rate engine at one parameter point; anything else raised
-# from an engine call is a bug or invalid input, not a missing sample
-ENGINE_ERRORS = (ConvergenceError, NumericError, InfiniteRateError,
-                 DegeneratePathError)
+# the numeric failures that cli.main reports with exit code 2; a failed
+# rate is not among them, since it is a non-finite value, not an exception
+ENGINE_ERRORS = (ConvergenceError, NumericError, DegeneratePathError)

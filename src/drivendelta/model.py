@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteRateError, NumericError
-
 __all__ = [
     "ModelParams",
     "from_physical",
     "from_dimensionless",
     "channel_threshold",
     "volkov_phase",
+    "failure_reason",
     "decay_rate",
 ]
 
@@ -132,11 +131,11 @@ def volkov_phase(t):
     return 0.25 * (np.sin(t) * np.cos(t) - t)
 
 
-def rate_failure(rate):
-    """The engine error behind a non-finite rate; +inf is a vanished probability."""
+def failure_reason(rate):
+    """Why a rate is not finite; +inf is a vanished probability."""
     if rate == math.inf:
-        return InfiniteRateError("survival amplitude vanished; rate diverges")
-    return NumericError(f"survival probability is not finite; rate is {rate}")
+        return "survival amplitude vanished; rate diverges"
+    return f"survival probability is not finite; rate is {rate}"
 
 
 def decay_rate(probability, n_first, n_last):
@@ -144,10 +143,10 @@ def decay_rate(probability, n_first, n_last):
 
     ``probability(n)`` is the survival probability w(n) = |p|^2 after n
     whole cycles (a float, or an array over a parameter grid).  w(0) = 1, so
-    n_first = 0 gives the single-interval rate -(2*pi/t_f) * ln|p|^2.  A
-    scalar rate is a float and raises InfiniteRateError where a probability
-    is zero, NumericError where it is otherwise not finite; a grid rate is
-    an array that is not finite at such points.
+    n_first = 0 gives the single-interval rate -(2*pi/t_f) * ln|p|^2.  The
+    rate is a float, or an array over the grid.  A failed point is not an
+    exception but a rate that is not finite (see :func:`failure_reason`):
+    +inf where either probability vanished, 0/0 included.
     """
     if not (int(n_first) == n_first and int(n_last) == n_last
             and 0 <= n_first < n_last):
@@ -157,10 +156,4 @@ def decay_rate(probability, n_first, n_last):
         w_first = probability(n_first) if n_first else 1.0
         w_last = probability(n_last)
         rate = -np.log(np.divide(w_last, w_first)) / (n_last - n_first)
-    if isinstance(rate, np.ndarray) and rate.ndim:
-        return rate
-    if w_first == 0.0 or w_last == 0.0:
-        rate = math.inf  # a vanished probability, whatever the other one is
-    if not math.isfinite(rate):
-        raise rate_failure(rate)
-    return float(rate)
+    return unbox(np.where((w_first == 0.0) | (w_last == 0.0), np.inf, rate))

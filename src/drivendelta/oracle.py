@@ -56,44 +56,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
-from scipy.special import wofz
+from scipy.special import erfcx
 
 from .errors import ConvergenceError
 from .model import ModelParams, decay_rate, volkov_phase
 
 __all__ = [
     "VolterraGrid",
-    "erfcx_complex",
     "default_time_step",
     "solve_boundary_function",
     "survival_probability",
     "rate_from_oracle",
     "rate_between_cycles",
 ]
-
-
-# ----------------------------------------------------------------------
-# scaled complementary error function of complex argument
-# ----------------------------------------------------------------------
-
-def erfcx_complex(v):
-    """erfcx(v) = exp(v^2)*erfc(v) for complex v, elementwise.
-
-    Uses the Faddeeva function w(z) (erfcx(v) = w(i*v)), which is accurate
-    to ~1e-13 in the right half-plane; the left half-plane is reached
-    through the reflection erfcx(-v) = 2*exp(v^2) - erfcx(v).
-    """
-    v = np.asarray(v, dtype=complex)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
-    out = np.empty_like(v)
-    pos = v.real >= 0.0
-    out[pos] = wofz(1j * v[pos])
-    neg = ~pos
-    if np.any(neg):
-        vn = v[neg]
-        out[neg] = 2.0 * np.exp(vn * vn) - wofz(-1j * vn)
-    return out[0] if scalar else out
 
 
 def _two_sided_overlap(duration, phase, center, b_lin, gamma, h):
@@ -112,7 +87,7 @@ def _two_sided_overlap(duration, phase, center, b_lin, gamma, h):
     q_sqrt = np.sqrt(beta) * np.exp(-0.25j * np.pi)  # principal sqrt(-i*beta)
     u_plus = lam + 2j * beta * center - 1j * b_lin
     u_minus = lam - 2j * beta * center + 1j * b_lin
-    e = erfcx_complex(u_plus / (2.0 * q_sqrt)) + erfcx_complex(u_minus / (2.0 * q_sqrt))
+    e = erfcx(u_plus / (2.0 * q_sqrt)) + erfcx(u_minus / (2.0 * q_sqrt))
     return pref * (np.exp(1j * beta * center * center) * 0.5 * math.sqrt(math.pi)
                    / q_sqrt * e)
 

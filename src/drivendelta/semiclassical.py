@@ -106,14 +106,14 @@ def action(path: ComplexPath):
     return _volkov_action(path.t_end, path.t_start, path.x, path.y)
 
 
-def action_by_quadrature(path: ComplexPath, waypoints=None, nodes=240):
-    """Action by Gauss-Legendre contour integration; test oracle for :func:`action`.
+def action_by_quadrature(path: ComplexPath, waypoints=None):
+    """Action by 240-node Gauss-Legendre contour quadrature; test oracle for :func:`action`.
 
     ``waypoints`` inserts intermediate contour vertices between t_start and
     t_end (the integrand is entire, so any contour gives the same value).
     """
     vertices = [path.t_start] + list(waypoints or []) + [path.t_end]
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = np.polynomial.legendre.leggauss(240)
     total = 0.0 + 0.0j
     for a, b in zip(vertices[:-1], vertices[1:]):
         t = a + (b - a) * (xs + 1.0) / 2.0

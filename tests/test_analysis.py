@@ -21,7 +21,7 @@ from drivendelta.analysis import (
     write_scan_csv,
     write_scan_json,
 )
-from drivendelta.errors import InfiniteRateError, InsufficientDataError, NumericError
+from drivendelta.errors import InsufficientDataError, NumericError
 from drivendelta.model import from_dimensionless
 from drivendelta.semiclassical import rate_between_cycles
 
@@ -133,18 +133,11 @@ def test_scan_fixed_n_io_threshold_spacing_is_one():
 def _reference_rates(params, n_first, n_last, include_odd=False):
     """Per-point loop of scalar rate_between_cycles: the grid call's reference.
 
-    A point whose scalar call raises InfiniteRateError (vanished amplitude)
-    is NaN, where the per-point scan recorded a missing sample.
+    A failed point is a non-finite rate here as on the grid.
     """
-    rates = []
-    for gamma, z in zip(params.gamma, params.z):
-        try:
-            rates.append(rate_between_cycles(from_dimensionless(gamma, z),
-                                             n_first, n_last,
-                                             include_odd=include_odd))
-        except InfiniteRateError:
-            rates.append(float("nan"))
-    return np.array(rates)
+    return np.array([rate_between_cycles(from_dimensionless(gamma, z),
+                                         n_first, n_last, include_odd=include_odd)
+                     for gamma, z in zip(params.gamma, params.z)])
 
 
 @pytest.mark.parametrize("mode, fixed, z_spec", [
@@ -214,18 +207,18 @@ def test_scan_records_and_interpolates_failures(monkeypatch):
 
 
 def test_oracle_scan_records_engine_failures_per_point(monkeypatch):
-    # the oracle still solves point by point; an engine error at one point
-    # is a missing sample, and the scan goes on
+    # the oracle still solves point by point; a non-finite rate at one point
+    # is a missing sample with its reason, and the scan goes on
     def flaky(params, n_first, n_last, dt=None):
         if 1.25 < params.z < 1.45:
-            raise NumericError("synthetic engine failure")
+            return math.nan
         return 0.1 + 0.01 * params.z
 
     monkeypatch.setattr(oracle_mod, "rate_between_cycles", flaky)
     z = np.arange(1.0, 2.0 + 0.05, 0.1)
     scan = scan_rate("oracle", "fixed_gamma", 0.7, z, n_cycles=1)
-    assert scan.missing_indices == {3: "synthetic engine failure",
-                                    4: "synthetic engine failure"}
+    reason = "survival probability is not finite; rate is nan"
+    assert scan.missing_indices == {3: reason, 4: reason}
     assert np.all(np.isnan(scan.gamma_raw[[3, 4]]))
     assert np.all(np.isfinite(scan.gamma_smooth))
 
@@ -249,13 +242,12 @@ def test_engine_rates_give_a_reason_for_each_failed_point(monkeypatch):
 
     def flaky(params, n_first, n_last, dt=None):
         points.append(params)
-        if params.z == 9.0:
-            raise InfiniteRateError("synthetic")
-        return float(n_first + n_last)
+        return math.inf if params.z == 9.0 else float(n_first + n_last)
 
     monkeypatch.setattr(oracle_mod, "rate_between_cycles", flaky)
     rates, failures = engine_rates("oracle", params, 1, 2)
-    assert failures == {2: "synthetic"}
+    # the same rule and the same reasons as the semiclassical grid call
+    assert failures == {2: "survival amplitude vanished; rate diverges"}
     assert list(rates[[0, 1, 3]]) == [3.0, 3.0, 3.0] and np.isnan(rates[2])
     assert points == [params.point(i) for i in range(4)]
     with pytest.raises(ValueError, match="unknown engine"):
@@ -326,13 +318,14 @@ def test_scan_propagates_non_engine_errors(monkeypatch):
 
 
 def test_oracle_scan_propagates_non_engine_errors(monkeypatch):
-    # only the engines' numeric failures become missing samples
-    def broken(params, n_first, n_last, dt=None):
-        raise RuntimeError("not an engine failure")
+    # as on the semiclassical grid, any exception is not a failed point
+    for error in (RuntimeError, NumericError):
+        def broken(params, n_first, n_last, dt=None):
+            raise error("not a failed point")
 
-    monkeypatch.setattr(oracle_mod, "rate_between_cycles", broken)
-    with pytest.raises(RuntimeError):
-        scan_rate("oracle", "fixed_gamma", 0.7, [6.0, 7.0])
+        monkeypatch.setattr(oracle_mod, "rate_between_cycles", broken)
+        with pytest.raises(error):
+            scan_rate("oracle", "fixed_gamma", 0.7, [6.0, 7.0])
 
 
 # ----------------------------------------------------------------------

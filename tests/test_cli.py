@@ -313,16 +313,28 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
     (["selfcheck", "--oracle-dt", "-1"], None),
     (["scan"], {"sg_window": None}),
     (["scan"], {"include_odd": "false"}),
+    (["scan"], {"out": 5}),
+    (["compare"], {"out": 5}),
+    (["thresholds"], {"out": 5}),
+    (["thresholds"], {"out": False}),
+    (["scan"], {"gamma": True}),
+    (["compare"], {"gamma": True}),
+    (["scan", "--engine", "oracle"], {"oracle_dt": True}),
 ], ids=["compare-oracle-dt-negative", "scan-oracle-dt-inf",
         "config-oracle-dt-text", "selfcheck-oracle-dt-negative",
-        "config-sg-window-null", "config-include-odd-string"])
+        "config-sg-window-null", "config-include-odd-string",
+        "config-scan-out-number", "config-compare-out-number",
+        "config-thresholds-out-number", "config-thresholds-out-false",
+        "config-scan-gamma-true", "config-compare-gamma-true",
+        "config-oracle-dt-true"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
-    # each used to end in a traceback, or (include_odd "false") to mean true
+    # each used to end in a traceback, or to run with a value the user did
+    # not mean: include_odd "false" as true, gamma true as 1
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma": 0.7, "z": "6:7:0.5", **config}))
         argv = [*argv, "--config", str(path)]
-    if argv[0] != "selfcheck":
+    if argv[0] != "selfcheck" and "out" not in (config or {}):
         argv = [*argv, "--out", str(tmp_path / "o.csv")]
     code = run(argv)
     captured = capsys.readouterr()

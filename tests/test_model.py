@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from drivendelta.errors import InfiniteRateError, NumericError
 from drivendelta.model import (
     channel_threshold,
     decay_rate,
+    failure_reason,
     from_dimensionless,
     from_physical,
-    rate_failure,
     volkov_phase,
 )
 
@@ -159,16 +158,23 @@ def test_decay_rate_formula_and_zero_cycle_convention():
             decay_rate(lambda n: 0.5, n_first, n_last)
 
 
-def test_decay_rate_scalar_raises_where_grid_is_not_finite():
-    with pytest.raises(InfiniteRateError):
-        decay_rate(lambda n: 0.0, 0, 1)
-    with pytest.raises(InfiniteRateError):
-        decay_rate(lambda n: 0.0, 1, 2)  # 0/0: still a vanished probability
-    with pytest.raises(NumericError):
-        decay_rate(lambda n: math.inf, 0, 1)
+def test_decay_rate_fails_by_a_non_finite_value_for_scalars_and_grids():
+    # a failed point is +inf where a probability vanished (0/0 included),
+    # otherwise whatever the logarithm gives; nothing is raised
+    for probability, n_first in ((0.0, 0), (0.0, 1), (0.5, 0)):
+        rate = decay_rate(lambda n: probability, n_first, n_first + 1)
+        assert type(rate) is float
+        assert rate == (math.inf if probability == 0.0 else -math.log(0.5))
+    assert decay_rate({1: 0.0, 2: 0.5}.get, 1, 2) == math.inf
+    assert decay_rate(lambda n: math.inf, 0, 1) == -math.inf
+    assert math.isnan(decay_rate(lambda n: math.nan, 0, 1))
     rates = decay_rate(lambda n: np.array([0.25, 0.0, np.inf, np.nan]), 0, 1)
     assert rates[0] == pytest.approx(-math.log(0.25), rel=1e-15)
     assert np.isposinf(rates[1]) and np.isneginf(rates[2]) and np.isnan(rates[3])
-    assert isinstance(rate_failure(rates[1]), InfiniteRateError)
-    assert isinstance(rate_failure(rates[2]), NumericError)
-    assert isinstance(rate_failure(rates[3]), NumericError)
+    both = {1: np.array([0.0, 0.0, 0.5]), 2: np.array([0.0, 0.5, 0.0])}
+    assert np.all(np.isposinf(decay_rate(both.get, 1, 2)))
+    assert failure_reason(rates[1]) == "survival amplitude vanished; rate diverges"
+    assert failure_reason(rates[2]) == ("survival probability is not finite; "
+                                        "rate is -inf")
+    assert failure_reason(rates[3]) == ("survival probability is not finite; "
+                                        "rate is nan")

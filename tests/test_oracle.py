@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.special import erfcx
 
 from drivendelta.errors import ConvergenceError
 from drivendelta.model import from_dimensionless
@@ -11,6 +12,7 @@ from drivendelta.oracle import (
     _BLOCK,
     _FAR,
     _Cis,
+    _cross_approximation,
     _drive,
     _free_evolution_overlap,
     _inhomogeneity,
@@ -19,7 +21,6 @@ from drivendelta.oracle import (
     _partition,
     _weights,
     default_time_step,
-    erfcx_complex,
     rate_between_cycles,
     rate_from_oracle,
     solve_boundary_function,
@@ -32,7 +33,7 @@ P_OFF = from_dimensionless(0.7, 1.25)    # h = 0.2, field-off checks
 
 
 # ----------------------------------------------------------------------
-# complex error function
+# complex error function (scipy's erfcx, on which the overlaps rely)
 # ----------------------------------------------------------------------
 
 def _lattice():
@@ -45,16 +46,16 @@ def _lattice():
 def test_erfc_reflection_symmetry():
     # erfc(-z) = 2 - erfc(z), times exp(z^2)
     z = _lattice()
-    lhs = erfcx_complex(-z)
-    rhs = 2.0 * np.exp(z * z) - erfcx_complex(z)
+    lhs = erfcx(-z)
+    rhs = 2.0 * np.exp(z * z) - erfcx(z)
     scale = np.maximum(np.abs(np.exp(z * z)), np.abs(rhs))
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 def test_erfc_conjugation_symmetry():
     z = _lattice()
-    lhs = erfcx_complex(np.conj(z))
-    rhs = np.conj(erfcx_complex(z))
+    lhs = erfcx(np.conj(z))
+    rhs = np.conj(erfcx(z))
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -62,15 +63,15 @@ def test_erfcx_against_high_precision():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     for z in _lattice():
-        ours = erfcx_complex(z)
+        ours = erfcx(z)
         exact = complex(mpmath.exp(z**2) * mpmath.erfc(z))
         assert abs(ours - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
 def test_erfcx_real_axis_matches_scipy():
-    from scipy.special import erfcx
+    # the complex loop agrees with the real one on the real axis
     x = np.linspace(-3.0, 30.0, 41)
-    ours = erfcx_complex(x.astype(complex))
+    ours = erfcx(x.astype(complex))
     assert np.allclose(ours.real, erfcx(x), rtol=1e-13)
     assert np.allclose(ours.imag, 0.0, atol=1e-13)
 
@@ -344,6 +345,27 @@ def test_kernel_evals_counts_tiles_and_crosses(monkeypatch):
             expected += next(far) * sum(size) if kind == "far" else size[0] * size[1]
     assert ranks and next(far, None) is None
     assert grid.kernel_evals == expected < n * (n + 1) // 2
+
+
+def test_cross_approximation_grows_its_factors_and_stops_at_its_rank_limit():
+    # random complex 400 x 400 blocks of known rank, fed row by row and
+    # column by column; the limit is m*k // (4*(m + k)) = 50 crosses
+    rng = np.random.default_rng(11)
+    m = k = 400
+
+    def block(rank):
+        u = rng.normal(size=(rank, m)) + 1j * rng.normal(size=(rank, m))
+        v = rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
+        return u.T @ v
+
+    exact = block(40)
+    u, v = _cross_approximation(lambda a: exact[a], lambda b: exact[:, b], m, k)
+    # past the 32 crosses the factors start with; the 41st is below tolerance
+    assert len(u) == len(v) == 41
+    assert np.linalg.norm(u.T @ v - exact) / np.linalg.norm(exact) < 1e-12
+    exact = block(60)
+    assert _cross_approximation(lambda a: exact[a], lambda b: exact[:, b],
+                                m, k) is None
 
 
 def test_far_blocks_fall_back_to_dense_tiles(monkeypatch):
