@@ -9,9 +9,11 @@ demo-appendix-c  complex barrier-traversal time demo
 selfcheck        itemized invariant suite
 
 Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure.
-A JSON config file may predefine any long option; explicit flags win.
-The environment variable DRIVENDELTA_OUTDIR sets the default output
-directory for relative paths.
+Each option is declared once, in ``_COMMANDS``, with its default and its
+one check.  A JSON config file (``--config``) may set any option of its
+command; a flag wins over the file, and a value from either goes through
+the same check.  The environment variable DRIVENDELTA_OUTDIR sets the
+default output directory for relative paths.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _finite(text, what):
 def parse_range(text, require_step=True):
     """Parse start:stop[:step]; start inclusive, grid ends before stop+step/2."""
     parts = [_finite(p, f"each field of the range {text!r}")
-             for p in str(text).split(":")]
+             for p in text.split(":")]
     if len(parts) == 2 and not require_step:
         lo, hi = parts
         if hi <= lo:
@@ -84,55 +86,34 @@ def range_values(lo, hi, step):
     return values[values < hi + 0.5 * step]
 
 
-def _resolve_out(path, default_name):
-    """The output path, a relative one under DRIVENDELTA_OUTDIR.
+def _resolve_out(path, default_name, fmt=None):
+    """The paths a command writes: ``path``, else ``default_name``, a
+    relative one under DRIVENDELTA_OUTDIR; for a scan of format ``fmt``, its
+    stem plus each suffix it writes.
 
-    Commands resolve it before any engine runs, so that a missing output
-    directory is a usage error and costs no solve.
+    Commands resolve them before any engine runs, so that a path that names
+    no file, names a directory or lies in a missing directory is a usage
+    error and costs no solve.
     """
     if path is None:
         path = default_name
-    if not isinstance(path, str):
-        raise _UsageError(f"--out must be a path, got {path!r}")
     if not os.path.isabs(path):
         base = os.environ.get("DRIVENDELTA_OUTDIR", ".")
         path = os.path.join(base, path)
+    if os.path.basename(path) in ("", ".", ".."):
+        raise _UsageError(f"output path {path!r} names no file")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise _UsageError(f"output directory {folder!r} does not exist")
-    return path
-
-
-def _merge_config(args, config_path, defaults):
-    """Layer: hard default < config file < explicit flag."""
-    config = {}
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                config = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(f"cannot read config file {config_path!r}: {exc}")
-        if not isinstance(config, dict):
-            raise _UsageError("config file must hold a JSON object")
-    merged = {}
-    for key, hard_default in defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in config:
-            merged[key] = config[key]
-            if isinstance(hard_default, bool) and not isinstance(config[key], bool):
-                raise _UsageError(f"--{key.replace('_', '-')} must be true or "
-                                  f"false, got {config[key]!r}")
-        else:
-            merged[key] = hard_default
-    return merged
+    paths = [path] if fmt is None else _scan_paths(path, fmt)
+    for written in paths:
+        if os.path.isdir(written):
+            raise _UsageError(f"output path {written!r} is a directory")
+    return paths
 
 
 def _positive(value, what):
-    """A positive finite number from a flag or a config file; None stays unset."""
-    if value is None:
-        return None
+    """A positive finite number from a flag or a config file."""
     value = _finite(value, what)
     if not value > 0.0:
         raise _UsageError(f"{what} must be positive, got {value!r}")
@@ -150,14 +131,34 @@ def _whole(value, what):
     return int(number)
 
 
+def _boolean(value, what):
+    """A flag given, or a JSON boolean from a config file."""
+    if not isinstance(value, bool):
+        raise _UsageError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, what):
+    if not isinstance(value, str):
+        raise _UsageError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(*choices):
+    def check(value, what):
+        if value not in choices:
+            raise _UsageError(f"{what} must be one of {', '.join(choices)}, "
+                              f"got {value!r}")
+        return value
+    return check
+
+
 def _mode_and_value(opt):
     if (opt["gamma"] is None) == (opt["n_io"] is None):
         raise _UsageError("give exactly one of --gamma or --n-io")
     if opt["gamma"] is not None:
-        mode, value, flag = "fixed_gamma", opt["gamma"], "--gamma"
-    else:
-        mode, value, flag = "fixed_n_io", opt["n_io"], "--n-io"
-    return mode, _positive(value, flag)
+        return "fixed_gamma", opt["gamma"]
+    return "fixed_n_io", opt["n_io"]
 
 
 def _mode_and_grid(opt):
@@ -177,24 +178,14 @@ def _mode_and_grid(opt):
 # scan
 # ----------------------------------------------------------------------
 
-_SCAN_DEFAULTS = dict(engine="semiclassical", gamma=None, n_io=None, z=None,
-                      cycles=1, include_odd=False, oracle_dt=None,
-                      sg_window=31, sg_order=3, out=None, format="csv")
-
-
-def cmd_scan(args):
-    opt = _merge_config(args, args.config, _SCAN_DEFAULTS)
+def cmd_scan(opt):
     mode, fixed, z_values = _mode_and_grid(opt)
-    paths = _scan_paths(_resolve_out(opt["out"], f"scan_{opt['engine']}.csv"),
-                        opt["format"])
+    paths = _resolve_out(opt["out"], f"scan_{opt['engine']}.csv", opt["format"])
     try:
         scan = analysis.scan_rate(
-            opt["engine"], mode, fixed, z_values,
-            n_cycles=_whole(opt["cycles"], "--cycles"),
-            include_odd=opt["include_odd"],
-            oracle_dt=_positive(opt["oracle_dt"], "--oracle-dt"),
-            sg_window=_whole(opt["sg_window"], "--sg-window"),
-            sg_order=_whole(opt["sg_order"], "--sg-order"))
+            opt["engine"], mode, fixed, z_values, n_cycles=opt["cycles"],
+            include_odd=opt["include_odd"], oracle_dt=opt["oracle_dt"],
+            sg_window=opt["sg_window"], sg_order=opt["sg_order"])
     except ValueError as exc:
         # engine failures never leave scan_rate; this is its input check
         raise _UsageError(str(exc))
@@ -233,8 +224,6 @@ def _warn_failures(engine, z_values, failures):
 
 def _scan_paths(stem, fmt):
     """The CSV and/or JSON path a scan writes: ``stem`` without its suffix."""
-    if fmt not in ("csv", "json", "both"):
-        raise _UsageError(f"unknown format {fmt!r}")
     base = stem
     for suffix in (".csv", ".json"):
         if base.endswith(suffix):
@@ -248,18 +237,12 @@ def _scan_paths(stem, fmt):
 # compare
 # ----------------------------------------------------------------------
 
-_COMPARE_DEFAULTS = dict(gamma=None, n_io=None, z=None, cycles=2,
-                         include_odd=False, oracle_dt=None, out=None)
-
-
-def cmd_compare(args):
-    opt = _merge_config(args, args.config, _COMPARE_DEFAULTS)
+def cmd_compare(opt):
     mode, fixed, z_values = _mode_and_grid(opt)
-    n_last = _whole(opt["cycles"], "--cycles")
+    n_last = opt["cycles"]
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
-    oracle_dt = _positive(opt["oracle_dt"], "--oracle-dt")
-    path = _resolve_out(opt["out"], "compare.csv")
+    path, = _resolve_out(opt["out"], "compare.csv")
 
     gamma_param = analysis._gamma_at(mode, fixed, z_values)
     for gamma in gamma_param[gamma_param > GAMMA_VALIDATED_MAX]:
@@ -271,7 +254,7 @@ def cmd_compare(args):
     for engine in ("semiclassical", "oracle"):
         rates[engine], failed = analysis.engine_rates(
             engine, params, 1, n_last, include_odd=opt["include_odd"],
-            oracle_dt=oracle_dt)
+            oracle_dt=opt["oracle_dt"])
         _warn_failures(engine, z_values, failed)
         failures += len(failed)
         below = z_values[rates[engine] < 0.0]
@@ -317,27 +300,23 @@ def _peak_offsets(z, sc, orc, mode, fixed):
 # thresholds
 # ----------------------------------------------------------------------
 
-_THRESH_DEFAULTS = dict(gamma=None, n_io=None, z=None, out=None)
-
-
-def cmd_thresholds(args):
-    opt = _merge_config(args, args.config, _THRESH_DEFAULTS)
+def cmd_thresholds(opt):
     if opt["z"] is None:
         raise _UsageError("--z start:stop is required")
     mode, fixed = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
-    path = opt["out"] not in (None, "") and _resolve_out(opt["out"], "thresholds.csv")
+    paths = [] if opt["out"] is None else _resolve_out(opt["out"], None)
     try:
         ks, z_k = analysis._thresholds_in_range(mode, fixed, lo, hi)
     except ValueError as exc:
         raise _UsageError(str(exc))
     header = ["k", "z_k", "gamma_at_threshold"]
     columns = [ks, z_k, analysis._gamma_at(mode, fixed, z_k)]
-    if path:
+    for path in paths:
         with open(path, "w") as fh:
             analysis.write_table(fh, header, columns)
         print(f"wrote {path}")
-    else:
+    if not paths:
         analysis.write_table(sys.stdout, header, columns)
     return EXIT_OK
 
@@ -346,7 +325,7 @@ def cmd_thresholds(args):
 # demo + selfcheck
 # ----------------------------------------------------------------------
 
-def cmd_demo_appendix_c(args):
+def cmd_demo_appendix_c(opt):
     value = analysis.appendix_c_demo()
     target = 1j * math.pi
     print(f"barrier traversal time: {value.real:+.12e} {value.imag:+.12e}i")
@@ -360,8 +339,7 @@ def _check(report, name, ok, detail=""):
     print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
 
 
-def cmd_selfcheck(args):
-    oracle_dt = _positive(args.oracle_dt, "--oracle-dt")
+def cmd_selfcheck(opt):
     report = []
 
     gammas = np.linspace(0.05, 5.0, 12)
@@ -371,7 +349,7 @@ def cmd_selfcheck(args):
     _check(report, "complex-time identities cos/sin(t0)", err < 1e-14,
            f"max err {err:.1e}")
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(7)
     ws = rng.normal(size=24) + 1j * rng.normal(size=24)
     sq_err = max(abs(semiclassical.branched_sqrt(w) ** 2 - w) / abs(w) for w in ws)
     sign = semiclassical.branched_sqrt(4.0)
@@ -419,7 +397,7 @@ def cmd_selfcheck(args):
         # the self-consistency probe sees the sqrt boundary layer at t ~ 0,
         # which sits near 1e-3 in max norm at the default step
         grid = oracle.solve_boundary_function(
-            pr_off, 4.0 * math.pi, dt=oracle_dt, driven=False,
+            pr_off, 4.0 * math.pi, dt=opt["oracle_dt"], driven=False,
             tolerance=3e-3)
         _, w = oracle.survival_probability(grid)
         uni = abs(w - 1.0)
@@ -441,59 +419,79 @@ def cmd_selfcheck(args):
 # entry point
 # ----------------------------------------------------------------------
 
+_GRID = {
+    "config": (None, _text, "JSON file with option defaults"),
+    "gamma": (None, _positive, "fixed Keldysh factor"),
+    "n_io": (None, _positive, "fixed ionization photon number"),
+    "z": (None, _text, "z range start:stop:step"),
+    "out": (None, _text, "output path"),
+}
+_ORACLE_DT = {"oracle_dt": (None, _positive, None)}
+_ENGINES = {"include_odd": (False, _boolean, None), **_ORACLE_DT}
+
+# command: (handler, help, {option: (default, check, help)})
+_COMMANDS = {
+    "scan": (cmd_scan, "rate curve with one engine", {
+        **_GRID,
+        "engine": ("semiclassical", _one_of("semiclassical", "oracle"), None),
+        "cycles": (1, _whole, None),
+        **_ENGINES,
+        "sg_window": (31, _whole, None),
+        "sg_order": (3, _whole, None),
+        "format": ("csv", _one_of("csv", "json", "both"), None)}),
+    "compare": (cmd_compare, "both engines on one grid", {
+        **_GRID, "cycles": (2, _whole, None), **_ENGINES}),
+    "thresholds": (cmd_thresholds, "channel-closing table", _GRID),
+    "demo-appendix-c": (cmd_demo_appendix_c, "complex barrier demo", {}),
+    "selfcheck": (cmd_selfcheck, "itemized invariant suite", _ORACLE_DT),
+}
+
+
 def build_parser():
     parser = _Parser(prog="drivendelta",
                      description="Driven delta-atom ionization rates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--gamma", type=float, help="fixed Keldysh factor")
-        p.add_argument("--n-io", dest="n_io", type=float,
-                       help="fixed ionization photon number")
-        p.add_argument("--z", help="z range start:stop:step")
-        p.add_argument("--out", help="output path")
-
-    p_scan = sub.add_parser("scan", help="rate curve with one engine")
-    common(p_scan)
-    p_scan.add_argument("--engine", choices=["semiclassical", "oracle"])
-    p_scan.add_argument("--cycles", type=int)
-    p_scan.add_argument("--include-odd", dest="include_odd",
-                        action="store_true", default=None)
-    p_scan.add_argument("--oracle-dt", dest="oracle_dt", type=float)
-    p_scan.add_argument("--sg-window", dest="sg_window", type=int)
-    p_scan.add_argument("--sg-order", dest="sg_order", type=int)
-    p_scan.add_argument("--format", choices=["csv", "json", "both"])
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_cmp = sub.add_parser("compare", help="both engines on one grid")
-    common(p_cmp)
-    p_cmp.add_argument("--cycles", type=int)
-    p_cmp.add_argument("--include-odd", dest="include_odd",
-                       action="store_true", default=None)
-    p_cmp.add_argument("--oracle-dt", dest="oracle_dt", type=float)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_thr = sub.add_parser("thresholds", help="channel-closing table")
-    common(p_thr)
-    p_thr.set_defaults(func=cmd_thresholds)
-
-    p_demo = sub.add_parser("demo-appendix-c", help="complex barrier demo")
-    p_demo.set_defaults(func=cmd_demo_appendix_c)
-
-    p_self = sub.add_parser("selfcheck", help="itemized invariant suite")
-    p_self.add_argument("--oracle-dt", dest="oracle_dt", type=float)
-    p_self.add_argument("--seed", type=int, default=7,
-                        help="seed for the randomized lattice checks")
-    p_self.set_defaults(func=cmd_selfcheck)
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, (default, _, option_help) in options.items():
+            # every flag is plain text (a switch is True); its check converts it
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           action="store_true" if default is False else "store",
+                           default=None, help=option_help)
     return parser
+
+
+def _options(args):
+    """Each option of the command: its flag, else the config file, else its
+    default.  A value goes through the option's check before the command
+    runs; a null in the file leaves an option whose default is None unset.
+    """
+    _, _, options = _COMMANDS[args.command]
+    config = {}
+    if getattr(args, "config", None):
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot read config file {args.config!r}: {exc}")
+        if not isinstance(config, dict):
+            raise _UsageError("config file must hold a JSON object")
+    opt = {}
+    for name, (default, check, _) in options.items():
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, default)
+        if value is not None or default is not None:
+            value = check(value, "--" + name.replace("_", "-"))
+        opt[name] = value
+    return opt
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](_options(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from drivendelta.adiabatic import (
 )
 from drivendelta.analysis import (
     appendix_c_demo,
+    engine_rates,
     modulation_period,
     scan_rate,
     windowed_background_mean,
@@ -40,7 +41,6 @@ from drivendelta.oracle import (
 from drivendelta.semiclassical import (
     action_by_quadrature,
     make_path,
-    rate_between_cycles,
     survival_amplitude,
     tunnel_start_time,
 )
@@ -216,18 +216,15 @@ def test_criterion_6_oracle_sanity():
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _window_rates(z_star):
-    """Incremental (cycles 1 -> 2) rates for both engines across a window."""
+def _window_rates(z_star, n_first=1, n_last=2):
+    """Rates (cycles n_first -> n_last) of both engines across a window of
+    +-0.4 around z_star, computed as `compare` computes them."""
     z_grid = np.round(np.arange(z_star - 0.4, z_star + 0.4001, 0.1), 9)
-    sc = np.empty_like(z_grid)
-    orc = np.empty_like(z_grid)
-    for i, z in enumerate(z_grid):
-        params = from_dimensionless(GAMMA, z)
-        sc[i] = rate_between_cycles(params, 1, 2)
-        grid = solve_boundary_function(params, 4.0 * math.pi)
-        _, w1 = survival_probability(grid, t_f=2.0 * math.pi)
-        _, w2 = survival_probability(grid)
-        orc[i] = -math.log(w2 / w1)
+    params = from_dimensionless(GAMMA, z_grid)
+    (sc, sc_failed), (orc, orc_failed) = (
+        engine_rates(engine, params, n_first, n_last)
+        for engine in ("semiclassical", "oracle"))
+    assert not sc_failed and not orc_failed, (sc_failed, orc_failed)
     return z_grid, sc, orc
 
 
@@ -266,16 +263,7 @@ def test_criterion_7_supplement_steady_state_z10():
     numerics report, and shows the wave-packet theory matches it within the
     criterion-7 tolerances.
     """
-    z_grid = np.round(np.arange(9.6, 10.4001, 0.1), 9)
-    sc = np.empty_like(z_grid)
-    orc = np.empty_like(z_grid)
-    for i, z in enumerate(z_grid):
-        params = from_dimensionless(GAMMA, z)
-        sc[i] = rate_between_cycles(params, 3, 5)
-        grid = solve_boundary_function(params, 10.0 * math.pi)
-        _, w3 = survival_probability(grid, t_f=6.0 * math.pi)
-        _, w5 = survival_probability(grid)
-        orc[i] = -math.log(w5 / w3) / 2.0
+    z_grid, sc, orc = _window_rates(10.0, 3, 5)
     ratio = float(np.mean(orc) / np.mean(sc))
     offset = (_modulation_phase_peak(z_grid, orc, 10.0)
               - _modulation_phase_peak(z_grid, sc, 10.0) + PERIOD / 2.0) \

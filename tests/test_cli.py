@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from drivendelta.analysis import wkb_background
-from drivendelta.cli import _peak_offsets, main, parse_range, range_values, _UsageError
+from drivendelta.cli import (_COMMANDS, _peak_offsets, main, parse_range,
+                             range_values, _UsageError)
 
 
 def run(argv, capsys=None):
@@ -343,6 +344,95 @@ def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()
+
+
+# one bad value per option, valid as JSON text and as a flag's text
+_BAD = {"gamma": "abc", "n_io": "-1", "z": "1:x:0.1", "out": "",
+        "engine": "warp", "cycles": "2.5", "oracle_dt": "0", "sg_window": "x",
+        "sg_order": "1.5", "format": "xml"}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in ("scan", "compare", "thresholds")
+    for option in _COMMANDS[command][2] if option not in ("config", "include_odd")])
+def test_flag_and_config_value_get_one_verdict(tmp_path, capsys, monkeypatch,
+                                               command, option):
+    # a flag used to be checked by argparse and a config value by the command
+    # (or by analysis.engine_rates), so one value got two messages
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DRIVENDELTA_OUTDIR", str(tmp_path))
+    base = {"gamma": "0.7", "z": "6:7:0.5", "out": "o.csv"}
+    base.pop(option, None)
+    argv = [command, *(item for name, value in base.items()
+                       for item in ("--" + name.replace("_", "-"), value))]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: _BAD[option]}))
+    errors = []
+    for extra in (["--" + option.replace("_", "-"), _BAD[option]],
+                  ["--config", str(config)]):
+        code = run(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage error: ") and errors[0].count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_selfcheck_flag_gets_the_config_verdict(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gamma": 0.7, "z": "6:7:0.5", "oracle_dt": "x"}))
+    errors = []
+    for argv in (["selfcheck", "--oracle-dt", "x"],
+                 ["compare", "--config", str(config),
+                  "--out", str(tmp_path / "o.csv")]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["usage error: --oracle-dt must be a number, got 'x'\n"] * 2
+
+
+def test_whole_cycles_flag_and_config_write_the_same_scan(tmp_path):
+    # --cycles 2.0 used to be a usage error while "cycles": 2.0 ran
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"cycles": 2.0}))
+    args = ["scan", "--gamma", "0.7", "--z", "8:9:0.05"]
+    assert run(args + ["--cycles", "2", "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(args + ["--cycles", "2.0", "--out", str(tmp_path / "b.csv")]) == 0
+    assert run(args + ["--config", str(config),
+                       "--out", str(tmp_path / "c.csv")]) == 0
+    expected = (tmp_path / "a.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == expected
+    assert (tmp_path / "c.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize("out", ["", "sub/", ".", "taken.csv"])
+def test_output_path_that_names_no_file_is_usage_error(tmp_path, capsys,
+                                                       monkeypatch, command, out):
+    # scan used to write a hidden ./.csv, ./sub/.csv or ./..csv, compare and
+    # thresholds to end in an IsADirectoryError after the engines ran, and
+    # thresholds printed its table for an empty --out
+    import drivendelta.analysis as analysis_mod
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the output path was checked")
+
+    monkeypatch.setattr(analysis_mod, "engine_rates", no_engine)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DRIVENDELTA_OUTDIR", str(tmp_path))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "taken.csv").mkdir()
+    code = run([command, *_COMMAND_ARGS[command], "--z", "6:7:0.5", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("usage error: output path ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub", "taken.csv"]
 
 
 def test_peak_offsets_use_the_scan_prominence_rule():
