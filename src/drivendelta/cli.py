@@ -49,7 +49,7 @@ def _finite(text, what):
     """A finite float from a flag or a config value (a JSON boolean is not one)."""
     try:
         value = float(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or isinstance(text, bool):
         raise _UsageError(f"{what} must be a number, got {text!r}")
@@ -124,7 +124,7 @@ def _whole(value, what):
     """A whole number from a flag or a config file (1.5 is not truncated)."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(value, bool) or not number.is_integer():
         raise _UsageError(f"{what} must be a whole number, got {value!r}")
@@ -476,6 +476,7 @@ def _options(args):
             raise _UsageError(f"cannot read config file {args.config!r}: {exc}")
         if not isinstance(config, dict):
             raise _UsageError("config file must hold a JSON object")
+        config.pop("config", None)  # a config file names no other one
     opt = {}
     for name, (default, check, _) in options.items():
         value = getattr(args, name)

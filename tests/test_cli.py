@@ -321,16 +321,20 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
     (["scan"], {"gamma": True}),
     (["compare"], {"gamma": True}),
     (["scan", "--engine", "oracle"], {"oracle_dt": True}),
+    (["scan"], {"gamma": 10**400}),
+    (["compare"], {"cycles": 10**400}),
 ], ids=["compare-oracle-dt-negative", "scan-oracle-dt-inf",
         "config-oracle-dt-text", "selfcheck-oracle-dt-negative",
         "config-sg-window-null", "config-include-odd-string",
         "config-scan-out-number", "config-compare-out-number",
         "config-thresholds-out-number", "config-thresholds-out-false",
         "config-scan-gamma-true", "config-compare-gamma-true",
-        "config-oracle-dt-true"])
+        "config-oracle-dt-true", "config-gamma-beyond-float",
+        "config-cycles-beyond-float"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
-    # each used to end in a traceback, or to run with a value the user did
-    # not mean: include_odd "false" as true, gamma true as 1
+    # each used to end in a traceback (an integer beyond float range in an
+    # OverflowError), or to run with a value the user did not mean:
+    # include_odd "false" as true, gamma true as 1
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma": 0.7, "z": "6:7:0.5", **config}))
