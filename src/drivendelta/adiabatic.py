@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericError
 from .model import ModelParams, all_true, unbox
@@ -76,6 +75,8 @@ def cycle_average_quadrature(params: ModelParams):
     agree to O(h).  Raises NumericError if the error estimate exceeds 1e-10
     relative to the result.
     """
+    from scipy.integrate import quad
+
     def integrand(t):
         eta = abs(math.cos(t))
         if eta < _ETA_FLOOR:

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import find_peaks
 
 from . import oracle, semiclassical
 from .adiabatic import rate_cycle_averaged
@@ -41,8 +39,10 @@ __all__ = [
 ]
 
 SCAN_SCHEMA_VERSION = 1
-# a peak must rise this fraction of the normalized curve's span above its
-# surroundings (scipy's prominence)
+# a peak's prominence must be at least this fraction of the normalized
+# curve's span.  The prominence is the peak's height above the higher of its
+# two bases; a base is the lowest sample between the peak and the nearest
+# higher sample on that side, or the end of the curve if there is none.
 PROMINENCE_FRAC = 0.05
 
 
@@ -200,9 +200,45 @@ def _detect_peaks(z, series, gamma_param):
     span = float(np.nanmax(normalized) - np.nanmin(normalized))
     if span <= 0.0 or not np.isfinite(span):
         return np.array([], dtype=int), np.array([])
-    idx, _ = find_peaks(normalized, prominence=PROMINENCE_FRAC * span)
+    idx = _prominent_peaks(normalized, PROMINENCE_FRAC * span)
     refined = np.array([_parabolic_refine(z, normalized, i) for i in idx])
     return idx, refined
+
+
+def _prominent_peaks(y, prominence):
+    """Indices of the local maxima of ``y`` whose prominence is at least
+    ``prominence``; the same as ``scipy.signal.find_peaks(y,
+    prominence=prominence)[0]``.
+
+    A local maximum is a run of equal samples with a lower sample on each
+    side, so neither end of ``y`` is one; a run longer than one sample
+    gives its midpoint, rounded down.
+    """
+    n = y.size
+    if n < 3:
+        return np.array([], dtype=int)
+    # runs of equal samples; a NaN is a run of its own and no maximum
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    ends = np.append(starts[1:] - 1, n - 1)
+    inner = (starts > 0) & (ends < n - 1)
+    starts, ends = starts[inner], ends[inner]
+    rising = y[starts - 1] < y[starts]
+    falling = y[ends + 1] < y[ends]
+    maxima = (starts + ends)[rising & falling] // 2
+
+    keep = []
+    for k in maxima.tolist():
+        v = y[k]
+        # each base lies before the nearest sample that is not <= v (a
+        # higher one or a NaN) on its side
+        left = np.flatnonzero(~(y[:k] <= v))
+        right = np.flatnonzero(~(y[k + 1:] <= v))
+        lo = left[-1] + 1 if left.size else 0
+        hi = k + 1 + right[0] if right.size else n
+        base = max(y[lo:k].min(initial=v), y[k + 1:hi].min(initial=v))
+        if v - base >= prominence:
+            keep.append(k)
+    return np.array(keep, dtype=int)
 
 
 def _parabolic_refine(z, y, i):
@@ -300,6 +336,8 @@ def barrier_traversal_time(x_start, x_end, energy=-0.5):
     maps the classically forbidden stretch |x| < sqrt(-2E) to a positive
     imaginary time increment.
     """
+    from scipy.integrate import quad
+
     value, err = quad(
         lambda x: 1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x),
         x_start, x_end, complex_func=True, limit=400, epsabs=1e-13, epsrel=1e-13)

@@ -59,10 +59,15 @@ def _finite(text, what):
 
 
 def parse_range(text, require_step=True):
-    """Parse start:stop[:step]; start inclusive, grid ends before stop+step/2."""
+    """Parse start:stop:step, or start:stop (step None) if not require_step.
+
+    The start is inclusive; the grid ends before stop+step/2.
+    """
     parts = [_finite(p, f"each field of the range {text!r}")
              for p in text.split(":")]
-    if len(parts) == 2 and not require_step:
+    if not require_step:
+        if len(parts) != 2:
+            raise _UsageError(f"range must be start:stop, got {text!r}")
         lo, hi = parts
         if hi <= lo:
             raise _UsageError(f"empty range {text!r}")
@@ -441,7 +446,8 @@ _COMMANDS = {
         "format": ("csv", _one_of("csv", "json", "both"), None)}),
     "compare": (cmd_compare, "both engines on one grid", {
         **_GRID, "cycles": (2, _whole, None), **_ENGINES}),
-    "thresholds": (cmd_thresholds, "channel-closing table", _GRID),
+    "thresholds": (cmd_thresholds, "channel-closing table", {
+        **_GRID, "z": (None, _text, "z range start:stop")}),
     "demo-appendix-c": (cmd_demo_appendix_c, "complex barrier demo", {}),
     "selfcheck": (cmd_selfcheck, "itemized invariant suite", _ORACLE_DT),
 }

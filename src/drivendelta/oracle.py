@@ -54,9 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
-from scipy.special import erfcx
 
 from .errors import ConvergenceError
 from .model import ModelParams, decay_rate, volkov_phase
@@ -80,6 +77,8 @@ def _two_sided_overlap(duration, phase, center, b_lin, gamma, h):
     Gaussian against the two-sided exponential splits at y = 0 into two
     half-line integrals, each a scaled complementary error function.
     """
+    from scipy.special import erfcx
+
     beta = 1.0 / (2.0 * h * duration)
     lam = gamma / h
     pref = (1.0 / np.sqrt(2j * np.pi * h * duration) * math.sqrt(gamma / h)
@@ -550,6 +549,9 @@ def survival_probability(grid: VolterraGrid, t_f=None):
 
     ``t_f`` may pick an earlier grid time (defaults to the end of the grid).
     """
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
+
     params = grid.params
     gamma, h = params.gamma, params.h
     if t_f is None:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import drivendelta.analysis as analysis_mod
 import drivendelta.oracle as oracle_mod
 import drivendelta.semiclassical as sc_mod
 from drivendelta.analysis import (
+    PROMINENCE_FRAC,
     RateScan,
+    _prominent_peaks,
     appendix_c_demo,
     barrier_traversal_time,
     engine_rates,
@@ -67,6 +70,79 @@ def test_sg_validation():
         savitzky_golay(series, 11, 11)  # order >= window
     with pytest.raises(ValueError):
         savitzky_golay(series, 1, 0)    # degenerate window
+
+
+# ----------------------------------------------------------------------
+# prominent peaks (the scan's numpy finder against scipy's)
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _scipy_peaks(y, prominence):
+    from scipy.signal import find_peaks
+
+    return find_peaks(y, prominence=prominence)[0]
+
+
+def test_prominent_peaks_match_scipy_on_random_plateaus():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        n = int(rng.integers(3, 201))
+        # rounding to 0.1 makes plateaus, including ones at either end
+        y = np.round(rng.normal(size=n) * rng.uniform(0.1, 2.0), 1)
+        span = float(y.max() - y.min())
+        # whole tenths hit prominences exactly, to test the >= at the limit
+        p = (rng.integers(0, 11) / 10.0 if rng.random() < 0.3
+             else rng.uniform(0.0, 1.2 * span))
+        got = _prominent_peaks(y, p)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, _scipy_peaks(y, p)), (y.tolist(), p)
+
+
+@pytest.mark.parametrize("y, expected", [
+    ([], []),
+    ([1.0], []),
+    ([1.0, 2.0], []),
+    ([2.0, 1.0], []),
+    ([1.0, 1.0, 1.0, 1.0], []),
+    # a maximum at either end is no peak
+    ([3.0, 1.0, 2.0, 1.0, 3.0], [2]),
+    # plateaus touching either end are no peaks
+    ([2.0, 2.0, 1.0, 1.5, 1.0, 2.0, 2.0], [3]),
+    # an interior plateau gives its midpoint, rounded down
+    ([0.0, 1.0, 1.0, 0.0], [1]),
+    ([0.0, 1.0, 1.0, 1.0, 0.0], [2]),
+    # a plateau that goes on rising is no peak
+    ([0.0, 1.0, 1.0, 2.0, 0.0], [3]),
+])
+def test_prominent_peaks_edge_cases(y, expected):
+    y = np.array(y, dtype=float)
+    assert _prominent_peaks(y, 0.0).tolist() == expected
+    assert _scipy_peaks(y, 0.0).tolist() == expected
+
+
+def test_prominence_is_the_height_over_the_higher_base():
+    # the bump at index 3 has bases 1.0 (left, short of the higher 3.0) and
+    # 0.5 (right, short of the higher 2.0): prominence 0.25
+    y = np.array([0.0, 3.0, 1.0, 1.25, 0.5, 2.0, 0.0])
+    for p, expected in ((0.25, [1, 3, 5]), (0.26, [1, 5]), (1.5, [1, 5]),
+                        (1.51, [1]), (3.0, [1]), (3.01, [])):
+        assert _prominent_peaks(y, p).tolist() == expected
+        assert _scipy_peaks(y, p).tolist() == expected
+
+
+@pytest.mark.parametrize("name", ["fx_scan_gamma", "fx_scan_nio",
+                                  "fx_scan_oracle"])
+def test_prominent_peaks_match_scipy_on_the_golden_scans(name):
+    doc = json.loads((GOLDEN / (name + ".json")).read_text())
+    z = np.array(doc["z"])
+    normalized = (np.array(doc["Gamma_smooth"])
+                  / wkb_background(np.array(doc["gamma_param"]), z))
+    span = float(normalized.max() - normalized.min())
+    for frac in (0.0, 0.01, PROMINENCE_FRAC, 0.2, 0.5):
+        got = _prominent_peaks(normalized, frac * span)
+        assert np.array_equal(got, _scipy_peaks(normalized, frac * span))
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,8 @@ def test_range_rejects_bad():
 def test_range_two_part_allowed_for_thresholds():
     lo, hi, step = parse_range("6:20", require_step=False)
     assert (lo, hi, step) == (6.0, 20.0, None)
+    with pytest.raises(_UsageError, match="start:stop, got"):
+        parse_range("6:20:0.5", require_step=False)
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +243,28 @@ _COMMAND_ARGS = {
     "compare": ["--gamma", "0.7", "--cycles", "2"],
     "thresholds": ["--gamma", "0.7"],
 }
+# a valid --z for each command: thresholds takes no step
+_RANGE = {"scan": "6:7:0.5", "compare": "6:7:0.5", "thresholds": "6:7"}
+
+
+@pytest.mark.parametrize("z_spec", ["6:7:0.5", "6:7:-1", "6:7:1:2"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_thresholds_range_with_a_step_is_usage_error(tmp_path, capsys, z_spec,
+                                                     via):
+    # the step used to be dropped without a word (6:7:0.5) or reported as an
+    # empty or inverted range (6:7:-1)
+    if via == "flag":
+        argv = ["--z", z_spec]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"z": z_spec}))
+        argv = ["--config", str(config)]
+    code = run(["thresholds", "--gamma", "0.7", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"usage error: range must be start:stop, "
+                            f"got {z_spec!r}\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
@@ -273,7 +297,8 @@ def test_missing_output_directory_is_usage_error(tmp_path, capsys, monkeypatch,
         out = "out.csv"
     else:
         out = str(missing / "out.csv")
-    code = run([command, *_COMMAND_ARGS[command], "--z", "0.5:0.5:1", "--out", out])
+    code = run([command, *_COMMAND_ARGS[command], "--z", _RANGE[command],
+                "--out", out])
     captured = capsys.readouterr()
     assert code == 1
     assert f"usage error: output directory {str(missing)!r} does not exist" in captured.err
@@ -337,7 +362,8 @@ def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
     # include_odd "false" as true, gamma true as 1
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"gamma": 0.7, "z": "6:7:0.5", **config}))
+        path.write_text(json.dumps({"gamma": 0.7, "z": _RANGE[argv[0]],
+                                    **config}))
         argv = [*argv, "--config", str(path)]
     if argv[0] != "selfcheck" and "out" not in (config or {}):
         argv = [*argv, "--out", str(tmp_path / "o.csv")]
@@ -365,7 +391,7 @@ def test_flag_and_config_value_get_one_verdict(tmp_path, capsys, monkeypatch,
     # (or by analysis.engine_rates), so one value got two messages
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("DRIVENDELTA_OUTDIR", str(tmp_path))
-    base = {"gamma": "0.7", "z": "6:7:0.5", "out": "o.csv"}
+    base = {"gamma": "0.7", "z": _RANGE[command], "out": "o.csv"}
     base.pop(option, None)
     argv = [command, *(item for name, value in base.items()
                        for item in ("--" + name.replace("_", "-"), value))]
@@ -430,7 +456,8 @@ def test_output_path_that_names_no_file_is_usage_error(tmp_path, capsys,
     monkeypatch.setenv("DRIVENDELTA_OUTDIR", str(tmp_path))
     (tmp_path / "sub").mkdir()
     (tmp_path / "taken.csv").mkdir()
-    code = run([command, *_COMMAND_ARGS[command], "--z", "6:7:0.5", "--out", out])
+    code = run([command, *_COMMAND_ARGS[command], "--z", _RANGE[command],
+                "--out", out])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("usage error: output path ")
