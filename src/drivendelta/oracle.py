@@ -255,14 +255,18 @@ class _Cis:
     """weight * exp(i*x) for arrays of up to ``size`` elements.
 
     Table-driven (see _CIS_STEP): about 3e-16 absolute error for
-    |x| < 1600, and cis(0) == 1 exactly.  The work buffers are allocated
-    once; fresh temporaries of tile size cost more than the arithmetic.
+    |x| < 1600, and cis(0) == 1 exactly.  Its work buffers are the rows of
+    ``work``, a C-contiguous float array of shape (ROWS, size) that the
+    caller allocates once; fresh temporaries of tile size cost more than
+    the arithmetic.
     """
 
-    def __init__(self, size):
-        self._real = np.empty((4, size))
-        self._idx = np.empty(size, dtype=np.int64)
-        self._poly = np.empty(size, dtype=complex)
+    ROWS = 7
+
+    def __init__(self, work):
+        self._real = work[:4]
+        self._idx = work[4].view(np.int64)
+        self._poly = work[5:7].reshape(-1).view(complex)
 
     def __call__(self, x, weight=1.0, out=None):
         x = np.asarray(x, dtype=float)
@@ -468,11 +472,16 @@ def _march(t, dt, n, gamma, h, driven):
     big_g[0] = math.sqrt(gamma / h)
     big_g[1:] = _inhomogeneity(t[1:], gamma, h, driven) * np.conj(rot[1:])
 
-    # cross approximations need whole rows and columns of far blocks
+    # cross approximations need whole rows and columns of far blocks.  All
+    # work buffers of a solve are one block: freed as one chunk, it stays
+    # with the allocator for the next solve.  As separate buffers, glibc
+    # gave their pages back to the system after each solve and faulted
+    # them in again, about 10,000 page faults per 41-point oracle scan.
     room = max(_BLOCK * _TILE, n + 1)
-    cis = _Cis(room)
-    x_buf = np.empty(room)
-    k_buf = np.empty(room, dtype=complex)
+    work = np.empty((_Cis.ROWS + 3, room))
+    cis = _Cis(work[:_Cis.ROWS])
+    x_buf = work[_Cis.ROWS]
+    k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
     evals = 0
 
     def kernel(j0, j1, i0, i1):
