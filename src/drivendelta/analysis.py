@@ -1,12 +1,12 @@
 """Rate-curve post-processing: scans over z, smoothing, modulation analysis.
 
-A scan evaluates Gamma(z) with either engine at fixed Keldysh factor (the
-thresholds z_k = k/(1+2*gamma^2) are then equally spaced by 1/(1+2*gamma^2))
-or at fixed ionization photon number n_io (gamma varies with z and the
-threshold spacing becomes exactly 1).  Smoothing uses a Savitzky-Golay
-filter; peaks are detected on the curve normalized by the WKB background so
-that the prominence threshold is meaningful despite the exponential decay
-of the rate across the scan.
+A scan evaluates Gamma(z) with either engine at a fixed Keldysh factor
+gamma or a fixed ionization photon number n_io = 2*gamma^2*z.  Channel k
+closes at k = z + n_io (:func:`scan_line`), so the thresholds z_k are
+spaced by 1/(1+2*gamma^2) at fixed gamma and by 1 at fixed n_io.
+Smoothing uses a Savitzky-Golay filter; peaks are detected on the curve
+normalized by the WKB background so that the prominence threshold is
+meaningful despite the exponential decay of the rate across the scan.
 """
 
 from __future__ import annotations
@@ -14,15 +14,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import oracle, semiclassical
 from .adiabatic import rate_cycle_averaged
-from .errors import InsufficientDataError, NumericError
-from .model import channel_threshold, failure_reason, from_dimensionless, unbox
+from .errors import NumericError
+from .model import failure_reason, from_dimensionless, unbox
 
 __all__ = [
+    "ScanLine",
+    "scan_line",
     "RateScan",
     "engine_rates",
     "scan_rate",
@@ -70,33 +73,41 @@ def wkb_background(gamma, z):
     return 2.0 * math.pi * rate_cycle_averaged(from_dimensionless(gamma, z))
 
 
-def _gamma_at(mode, fixed_value, z):
-    """Keldysh factor at z (scalar or array) for a fixed gamma or n_io."""
-    if mode == "fixed_gamma":
-        return unbox(np.full(np.shape(z), float(fixed_value)))
-    return unbox(np.sqrt(fixed_value / (2.0 * np.asarray(z, dtype=float))))
+class ScanLine(NamedTuple):
+    """A line of fixed gamma or fixed n_io through the (gamma, z) plane:
+    ``gamma_at(z)`` is the Keldysh factor at z (a scalar or an array), and
+    ``channel(z) = scale*z + shift`` the channel k = z + n_io closing at z."""
+
+    gamma_at: Callable
+    scale: float
+    shift: float
+
+    def channel(self, z):
+        return self.scale * z + self.shift
+
+    def thresholds(self, z_lo, z_hi):
+        """Arrays k and z_k of every channel that closes at 0 < z_k in
+        [z_lo, z_hi]; a ValueError if they do not fit in memory."""
+        try:
+            ks = np.arange(max(math.floor(self.shift) + 1,
+                               math.ceil(self.channel(z_lo) - 1e-9)),
+                           math.floor(self.channel(z_hi) + 1e-9) + 1)
+        except (ArithmeticError, ValueError, MemoryError):
+            raise ValueError(f"the z range {z_lo:g}:{z_hi:g} must be narrower: "
+                             "its channel thresholds do not fit in memory") from None
+        return ks, (ks - self.shift) / self.scale
 
 
-def _thresholds_in_range(mode, fixed_value, z_lo, z_hi):
-    """Arrays k and z_k of every channel that closes at 0 < z_k in [z_lo, z_hi].
-
-    A range with more channels than an array can hold is a ValueError.
-    """
+def scan_line(mode, fixed_value):
+    """The ScanLine of a fixed gamma, (scale, shift) = (1 + 2*gamma^2, 0), or
+    of a fixed n_io, (scale, shift) = (1, n_io)."""
     if mode == "fixed_gamma":
-        first, shift, spacing = 1, 0.0, channel_threshold(1, fixed_value)
-    else:
-        # fixed n_io: k = n_io + z at threshold, so z_k = k - n_io with unit
-        # spacing
-        first, shift, spacing = math.floor(fixed_value) + 1, fixed_value, 1.0
-    try:
-        ks = np.arange(max(first, math.ceil((shift + z_lo) / spacing - 1e-9)),
-                       math.floor((shift + z_hi) / spacing + 1e-9) + 1)
-    except (ArithmeticError, ValueError, MemoryError):
-        raise ValueError(f"the z range {z_lo:g}:{z_hi:g} must be narrower: its "
-                         "channel thresholds do not fit in memory") from None
-    if mode == "fixed_gamma":
-        return ks, channel_threshold(ks, fixed_value)
-    return ks, ks - fixed_value
+        return ScanLine(lambda z: unbox(np.full(np.shape(z), float(fixed_value))),
+                        1.0 + 2.0 * fixed_value * fixed_value, 0.0)
+    if mode == "fixed_n_io":
+        return ScanLine(lambda z: unbox(np.sqrt(
+            fixed_value / (2.0 * np.asarray(z, dtype=float)))), 1.0, fixed_value)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def engine_rates(engine, params, n_first, n_last, include_odd=False,
@@ -143,21 +154,20 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         The fixed Keldysh factor or the fixed ionization photon number.
     z_values : array, strictly increasing
     """
-    if mode not in ("fixed_gamma", "fixed_n_io"):
-        raise ValueError(f"unknown mode {mode!r}")
+    line = scan_line(mode, fixed_value)
     z_values = np.asarray(z_values, dtype=float)
     if z_values.size < 1 or np.any(np.diff(z_values) <= 0.0):
         raise ValueError("z_values must be non-empty and strictly increasing")
     if not z_values[0] > 0.0:
         raise ValueError(f"z must be positive, got z={z_values[0]:g}")
     if not (math.isfinite(fixed_value) and fixed_value > 0.0):
-        name = "gamma" if mode == "fixed_gamma" else "n_io"
+        name = mode.removeprefix("fixed_")
         raise ValueError(f"{name} must be positive, got {name}={fixed_value!r}")
     if int(n_cycles) != n_cycles or n_cycles < 1:
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
     _check_filter(sg_window, sg_order)
 
-    gamma_param = _gamma_at(mode, fixed_value, z_values)
+    gamma_param = line.gamma_at(z_values)
     raw, missing = engine_rates(engine, from_dimensionless(gamma_param, z_values),
                                 0, n_cycles, include_odd=include_odd,
                                 oracle_dt=oracle_dt)
@@ -168,8 +178,7 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     order = min(sg_order, max(window - 1, 0))
     smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
     peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma_param)
-    _, thresholds = _thresholds_in_range(mode, fixed_value,
-                                         z_values[0], z_values[-1])
+    _, thresholds = line.thresholds(z_values[0], z_values[-1])
     return RateScan(mode=mode, fixed_value=fixed_value, engine=engine,
                     n_cycles=n_cycles, z_values=z_values,
                     gamma_param=gamma_param, gamma_raw=raw,
@@ -292,10 +301,9 @@ def savitzky_golay(series, window, poly_order):
 
 
 def modulation_period(scan: RateScan):
-    """Mean and standard deviation of consecutive peak spacings in z."""
+    """Mean and standard deviation of the peak spacings in z; None below 4 peaks."""
     if scan.peaks.size < 4:
-        raise InsufficientDataError(
-            f"need at least 4 detected peaks, found {scan.peaks.size}")
+        return None
     spacings = np.diff(scan.peaks)
     return float(spacings.mean()), float(spacings.std())
 
@@ -371,10 +379,7 @@ def write_scan_csv(scan: RateScan, path):
     """Columns: z, gamma_param, Gamma_raw, Gamma_smooth, is_peak, nearest_threshold_k."""
     is_peak = np.zeros(scan.z_values.size, dtype=int)
     is_peak[scan.peak_indices] = 1
-    if scan.mode == "fixed_gamma":
-        k = scan.z_values * (1.0 + 2.0 * scan.gamma_param**2)
-    else:
-        k = scan.z_values + scan.fixed_value
+    k = scan_line(scan.mode, scan.fixed_value).channel(scan.z_values)
     nearest_k = np.maximum(np.rint(k), 1.0).astype(int)
     with open(path, "w", newline="") as fh:
         write_table(fh, ["z", "gamma_param", "Gamma_raw", "Gamma_smooth",
@@ -385,11 +390,9 @@ def write_scan_csv(scan: RateScan, path):
 
 def write_scan_json(scan: RateScan, path):
     """Full scan dump with metadata; schema_version marks the layout."""
-    try:
-        period_mean, period_std = modulation_period(scan)
-        period = {"mean": period_mean, "std": period_std}
-    except InsufficientDataError:
-        period = None
+    period = modulation_period(scan)
+    if period is not None:
+        period = {"mean": period[0], "std": period[1]}
     doc = {
         "schema_version": SCAN_SCHEMA_VERSION,
         "engine": scan.engine,

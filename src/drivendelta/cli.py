@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import adiabatic, analysis, model, oracle, semiclassical
-from .errors import ENGINE_ERRORS, ConvergenceError, InsufficientDataError
+from .errors import ENGINE_ERRORS, ConvergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,7 +192,7 @@ def cmd_scan(opt):
             include_odd=opt["include_odd"], oracle_dt=opt["oracle_dt"],
             sg_window=opt["sg_window"], sg_order=opt["sg_order"])
     except ValueError as exc:
-        # engine failures never leave scan_rate; this is its input check
+        # engine failures never leave scan_rate: this is an input check
         raise _UsageError(str(exc))
 
     for path in paths:
@@ -202,12 +202,10 @@ def cmd_scan(opt):
             analysis.write_scan_json(scan, path)
 
     mid = 0.5 * (z_values[0] + z_values[-1])
-    bg = analysis.wkb_background(analysis._gamma_at(mode, fixed, mid), mid)
-    try:
-        dz_mean, dz_std = analysis.modulation_period(scan)
-        period_text = f"{dz_mean:.6g} +- {dz_std:.2g}"
-    except InsufficientDataError:
-        period_text = "n/a (too few peaks)"
+    bg = analysis.wkb_background(analysis.scan_line(mode, fixed).gamma_at(mid), mid)
+    period = analysis.modulation_period(scan)
+    period_text = ("n/a (too few peaks)" if period is None
+                   else "{:.6g} +- {:.2g}".format(*period))
     print(f"samples: {z_values.size}")
     print(f"detected modulation period dz: {period_text}")
     print(f"WKB background 2*pi*D_avg at z={mid:.6g}: {bg:.6g}")
@@ -249,7 +247,7 @@ def cmd_compare(opt):
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
     path, = _resolve_out(opt["out"], "compare.csv")
 
-    gamma_param = analysis._gamma_at(mode, fixed, z_values)
+    gamma_param = analysis.scan_line(mode, fixed).gamma_at(z_values)
     for gamma in gamma_param[gamma_param > GAMMA_VALIDATED_MAX]:
         print(f"warning: gamma={gamma:.3g} exceeds the validated range "
               f"(~{GAMMA_VALIDATED_MAX})", file=sys.stderr)
@@ -257,9 +255,12 @@ def cmd_compare(opt):
     rates = {}
     failures = 0
     for engine in ("semiclassical", "oracle"):
-        rates[engine], failed = analysis.engine_rates(
-            engine, params, 1, n_last, include_odd=opt["include_odd"],
-            oracle_dt=opt["oracle_dt"])
+        try:
+            rates[engine], failed = analysis.engine_rates(
+                engine, params, 1, n_last, include_odd=opt["include_odd"],
+                oracle_dt=opt["oracle_dt"])
+        except ValueError as exc:  # an engine's input check
+            raise _UsageError(str(exc))
         _warn_failures(engine, z_values, failed)
         failures += len(failed)
         below = z_values[rates[engine] < 0.0]
@@ -282,17 +283,16 @@ def cmd_compare(opt):
         ratio = float(np.mean(or_arr[good]) / np.mean(sc_arr[good]))
         print(f"mean cycle-smoothed rate ratio oracle/semiclassical: {ratio:.4g}")
         offsets = _peak_offsets(z_values[good], sc_arr[good], or_arr[good],
-                                mode, fixed)
+                                gamma_param[good])
         if offsets is not None:
             print(f"peak position offsets (z): {offsets}")
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
-def _peak_offsets(z, sc, orc, mode, fixed):
+def _peak_offsets(z, sc, orc, gamma):
     """z offset of each oracle peak from the nearest semiclassical peak."""
     if z.size < 7:
         return None
-    gamma = analysis._gamma_at(mode, fixed, z)
     idx_sc, _ = analysis._detect_peaks(z, sc, gamma)
     idx_or, _ = analysis._detect_peaks(z, orc, gamma)
     if idx_sc.size == 0 or idx_or.size == 0:
@@ -311,12 +311,13 @@ def cmd_thresholds(opt):
     mode, fixed = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
     paths = [] if opt["out"] is None else _resolve_out(opt["out"], None)
+    line = analysis.scan_line(mode, fixed)
     try:
-        ks, z_k = analysis._thresholds_in_range(mode, fixed, lo, hi)
+        ks, z_k = line.thresholds(lo, hi)
     except ValueError as exc:
         raise _UsageError(str(exc))
     header = ["k", "z_k", "gamma_at_threshold"]
-    columns = [ks, z_k, analysis._gamma_at(mode, fixed, z_k)]
+    columns = [ks, z_k, line.gamma_at(z_k)]
     for path in paths:
         with open(path, "w") as fh:
             analysis.write_table(fh, header, columns)
@@ -411,6 +412,8 @@ def cmd_selfcheck(opt):
     except ConvergenceError as exc:
         _check(report, "oracle field-off unitarity", False,
                f"convergence probe failed: {exc}")
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
     failures = [name for name, ok, _ in report if not ok]
     if failures:

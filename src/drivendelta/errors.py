@@ -21,10 +21,6 @@ class DegeneratePathError(ValueError):
     """Boundary-value path with coincident start and end times."""
 
 
-class InsufficientDataError(ValueError):
-    """Not enough detected structure to estimate the requested statistic."""
-
-
 # the numeric failures that cli.main reports with exit code 2; a failed
 # rate is not among them, since it is a non-finite value, not an exception
 ENGINE_ERRORS = (ConvergenceError, NumericError, DegeneratePathError)

@@ -23,7 +23,6 @@ __all__ = [
     "ModelParams",
     "from_physical",
     "from_dimensionless",
-    "channel_threshold",
     "volkov_phase",
     "failure_reason",
     "decay_rate",
@@ -110,15 +109,6 @@ def from_dimensionless(gamma, z):
     mu = unbox(2.0 * omega * np.sqrt(z * omega))
     alpha = gamma * mu / omega
     return from_physical(alpha, mu, omega)
-
-
-def channel_threshold(k, gamma):
-    """Closing value z_k = k/(1 + 2*gamma^2) of channel k (a scalar or an array)."""
-    if not all_true((np.floor(k) == k) & (k >= 1)):
-        raise ValueError(f"k must be a positive integer, got k={k!r}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got gamma={gamma!r}")
-    return k / (1.0 + 2.0 * gamma * gamma)
 
 
 def volkov_phase(t):

@@ -199,7 +199,8 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
         Final time; whole cycles (2*pi*n) recommended.
     dt : float, optional
         Maximum step; defaults to :func:`default_time_step`.  The actual
-        step divides t_f exactly.
+        step divides t_f exactly.  A step count that numpy cannot allocate
+        is a ValueError.
     driven : bool
         With False the drive term is removed from the kernel (the mu -> 0
         limit at fixed gamma, h); the solution is then the stationary bound
@@ -214,11 +215,15 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive, got dt={dt!r}")
     gamma, h = params.gamma, params.h
-    n = int(math.ceil(t_f / dt - 1e-12))
-    if tolerance is not None:
-        n = max(4, n + n % 2)  # the half-resolution companion needs n even
-    dt = t_f / n
-    t = dt * np.arange(n + 1)
+    try:
+        n = int(math.ceil(t_f / dt - 1e-12))
+        if tolerance is not None:
+            n = max(4, n + n % 2)  # the half-resolution companion needs n even
+        dt = t_f / n
+        t = dt * np.arange(n + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"the {t_f / dt:.3g} time steps of dt={dt:g} do not fit "
+                         "in memory: take a larger dt or fewer cycles") from None
 
     f, evals = _march(t, dt, n, gamma, h, driven)
 

@@ -18,13 +18,14 @@ from drivendelta.analysis import (
     engine_rates,
     modulation_period,
     savitzky_golay,
+    scan_line,
     scan_rate,
     windowed_background_mean,
     wkb_background,
     write_scan_csv,
     write_scan_json,
 )
-from drivendelta.errors import InsufficientDataError, NumericError
+from drivendelta.errors import NumericError
 from drivendelta.model import from_dimensionless
 from drivendelta.semiclassical import rate_between_cycles
 
@@ -174,8 +175,47 @@ def test_modulation_period_requires_peaks():
     scan = _synthetic_scan()
     starved = RateScan(**{**scan.__dict__, "peaks": scan.peaks[:3],
                           "peak_indices": scan.peak_indices[:3]})
-    with pytest.raises(InsufficientDataError):
-        modulation_period(starved)
+    assert modulation_period(starved) is None
+
+
+def test_scan_line_threshold_examples():
+    ks, z_k = scan_line("fixed_gamma", 0.7).thresholds(0.1, 30.0)
+    assert ks[0] == 1
+    assert z_k[0] == pytest.approx(1.0 / 1.98, rel=1e-12)
+    ks, z_k = scan_line("fixed_gamma", 1.1).thresholds(0.1, 30.0)
+    assert z_k[ks == 10] == pytest.approx(10.0 / 3.42, rel=1e-12)
+    # without the quiver energy's share of n_io, channel k closes at z = k
+    ks, z_k = scan_line("fixed_gamma", 0.0).thresholds(0.5, 17.5)
+    assert list(ks) == list(range(1, 18))
+    assert np.array_equal(z_k, ks)
+    # at fixed n_io the first channel open at z > 0 is floor(n_io) + 1
+    ks, z_k = scan_line("fixed_n_io", 9.8).thresholds(0.1, 12.0)
+    assert list(ks) == list(range(10, 22))
+    assert z_k == pytest.approx(ks - 9.8, abs=1e-14)
+    assert z_k[0] == pytest.approx(0.2, abs=1e-14)
+
+
+def test_scan_line_threshold_spacing_exact():
+    lines = [("fixed_gamma", g, 1.0 / (1.0 + 2.0 * g**2)) for g in (0.5, 0.7, 1.1, 2.3)]
+    lines += [("fixed_n_io", n, 1.0) for n in (0.5, 9.8, 17.3)]
+    for mode, fixed, spacing in lines:
+        ks, z_k = scan_line(mode, fixed).thresholds(1e-3, 60.0 * spacing)
+        assert ks.size >= 59
+        assert np.all(np.abs(np.diff(z_k) - spacing) <= 1e-14)
+
+
+@pytest.mark.parametrize("mode, fixed", [
+    ("fixed_gamma", 0.3), ("fixed_gamma", 0.7), ("fixed_gamma", 2.3),
+    ("fixed_n_io", 2.0), ("fixed_n_io", 9.8),
+])
+def test_scan_line_channel_map_inverts_the_thresholds(mode, fixed):
+    line = scan_line(mode, fixed)
+    ks, z_k = line.thresholds(0.05, 40.0)
+    assert ks.size > 10
+    assert np.all(np.abs(line.channel(z_k) - ks) <= 1e-12)
+    # k = z + n_io with n_io = 2 gamma^2 z, on both kinds of line
+    assert np.allclose(line.channel(z_k),
+                       z_k + 2.0 * line.gamma_at(z_k)**2 * z_k, rtol=1e-13)
 
 
 def test_scan_semiclassical_fixed_gamma():
@@ -345,6 +385,7 @@ def test_scan_validation():
     ("fixed_n_io", 9.8, [-1.0, 1.0], 1),
     ("fixed_gamma", 0.7, [6.0, 7.0], 0),
     ("fixed_gamma", 0.7, [6.0, 7.0], 1.5),
+    ("fixed_kappa", 0.7, [6.0, 7.0], 1),
 ])
 def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
                                                           fixed, z, cycles):

@@ -475,7 +475,7 @@ def test_peak_offsets_use_the_scan_prominence_rule():
                 + 0.01 * np.cos(2.0 * np.pi * z / 0.04))
     # one offset per main oracle peak inside the grid, none for the ripple
     # or for the rising edge at z = 6
-    offsets = _peak_offsets(z, sc, orc, "fixed_gamma", 0.7)
+    offsets = _peak_offsets(z, sc, orc, np.full(z.size, 0.7))
     assert offsets == pytest.approx([0.02] * 5, abs=0.011)
 
 
@@ -536,6 +536,26 @@ def test_compare_invalid_input_is_usage_error(tmp_path, capsys, argv):
     assert code == 1
     assert "usage error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["scan", "--engine", "oracle", "--gamma", "0.7", "--z", "1:1:1"], "6.28e+15"),
+    (["compare", "--gamma", "0.7", "--z", "1:1:1", "--cycles", "2"], "1.26e+16"),
+    (["selfcheck"], "1.26e+16"),
+])
+def test_oracle_step_count_beyond_memory_is_usage_error(tmp_path, capsys, argv,
+                                                        steps):
+    # 2*pi/1e-15 steps per cycle: numpy refuses the time grid (44.6 PiB at
+    # one cycle) before it allocates anything
+    out = [] if argv[0] == "selfcheck" else ["--out", str(tmp_path / "out.csv")]
+    code = run([*argv, "--oracle-dt", "1e-15", *out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        f"usage error: the {steps} time steps of dt=1e-15 do not fit in "
+        "memory: take a larger dt or fewer cycles")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_semiclassical_infinite_rate_is_numeric_failure(

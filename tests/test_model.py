@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from drivendelta.model import (
-    channel_threshold,
     decay_rate,
     failure_reason,
     from_dimensionless,
@@ -79,28 +78,6 @@ def test_round_trip_random():
         assert q.z == pytest.approx(z, rel=1e-12)
         assert q.h == pytest.approx(1.0 / (4.0 * z), rel=1e-12)
         assert q.n_io == pytest.approx(2.0 * gamma**2 * z, rel=1e-12)
-
-
-def test_channel_threshold_examples():
-    assert channel_threshold(1, 0.7) == pytest.approx(1.0 / 1.98, rel=1e-12)
-    assert channel_threshold(10, 1.1) == pytest.approx(10.0 / 3.42, rel=1e-12)
-    for k in (1, 3, 17):
-        assert channel_threshold(k, 0.0) == k
-
-
-def test_channel_threshold_spacing_exact():
-    for gamma in (0.5, 0.7, 1.1, 2.3):
-        spacing = 1.0 / (1.0 + 2.0 * gamma**2)
-        for k in range(1, 60):
-            dz = channel_threshold(k + 1, gamma) - channel_threshold(k, gamma)
-            assert dz == pytest.approx(spacing, abs=1e-14)
-
-
-def test_channel_threshold_rejects_bad_k():
-    with pytest.raises(ValueError):
-        channel_threshold(0, 0.7)
-    with pytest.raises(ValueError):
-        channel_threshold(-3, 0.7)
 
 
 def test_from_dimensionless_on_a_grid_matches_points():

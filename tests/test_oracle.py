@@ -479,6 +479,14 @@ def test_solve_rejects_a_step_that_is_not_positive_and_finite(dt):
                                 dt=dt)
 
 
+def test_solve_rejects_a_step_count_beyond_memory():
+    # 2*pi/1e-15 steps: numpy refuses the time grid before allocating it
+    with pytest.raises(ValueError, match="the 6.28e.15 time steps of dt=1e-15 "
+                                         "do not fit in memory"):
+        solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
+                                dt=1e-15)
+
+
 def test_convergence_check_raises_on_coarse_dt():
     params = from_dimensionless(0.7, 10.0)
     with pytest.raises(ConvergenceError) as err:
