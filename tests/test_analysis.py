@@ -196,7 +196,8 @@ def test_scan_line_threshold_examples():
 
 
 def test_scan_line_threshold_spacing_exact():
-    lines = [("fixed_gamma", g, 1.0 / (1.0 + 2.0 * g**2)) for g in (0.5, 0.7, 1.1, 2.3)]
+    lines = [("fixed_gamma", g, 1.0 / (1.0 + 2.0 * g**2))
+             for g in (0.5, 0.7, 1.1, 2.3)]
     lines += [("fixed_n_io", n, 1.0) for n in (0.5, 9.8, 17.3)]
     for mode, fixed, spacing in lines:
         ks, z_k = scan_line(mode, fixed).thresholds(1e-3, 60.0 * spacing)
