@@ -473,7 +473,8 @@ def build_parser():
 def _options(args):
     """Each option of the command: its flag, else the config file, else its
     default.  A value goes through the option's check before the command
-    runs; a null in the file leaves an option whose default is None unset.
+    runs; a null in the file leaves an option whose default is None unset,
+    and a key that is not an option of the command is a usage error.
     """
     _, _, options = _COMMANDS[args.command]
     config = {}
@@ -486,6 +487,11 @@ def _options(args):
         if not isinstance(config, dict):
             raise _UsageError("config file must hold a JSON object")
         config.pop("config", None)  # a config file names no other one
+        unknown = [repr(key) for key in config if key not in options]
+        if unknown:
+            known = ", ".join(name for name in options if name != "config")
+            raise _UsageError(f"each config key must be an option of "
+                              f"{args.command} ({known}), got {', '.join(unknown)}")
     opt = {}
     for name, (default, check, _) in options.items():
         value = getattr(args, name)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,9 @@ __all__ = [
     "ModelParams",
     "from_physical",
     "from_dimensionless",
-    "volkov_phase",
+    "Drive",
+    "drive",
+    "volkov_action",
     "failure_reason",
     "decay_rate",
 ]
@@ -111,14 +114,38 @@ def from_dimensionless(gamma, z):
     return from_physical(alpha, mu, omega)
 
 
-def volkov_phase(t):
-    """Volkov phase phi(t) = (sin t cos t - t)/4 of the drive; t may be complex.
+class Drive(NamedTuple):
+    """One endpoint of a driven path: its time and the drive there."""
 
-    The classical action of the driven free motion from (y, t_i) to (x, t_f)
-    is phi(t_f) - phi(t_i) + x*sin(t_f) - y*sin(t_i)
-    + (x - y + cos t_f - cos t_i)^2 / (2*(t_f - t_i)).
+    t: object
+    sin: object
+    cos: object
+    phi: object
+
+
+def drive(t, driven=True):
+    """The endpoint record of time t: t, sin t, cos t and the Volkov phase.
+
+    phi(t) = (sin t cos t - t)/4.  t may be complex, or an array.  With
+    ``driven`` False the field is off: sin, cos and phi are zero, and
+    :func:`volkov_action` is the free action.
     """
-    return 0.25 * (np.sin(t) * np.cos(t) - t)
+    if not driven:
+        zero = np.zeros_like(t)
+        return Drive(t, zero, zero, zero)
+    sin, cos = np.sin(t), np.cos(t)
+    return Drive(t, sin, cos, 0.25 * (sin * cos - t))
+
+
+def volkov_action(end, start, x=0.0, y=0.0):
+    """Classical action of the driven free motion from (y, start.t) to (x, end.t).
+
+    ``end`` and ``start`` are :func:`drive` records; the action is
+    phi_f - phi_i + x sin t_f - y sin t_i
+    + (x - y + cos t_f - cos t_i)^2 / (2 (t_f - t_i)).
+    """
+    return (end.phi - start.phi + x * end.sin - y * start.sin
+            + (x - y + end.cos - start.cos) ** 2 / (2.0 * (end.t - start.t)))
 
 
 def failure_reason(rate):

@@ -10,10 +10,12 @@ problem to the origin value f(t) = psi(0, t):
     f(t) = g(t) + i*gamma * integral_0^t U(0,t;0,s) f(s) ds,
 
 a weakly singular Volterra equation of the second kind whose kernel carries
-the (t-s)^(-1/2) spreading prefactor.  The inhomogeneity g and all
-ground-state overlaps reduce to Gaussian integrals against the two-sided
-exponential bound state and evaluate in closed form through the scaled
-complementary error function of complex argument.
+the (t-s)^(-1/2) spreading prefactor.  U is exp(i*S/h)/sqrt(2*pi*i*h*T)
+with S = model.volkov_action between two model.drive endpoint records, the
+action the semiclassical engine uses too.  The inhomogeneity g and all
+ground-state overlaps are one closed form, _two_sided_overlap: a Gaussian in
+the free end point against the two-sided exponential bound state, through
+the scaled complementary error function of complex argument.
 
 The time march uses product integration: on each panel the regular factor is
 interpolated linearly and integrated exactly against (t-s)^(-1/2), which
@@ -23,15 +25,11 @@ they lose digits like eps*lag^2 (4e-9 relative at lag 4000), so beyond the
 first few lags they are summed as binomial series in 1/lag and keep every
 digit.
 
-The kernel's classical action folds into two separable phases and one
-coupled term,
-
-    A(t, s) = phi(t) - phi(s) + (cos t - cos s)^2/(2(t - s)),
-    phi(t) = (sin t cos t - t)/4,
-
-so the march solves for F = exp(-i*phi/h)*f and each kernel entry costs one
-real phase x = (cos t - cos s)^2/(2h(t - s)) and one exp(i*x), taken from a
-4096-entry table and a short Taylor remainder.
+Between (0, s) and (0, t) the action is two separable phases,
+phi(t) - phi(s), and one coupled term, so the march solves for
+F = exp(-i*phi/h)*f and each kernel entry costs one real phase x, the
+coupled term over h, and one exp(i*x), taken from a 4096-entry table and a
+short Taylor remainder (see _march).
 
 The history sum is a lower-triangular matrix of n(n+1)/2 pairs.  The march
 solves the rows in halves, recursively, and adds the solved left half's
@@ -56,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
-from .model import ModelParams, decay_rate, volkov_phase
+from .model import ModelParams, decay_rate, drive
 
 __all__ = [
     "VolterraGrid",
@@ -68,63 +66,43 @@ __all__ = [
 ]
 
 
-def _two_sided_overlap(duration, phase, center, b_lin, gamma, h):
-    """The bound state carried by the free propagator over ``duration``.
+def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
+    """The bound state psi0 carried by the driven free propagator U.
 
-    sqrt(gamma/h)*exp(i*phase/h)/sqrt(2*pi*i*h*T) times
-    integral exp(i*beta*(y-center)^2 + i*b_lin*y - lam*|y|) dy, with
-    T = duration, beta = 1/(2*h*T) and lam = gamma/h.  The Fresnel-type
-    Gaussian against the two-sided exponential splits at y = 0 into two
-    half-line integrals, each a scaled complementary error function.
+    ``end`` and ``start`` are :func:`drivendelta.model.drive` records.  With
+    ``y`` given the path starts at y, and the overlap is
+    integral psi0(x) U(x, t_f; y, t_i) dx; with ``x`` given it ends at x,
+    and the overlap is integral U(x, t_f; y, t_i) psi0(y) dy.  Along the
+    free point u, model.volkov_action reads
+
+        S = phi_f - phi_i + fixed + lin*u + (u - center)^2/(2T),
+
+    T = t_f - t_i, with ``fixed`` = x*sin t_f or -y*sin t_i.  With
+    beta = 1/(2*h*T) and lam = gamma/h, the overlap is
+    sqrt(gamma/h)*exp(i*(phi_f - phi_i + fixed)/h)/sqrt(2*pi*i*h*T) times
+    integral exp(i*beta*(u-center)^2 + i*lin*u/h - lam*|u|) du, which
+    splits at u = 0 into two half-line integrals, each a scaled
+    complementary error function.
     """
     from scipy.special import erfcx
 
+    shift = end.cos - start.cos
+    if x is None:
+        fixed, center, lin = -y * start.sin, y - shift, end.sin
+    else:
+        fixed, center, lin = x * end.sin, x + shift, -start.sin
+    duration = end.t - start.t
+    b_lin = lin / h
     beta = 1.0 / (2.0 * h * duration)
     lam = gamma / h
     pref = (1.0 / np.sqrt(2j * np.pi * h * duration) * math.sqrt(gamma / h)
-            * np.exp((1j / h) * phase))
+            * np.exp((1j / h) * (end.phi - start.phi)))
     q_sqrt = np.sqrt(beta) * np.exp(-0.25j * np.pi)  # principal sqrt(-i*beta)
     u_plus = lam + 2j * beta * center - 1j * b_lin
     u_minus = lam - 2j * beta * center + 1j * b_lin
     e = erfcx(u_plus / (2.0 * q_sqrt)) + erfcx(u_minus / (2.0 * q_sqrt))
-    return pref * (np.exp(1j * beta * center * center) * 0.5 * math.sqrt(math.pi)
-                   / q_sqrt * e)
-
-
-# ----------------------------------------------------------------------
-# driven-kernel building blocks (shared conventions with the semiclassical
-# propagator: length gauge, potential -x*cos t, principal sqrt at real times)
-# ----------------------------------------------------------------------
-
-def _drive(t, driven=True):
-    """sin t, cos t and the Volkov phase phi(t) (model.volkov_phase).
-
-    The classical action between (0, s) and (0, t) under the drive is
-    phi(t) - phi(s) + (cos t - cos s)^2/(2(t - s)).  With the field off all
-    three vanish, and the same formulas give the free propagator.
-    """
-    t = np.asarray(t, dtype=float)
-    if not driven:
-        zero = np.zeros_like(t)
-        return zero, zero, zero
-    return np.sin(t), np.cos(t), volkov_phase(t)
-
-
-def _inhomogeneity(t, gamma, h, driven):
-    """(U(t,0) psi0)(x=0): the freely spread bound state at the origin."""
-    t = np.asarray(t, dtype=float)
-    _, cos_t, phi = _drive(t, driven)
-    _, cos_0, _ = _drive(0.0, driven)
-    return _two_sided_overlap(t, phi, cos_t - cos_0, 0.0, gamma, h)
-
-
-def _bound_overlap(t_f, t_src, gamma, h, driven):
-    """integral psi0(x) U(x,t_f;0,t_src) dx for source times t_src < t_f."""
-    t_src = np.asarray(t_src, dtype=float)
-    sin_f, cos_f, phi_f = _drive(t_f, driven)
-    _, cos_s, phi_s = _drive(t_src, driven)
-    return _two_sided_overlap(t_f - t_src, phi_f - phi_s, cos_s - cos_f,
-                              sin_f / h, gamma, h)
+    return pref * (np.exp(1j * (beta * center * center + fixed / h))
+                   * 0.5 * math.sqrt(math.pi) / q_sqrt * e)
 
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every quadrature panel
@@ -136,14 +114,14 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
 
     Each half-line is cut into equal Gauss-Legendre panels, at least one per
     half oscillation of the chirp exp(i*beta*(y - shift)^2) that the inner
-    overlap carries (beta = 1/(2*h*t_f)), and never fewer than 16.
+    overlap carries (beta = 1/(2*h*t_f), shift = cos t_f - 1), and never
+    fewer than 16.
     """
     lam = gamma / h
     span = 40.0 / lam
     beta = 1.0 / (2.0 * h * t_f)
-    sin_f, cos_f, phi_f = _drive(t_f, driven)
-    _, cos_0, _ = _drive(0.0, driven)
-    shift = cos_f - cos_0
+    end, start = drive(t_f, driven), drive(0.0, driven)
+    shift = end.cos - start.cos
     panels = max(16, math.ceil(beta * (span + abs(shift)) ** 2 / math.pi))
     half_width = 0.5 * span / panels
 
@@ -151,7 +129,7 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
     for lo in (-span, 0.0):
         mid = lo + half_width * (2.0 * np.arange(panels) + 1.0)
         y = mid[:, None] + half_width * _GL_NODES
-        inner = _two_sided_overlap(t_f, phi_f, y - shift, sin_f / h, gamma, h)
+        inner = _two_sided_overlap(end, start, gamma, h, y=y)
         vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
         total += half_width * np.sum(vals * _GL_WEIGHTS)
     return total
@@ -451,8 +429,10 @@ def _blocks(j0, j1, i0, i1):
 def _march(t, dt, n, gamma, h, driven):
     """Boundary function f_j, j = 0..n, and the kernel entries evaluated.
 
-    With F = exp(-i*phi/h)*f (phi from _drive) the kernel's action leaves
-    one real phase per pair, x = (cos t_j - cos t_i)^2/(2h(t_j - t_i)):
+    The kernel's action is model.volkov_action from (0, t_i) to (0, t_j),
+    phi_j - phi_i + h*x_ji.  With F = exp(-i*phi/h)*f (phi and cos from
+    model.drive) it leaves one real phase per pair, folded as
+    x_ji = (cos t_j - cos t_i)^2 times the 1/(2h*lag*dt) window of lag j - i:
 
         F_j*(1 - c*w_diag) = G_j + c * sum_{i<j} W_ji * exp(i*x_ji) * F_i,
 
@@ -462,8 +442,9 @@ def _march(t, dt, n, gamma, h, driven):
     a dense block is summed in tiles; a far block is summed through its
     cross approximation, or in tiles should that not converge.
     """
-    _, cos_t, phi = _drive(t, driven)
-    rot = np.exp((1j / h) * phi)  # f = rot * F
+    nodes = drive(t, driven)
+    cos_t = nodes.cos
+    rot = np.exp((1j / h) * nodes.phi)  # f = rot * F
 
     w_mid, w_first, w_diag = _weights(n, dt)
     inv = np.zeros(n + 1)
@@ -475,7 +456,9 @@ def _march(t, dt, n, gamma, h, driven):
 
     big_g = np.empty(n + 1, dtype=complex)
     big_g[0] = math.sqrt(gamma / h)
-    big_g[1:] = _inhomogeneity(t[1:], gamma, h, driven) * np.conj(rot[1:])
+    # g(t) = (U(t, 0) psi0)(x = 0)
+    big_g[1:] = (_two_sided_overlap(drive(t[1:], driven), drive(0.0, driven),
+                                    gamma, h, x=0.0) * np.conj(rot[1:]))
 
     # cross approximations need whole rows and columns of far blocks.  All
     # work buffers of a solve are one block: freed as one chunk, it stays
@@ -578,13 +561,15 @@ def survival_probability(grid: VolterraGrid, t_f=None):
     n_osc = max(phase_rate * t_f, t_f) / (2.0 * math.pi)
     m = int(max(4001, 2 * int(80 * n_osc) + 1))  # 80 nodes per oscillation
     half = 0.5 * t_f
+    end = drive(t_f, grid.driven)
 
     total = 0.0 + 0.0j
     for left_half in (True, False):
         u = np.linspace(0.0, math.sqrt(half), m)
         t_src = u * u if left_half else t_f - u * u
         vals = np.zeros(m, dtype=complex)
-        vals[1:] = (_bound_overlap(t_f, t_src[1:], gamma, h, grid.driven)
+        vals[1:] = (_two_sided_overlap(end, drive(t_src[1:], grid.driven),
+                                       gamma, h, y=0.0)
                     * spline(t_src[1:]) * 2.0 * u[1:])
         total += simpson(vals.real, x=u) + 1j * simpson(vals.imag, x=u)
 

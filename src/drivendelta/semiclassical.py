@@ -22,7 +22,8 @@ import numpy as np
 
 from .adiabatic import bound_propagator_factor, quasi_energy_averaged
 from .errors import DegeneratePathError
-from .model import ModelParams, all_true, decay_rate, unbox, volkov_phase
+from .model import (Drive, ModelParams, all_true, decay_rate, drive, unbox,
+                    volkov_action)
 
 __all__ = [
     "ComplexPath",
@@ -89,21 +90,15 @@ def make_path(t_start, t_end, y, x) -> ComplexPath:
     return ComplexPath(t_start=t_start, t_end=t_end, y=y, x=x, v0=v0)
 
 
-def _volkov_action(t_f, t_i, x=0.0, y=0.0):
-    # closed-form action from (y, t_i) to (x, t_f); see model.volkov_phase
-    return (volkov_phase(t_f) - volkov_phase(t_i) + x * np.sin(t_f) - y * np.sin(t_i)
-            + (x - y + np.cos(t_f) - np.cos(t_i)) ** 2 / (2.0 * (t_f - t_i)))
-
-
 def action(path: ComplexPath):
     """Classical action of the field-only Lagrangian along the path.
 
     Closed form; for the driven potential -x*cos(t) the Lagrangian is
-    L0 = xdot^2/2 + x*cos(t) and its time integral is elementary (see
-    :func:`drivendelta.model.volkov_phase`).  Contour independence in the
+    L0 = xdot^2/2 + x*cos(t) and its time integral is elementary
+    (:func:`drivendelta.model.volkov_action`).  Contour independence in the
     complex t-plane is inherited from analyticity.
     """
-    return _volkov_action(path.t_end, path.t_start, path.x, path.y)
+    return volkov_action(drive(path.t_end), drive(path.t_start), path.x, path.y)
 
 
 def action_by_quadrature(path: ComplexPath, waypoints=None):
@@ -127,10 +122,11 @@ def action_by_quadrature(path: ComplexPath, waypoints=None):
 def volkov_propagator(x, t_f, y, t_i, params: ModelParams):
     """Semiclassical propagator of the driven atom between (y, t_i) and (x, t_f).
 
-    Equals exp(i*S/h) / sqrt(2*pi*i*h*(t_f - t_i)) with S the action of the
-    path through both points.  A real duration takes the principal square
-    root; when the start time is truly complex the radicand leaves the
-    imaginary axis and the branched sheet of :func:`branched_sqrt` is used.
+    Equals exp(i*S/h) / sqrt(2*pi*i*h*(t_f - t_i)) with S the action
+    (:func:`drivendelta.model.volkov_action`) of the path through both
+    points.  A real duration takes the principal square root; when the start
+    time is truly complex the radicand leaves the imaginary axis and the
+    branched sheet of :func:`branched_sqrt` is used.
     The phase a path picks up where it crosses the delta potential at the
     origin is not included: the tunneling paths of the survival amplitude
     do not cross it.
@@ -138,13 +134,28 @@ def volkov_propagator(x, t_f, y, t_i, params: ModelParams):
     if t_f == t_i:
         raise DegeneratePathError("propagator endpoints coincide in time")
     h = params.h
-    s_cl = _volkov_action(t_f, t_i, x, y)
+    s_cl = volkov_action(drive(t_f), drive(t_i), x, y)
     radicand = 2j * math.pi * h * (t_f - t_i)
     if abs(complex(t_f - t_i).imag) > 0.0:
         root = branched_sqrt(radicand)
     else:
         root = np.sqrt(radicand)
     return np.exp(1j * s_cl / h) / root
+
+
+def _burst_starts(gamma, ks):
+    """(k, the drive at the start t_k = t0 + k*pi of burst k) for k in ks.
+
+    Closed forms, with no trigonometry of t_k: cos t_k = (-1)^k
+    sqrt(1 + gamma^2), sin t_k = (-1)^k i*gamma and
+    phi(t_k) = phi(t0) - k*pi/4.
+    """
+    t0 = tunnel_start_time(gamma)
+    phi_0, cos_0, sin_0 = drive(t0).phi, np.sqrt(1.0 + gamma * gamma), 1j * gamma
+    for k in ks:
+        odd = k % 2 == 1
+        yield k, Drive(t0 + k * math.pi, -sin_0 if odd else sin_0,
+                       -cos_0 if odd else cos_0, phi_0 - 0.25 * math.pi * k)
 
 
 @dataclass(frozen=True)
@@ -180,12 +191,13 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
         -4*h / (gamma * branched_sqrt(2*i*pi*h*tau_k)) * exp(zeta_k),
         tau_k = t_f - t0 - k*pi,
 
-    where zeta_k = i*A_k/h - i*e_m*t_k/h collects the classical action A_k
-    of the packet path from (0, t_k = k*pi + t0) to (0, t_f) and the phase of
-    the decaying bound state up to the emission time.  Packets with odd k
-    end up displaced by about two units and overlap the bound state only
-    weakly; they are skipped unless ``include_odd`` is set.  With array
-    parameters every term is an array over the grid.
+    where zeta_k = i*A_k/h - i*e_m*t_k/h collects the classical action
+    A_k = model.volkov_action of the packet path from (0, t_k = k*pi + t0)
+    to (0, t_f) and the phase of the decaying bound state up to the
+    emission time.  Packets with odd k end up displaced by about two units
+    and overlap the bound state only weakly; they are skipped unless
+    ``include_odd`` is set.  With array parameters every term is an array
+    over the grid.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got n={n!r}")
@@ -193,23 +205,14 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
     g, h = params.gamma, params.h
     t_f = 2.0 * math.pi * n
     e_m = quasi_energy_averaged(params).e_m
-    t0 = tunnel_start_time(g)
 
     bound = unbox(bound_propagator_factor(params, t_f))
-    # A_k is _volkov_action(t_f, t_k) without trigonometry of t_k:
-    # cos t_k = (-1)^k sqrt(1 + gamma^2) and sin t_k = (-1)^k i*gamma, so
-    # phi(t_k) = phi(t0) - k*pi/4
-    phi_f, cos_f = volkov_phase(t_f), math.cos(t_f)
-    phi_0, cos_0 = volkov_phase(t0), np.sqrt(1.0 + g * g)
+    end = drive(t_f)
     terms = []
-    for k in range(2 * n):
-        if (k % 2 == 1) and not include_odd:
-            continue
-        t_k = t0 + k * math.pi
+    for k, start in _burst_starts(g, range(0, 2 * n, 1 if include_odd else 2)):
+        t_k = start.t
         prefactor = -4.0 * h / (g * branched_sqrt(2j * math.pi * h * (t_f - t_k)))
-        action = (phi_f - (phi_0 - 0.25 * math.pi * k)
-                  + (cos_f - (-1) ** k * cos_0) ** 2 / (2.0 * (t_f - t_k)))
-        zeta = 1j * action / h - 1j * e_m * t_k / h
+        zeta = 1j * volkov_action(end, start) / h - 1j * e_m * t_k / h
         terms.append(PacketTerm(k=k, zeta=zeta, prefactor=prefactor,
                                 value=unbox(prefactor * np.exp(zeta))))
     return SurvivalAmplitude(params=params, n_cycles=n, t_f=t_f,

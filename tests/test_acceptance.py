@@ -29,7 +29,6 @@ from drivendelta.analysis import (
     engine_rates,
     modulation_period,
     scan_rate,
-    windowed_background_mean,
     wkb_background,
 )
 from drivendelta.model import from_dimensionless
@@ -81,7 +80,7 @@ def test_criterion_1_modulation_period():
 # 2. background identity
 # ----------------------------------------------------------------------
 
-def test_criterion_2_background():
+def test_criterion_2_background(windowed_background_mean):
     # algebraic identity: the bound term alone decays at exactly 2*pi*D_avg.
     # The exp->log round trip floors at eps/(D_avg*t_f), so the 1e-12
     # relative check is made where a double can represent it (z <= 14 here;

@@ -20,7 +20,6 @@ from drivendelta.analysis import (
     savitzky_golay,
     scan_line,
     scan_rate,
-    windowed_background_mean,
     wkb_background,
     write_scan_csv,
     write_scan_json,
@@ -450,7 +449,7 @@ def test_oracle_scan_propagates_non_engine_errors(monkeypatch):
 # background extraction
 # ----------------------------------------------------------------------
 
-def test_windowed_background_mean_recovers_trend():
+def test_windowed_background_mean_recovers_trend(windowed_background_mean):
     period = 0.5
     z = np.arange(0.0, 10.0, 0.01)
     trend = 2.0 + 0.1 * z
@@ -460,7 +459,8 @@ def test_windowed_background_mean_recovers_trend():
     assert np.max(np.abs(est[good] - trend[good])) < 1e-6
 
 
-def test_windowed_background_handles_exponential_envelope():
+def test_windowed_background_handles_exponential_envelope(
+        windowed_background_mean):
     # the regression keeps the residual small even when the oscillation
     # amplitude varies strongly across the window
     period = 0.505

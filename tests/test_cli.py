@@ -348,6 +348,8 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
     (["scan", "--engine", "oracle"], {"oracle_dt": True}),
     (["scan"], {"gamma": 10**400}),
     (["compare"], {"cycles": 10**400}),
+    (["scan"], {"cycle": 3, "sg-window": 5}),
+    (["compare"], {"sg_window": 5}),
 ], ids=["compare-oracle-dt-negative", "scan-oracle-dt-inf",
         "config-oracle-dt-text", "selfcheck-oracle-dt-negative",
         "config-sg-window-null", "config-include-odd-string",
@@ -355,11 +357,12 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
         "config-thresholds-out-number", "config-thresholds-out-false",
         "config-scan-gamma-true", "config-compare-gamma-true",
         "config-oracle-dt-true", "config-gamma-beyond-float",
-        "config-cycles-beyond-float"])
+        "config-cycles-beyond-float", "config-unknown-keys",
+        "config-compare-scan-only-key"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
     # each used to end in a traceback (an integer beyond float range in an
     # OverflowError), or to run with a value the user did not mean:
-    # include_odd "false" as true, gamma true as 1
+    # include_odd "false" as true, gamma true as 1, a misspelt key ignored
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma": 0.7, "z": _RANGE[argv[0]],
@@ -374,6 +377,9 @@ def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()
+    # the message names the option or key at fault
+    assert any(key.replace("_", "-") in captured.err.replace("_", "-")
+               for key in config or [""])
 
 
 # one bad value per option, valid as JSON text and as a flag's text

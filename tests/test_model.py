@@ -6,10 +6,11 @@ import pytest
 
 from drivendelta.model import (
     decay_rate,
+    drive,
     failure_reason,
     from_dimensionless,
     from_physical,
-    volkov_phase,
+    volkov_action,
 )
 
 
@@ -111,13 +112,31 @@ def test_grid_point_is_the_point_built_alone():
 def test_volkov_phase_real_and_complex_times():
     t = np.array([0.0, 1.3, 2.0 * math.pi, 0.4 + 0.9j, 3.0 - 0.2j])
     expected = [(cmath.sin(x) * cmath.cos(x) - x) / 4.0 for x in t]
-    assert np.allclose(volkov_phase(t), expected, rtol=1e-15, atol=1e-15)
-    assert volkov_phase(2.0 * math.pi) == pytest.approx(-0.5 * math.pi, rel=1e-15)
+    assert np.allclose(drive(t).phi, expected, rtol=1e-15, atol=1e-15)
+    assert drive(2.0 * math.pi).phi == pytest.approx(-0.5 * math.pi, rel=1e-15)
     # phi' = -sin(t)^2/2, also off the real axis
     step = 1e-5
     for x in (1.3, 0.4 + 0.9j):
-        slope = (volkov_phase(x + step) - volkov_phase(x - step)) / (2.0 * step)
+        slope = (drive(x + step).phi - drive(x - step).phi) / (2.0 * step)
         assert slope == pytest.approx(-0.5 * cmath.sin(x) ** 2, rel=1e-9)
+
+
+def test_drive_record_and_field_off():
+    t = np.array([0.3, 2.0, 0.4 + 0.9j])
+    end = drive(t)
+    assert end.t is t
+    assert np.array_equal(end.sin, np.sin(t)) and np.array_equal(end.cos, np.cos(t))
+    off = drive(t, driven=False)
+    assert off.t is t
+    assert all(np.array_equal(v, np.zeros_like(t)) for v in off[1:])
+
+
+def test_volkov_action_is_free_action_with_field_off():
+    # with the field off the action is the free one, (x - y)^2/(2T)
+    end, start = drive(2.5, driven=False), drive(0.5, driven=False)
+    assert volkov_action(end, start, 0.7, -0.2) == pytest.approx(0.81 / 4.0,
+                                                                 rel=1e-15)
+    assert volkov_action(end, start) == 0.0
 
 
 def test_decay_rate_formula_and_zero_cycle_convention():

@@ -7,15 +7,13 @@ from scipy.integrate import quad, simpson
 from scipy.special import erfcx
 
 from drivendelta.errors import ConvergenceError
-from drivendelta.model import from_dimensionless
+from drivendelta.model import drive, from_dimensionless
 from drivendelta.oracle import (
     _BLOCK,
     _FAR,
     _Cis,
     _cross_approximation,
-    _drive,
     _free_evolution_overlap,
-    _inhomogeneity,
     _two_sided_overlap,
     _march,
     _partition,
@@ -116,59 +114,64 @@ def _psi0(params, x):
     return math.sqrt(lam) * np.exp(-lam * np.abs(x))
 
 
+def _psi0_overlap_by_quadrature(params, propagator):
+    """integral psi0(u) * propagator(u) du by adaptive quadrature."""
+    span = 60.0 * params.h / params.gamma
+    parts = [quad(lambda u: part(propagator(u) * _psi0(params, u)), -span, span,
+                  points=[0.0], limit=400, epsabs=1e-12, epsrel=1e-12)[0]
+             for part in (np.real, np.imag)]
+    return complex(*parts)
+
+
 def test_inhomogeneous_term_is_spread_ground_state():
     # g(t) must equal the direct overlap of the shared Volkov kernel with
     # the initial bound state: quadrature cross-check of the closed form
     params = P_SMALL
     gamma, h = params.gamma, params.h
-    grid = solve_boundary_function(params, 2.0 * math.pi)
-
     for t in (0.4, 1.7):
-        span = 60.0 * h / gamma
-
-        def integrand(y, part):
-            val = volkov_propagator(0.0, t, y, 0.0, params) * _psi0(params, y)
-            return val.real if part == "re" else val.imag
-
-        re, _ = quad(integrand, -span, span, args=("re",), points=[0.0],
-                     limit=400, epsabs=1e-12, epsrel=1e-12)
-        im, _ = quad(integrand, -span, span, args=("im",), points=[0.0],
-                     limit=400, epsabs=1e-12, epsrel=1e-12)
-        closed = complex(_inhomogeneity(np.array([t]), gamma, h, True)[0])
-        assert closed == pytest.approx(re + 1j * im, rel=1e-10)
+        ref = _psi0_overlap_by_quadrature(
+            params, lambda y: volkov_propagator(0.0, t, y, 0.0, params))
+        closed = complex(_two_sided_overlap(drive(np.array([t])), drive(0.0),
+                                            gamma, h, x=0.0)[0])
+        assert closed == pytest.approx(ref, rel=1e-10)
 
 
 def test_projection_overlap_closed_form():
     params = P_SMALL
     gamma, h = params.gamma, params.h
-    from drivendelta.oracle import _bound_overlap
-
     t_f = 2.0 * math.pi
     for t_src in (0.8, 4.0):
-        span = 60.0 * h / gamma
+        ref = _psi0_overlap_by_quadrature(
+            params, lambda x: volkov_propagator(x, t_f, 0.0, t_src, params))
+        closed = complex(_two_sided_overlap(drive(t_f), drive(np.array([t_src])),
+                                            gamma, h, y=0.0)[0])
+        assert closed == pytest.approx(ref, rel=1e-10)
 
-        def integrand(x, part):
-            val = _psi0(params, x) * volkov_propagator(x, t_f, 0.0, t_src, params)
-            return val.real if part == "re" else val.imag
 
-        re, _ = quad(integrand, -span, span, args=("re",), points=[0.0],
-                     limit=400, epsabs=1e-12, epsrel=1e-12)
-        im, _ = quad(integrand, -span, span, args=("im",), points=[0.0],
-                     limit=400, epsabs=1e-12, epsrel=1e-12)
-        closed = complex(_bound_overlap(t_f, np.array([t_src]), gamma, h, True)[0])
-        assert closed == pytest.approx(re + 1j * im, rel=1e-10)
+def test_overlap_with_either_end_fixed_off_the_origin():
+    # the fixed point's own linear term, x*sin t_f or -y*sin t_i, vanishes
+    # in every call the solver makes; here it does not
+    params = P_SMALL
+    gamma, h = params.gamma, params.h
+    t_f, t_i, point = 2.9, 0.8, 0.3
+    ref = _psi0_overlap_by_quadrature(
+        params, lambda y: volkov_propagator(point, t_f, y, t_i, params))
+    closed = _two_sided_overlap(drive(t_f), drive(t_i), gamma, h, x=point)
+    assert complex(closed) == pytest.approx(ref, rel=1e-10)
+    ref = _psi0_overlap_by_quadrature(
+        params, lambda x: volkov_propagator(x, t_f, point, t_i, params))
+    closed = _two_sided_overlap(drive(t_f), drive(t_i), gamma, h, y=point)
+    assert complex(closed) == pytest.approx(ref, rel=1e-10)
 
 
 def _simpson_free_overlap(t_f, gamma, h, n_nodes):
     """<psi0| U(t_f, 0) |psi0> by composite Simpson on each half-line."""
     lam = gamma / h
     span = 40.0 / lam
-    sin_f, cos_f, phi_f = _drive(t_f)
     total = 0.0j
     for lo, hi in ((-span, 0.0), (0.0, span)):
         y = np.linspace(lo, hi, n_nodes)
-        inner = _two_sided_overlap(t_f, phi_f, y - (cos_f - 1.0), sin_f / h,
-                                   gamma, h)
+        inner = _two_sided_overlap(drive(t_f), drive(0.0), gamma, h, y=y)
         vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
         total += simpson(vals.real, x=y) + 1j * simpson(vals.imag, x=y)
     return total
@@ -220,7 +223,8 @@ def _reference_march(t, dt, n, gamma, h, driven):
     denom = 1.0 - coupling * kern_pref * w_diag
     g = np.empty(n + 1, dtype=complex)
     g[0] = math.sqrt(gamma / h)
-    g[1:] = _inhomogeneity(t[1:], gamma, h, driven)
+    g[1:] = _two_sided_overlap(drive(t[1:], driven), drive(0.0, driven),
+                               gamma, h, x=0.0)
 
     f = np.empty(n + 1, dtype=complex)
     f[0] = g[0]

@@ -10,9 +10,10 @@ from drivendelta.adiabatic import (
     rate_cycle_averaged,
 )
 from drivendelta.errors import DegeneratePathError
-from drivendelta.model import from_dimensionless
+from drivendelta.model import drive, from_dimensionless
 from drivendelta.semiclassical import (
     SurvivalAmplitude,
+    _burst_starts,
     action,
     action_by_quadrature,
     branched_sqrt,
@@ -272,6 +273,23 @@ def test_zeta_matches_contour_integrated_action(gamma, z):
         s_num = action_by_quadrature(path)
         zeta_num = 1j * s_num / params.h - 1j * e_m * start / params.h
         assert abs(term.zeta - zeta_num) / abs(zeta_num) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_burst_starts_match_the_drive_at_t0_plus_k_pi(n):
+    # survival_amplitude takes cos, sin and phi at t_k = t0 + k*pi from
+    # closed forms, with the sign (-1)^k and the shift -k*pi/4; the drive's
+    # own trigonometry of the rounded k*pi is the reference (its error grows
+    # like k*1e-16/gamma, so the bound holds for the k < 4 of two cycles)
+    gamma = np.geomspace(0.05, 5.0, 41)
+    t0 = tunnel_start_time(gamma)
+    starts = list(_burst_starts(gamma, range(2 * n)))
+    assert [k for k, _ in starts] == list(range(2 * n))
+    for k, start in starts:
+        assert np.array_equal(start.t, t0 + k * math.pi)
+        exact = drive(start.t)
+        for got, want in zip(start[1:], exact[1:]):
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
 
 
 def test_phase_bookkeeping_channel_closing():
