@@ -183,7 +183,16 @@ def _mode_and_grid(opt):
 # scan
 # ----------------------------------------------------------------------
 
+# a scan runs one engine, so an option of the other engine is a usage error
+_ENGINE_OF_OPTION = {"include_odd": "semiclassical", "oracle_dt": "oracle"}
+
+
 def cmd_scan(opt):
+    for name, engine in _ENGINE_OF_OPTION.items():
+        if opt[name] and opt["engine"] != engine:
+            raise _UsageError(f"--{name.replace('_', '-')} must be left out "
+                              f"of a scan with --engine {opt['engine']}: it "
+                              f"belongs to the {engine} engine")
     mode, fixed, z_values = _mode_and_grid(opt)
     paths = _resolve_out(opt["out"], f"scan_{opt['engine']}.csv", opt["format"])
     try:
@@ -248,9 +257,11 @@ def cmd_compare(opt):
     path, = _resolve_out(opt["out"], "compare.csv")
 
     gamma_param = analysis.scan_line(mode, fixed).gamma_at(z_values)
-    for gamma in gamma_param[gamma_param > GAMMA_VALIDATED_MAX]:
-        print(f"warning: gamma={gamma:.3g} exceeds the validated range "
-              f"(~{GAMMA_VALIDATED_MAX})", file=sys.stderr)
+    beyond = gamma_param > GAMMA_VALIDATED_MAX
+    if beyond.any():
+        print(f"warning: gamma up to {np.max(gamma_param):.3g} exceeds the "
+              f"validated range (~{GAMMA_VALIDATED_MAX}) at z="
+              + ", ".join(f"{z:g}" for z in z_values[beyond]), file=sys.stderr)
     params = model.from_dimensionless(gamma_param, z_values)
     rates = {}
     failures = 0
@@ -377,10 +388,9 @@ def cmd_selfcheck(opt):
     _check(report, "saddle point vs quadrature", mono and ratios[-1] < 1.1,
            "ratios " + ", ".join(f"{r:.4f}" for r in ratios))
 
-    path = semiclassical.make_path(semiclassical.tunnel_start_time(0.7),
-                                   2.0 * math.pi, 0.0, 0.0)
-    s_closed = semiclassical.action(path)
-    s_quad = semiclassical.action_by_quadrature(path)
+    t0 = semiclassical.tunnel_start_time(0.7)
+    s_closed = model.volkov_action(model.drive(2.0 * math.pi), model.drive(t0))
+    s_quad = semiclassical.action_by_quadrature(t0, 2.0 * math.pi)
     s_err = abs(s_closed - s_quad) / abs(s_closed)
     _check(report, "action closed form vs contour quadrature", s_err < 1e-10,
            f"rel err {s_err:.1e}")

@@ -17,10 +17,6 @@ class NumericError(RuntimeError):
     """A quadrature or root-finding step returned an unreliable result."""
 
 
-class DegeneratePathError(ValueError):
-    """Boundary-value path with coincident start and end times."""
-
-
 # the numeric failures that cli.main reports with exit code 2; a failed
 # rate is not among them, since it is a non-finite value, not an exception
-ENGINE_ERRORS = (ConvergenceError, NumericError, DegeneratePathError)
+ENGINE_ERRORS = (ConvergenceError, NumericError)

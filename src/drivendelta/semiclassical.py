@@ -1,4 +1,4 @@
-"""Complex-time tunneling paths and the wave-packet survival amplitude.
+"""Complex-time tunneling bursts and the wave-packet survival amplitude.
 
 Ionization proceeds in bursts at the field maxima t = k*pi.  Each burst is
 carried by a classical path that starts at the complex time k*pi + t0 with
@@ -21,17 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import bound_propagator_factor, quasi_energy_averaged
-from .errors import DegeneratePathError
 from .model import (Drive, ModelParams, all_true, decay_rate, drive, unbox,
                     volkov_action)
 
 __all__ = [
-    "ComplexPath",
     "SurvivalAmplitude",
     "branched_sqrt",
     "tunnel_start_time",
-    "make_path",
-    "action",
     "action_by_quadrature",
     "volkov_propagator",
     "survival_amplitude",
@@ -65,55 +61,25 @@ def tunnel_start_time(gamma):
     return unbox(1j * np.arcsinh(gamma))
 
 
-@dataclass(frozen=True)
-class ComplexPath:
-    """Boundary-value solution x(t) = -cos t + cos(t_start) + y + v0*(t - t_start)."""
+def action_by_quadrature(t_start, t_end, y=0.0, x=0.0, waypoints=None):
+    """Action from (y, t_start) to (x, t_end) by 240-node Gauss-Legendre
+    contour quadrature; the test oracle for :func:`drivendelta.model.volkov_action`.
 
-    t_start: complex
-    t_end: complex
-    y: complex
-    x: complex
-    v0: complex
-
-    def position(self, t):
-        return -np.cos(t) + np.cos(self.t_start) + self.y + self.v0 * (t - self.t_start)
-
-    def velocity(self, t):
-        return np.sin(t) + self.v0
-
-
-def make_path(t_start, t_end, y, x) -> ComplexPath:
-    """Path of the driven free motion through (y, t_start) and (x, t_end)."""
-    if t_end == t_start:
-        raise DegeneratePathError("path endpoints coincide in time")
-    v0 = (x - y + np.cos(t_end) - np.cos(t_start)) / (t_end - t_start)
-    return ComplexPath(t_start=t_start, t_end=t_end, y=y, x=x, v0=v0)
-
-
-def action(path: ComplexPath):
-    """Classical action of the field-only Lagrangian along the path.
-
-    Closed form; for the driven potential -x*cos(t) the Lagrangian is
-    L0 = xdot^2/2 + x*cos(t) and its time integral is elementary
-    (:func:`drivendelta.model.volkov_action`).  Contour independence in the
-    complex t-plane is inherited from analyticity.
-    """
-    return volkov_action(drive(path.t_end), drive(path.t_start), path.x, path.y)
-
-
-def action_by_quadrature(path: ComplexPath, waypoints=None):
-    """Action by 240-node Gauss-Legendre contour quadrature; test oracle for :func:`action`.
-
+    Integrates L0 = xdot^2/2 + x*cos(t) along the classical path
+    x(t) = -cos t + cos(t_start) + y + v0*(t - t_start) through both points.
     ``waypoints`` inserts intermediate contour vertices between t_start and
     t_end (the integrand is entire, so any contour gives the same value).
     """
-    vertices = [path.t_start] + list(waypoints or []) + [path.t_end]
+    if t_end == t_start:
+        raise ValueError("path endpoints coincide in time")
+    v0 = (x - y + np.cos(t_end) - np.cos(t_start)) / (t_end - t_start)
+    vertices = [t_start] + list(waypoints or []) + [t_end]
     xs, ws = np.polynomial.legendre.leggauss(240)
     total = 0.0 + 0.0j
     for a, b in zip(vertices[:-1], vertices[1:]):
         t = a + (b - a) * (xs + 1.0) / 2.0
-        xcl = path.position(t)
-        xdot = path.velocity(t)
+        xcl = -np.cos(t) + np.cos(t_start) + y + v0 * (t - t_start)
+        xdot = np.sin(t) + v0
         lagr = 0.5 * xdot * xdot + xcl * np.cos(t)
         total += np.sum(ws * lagr) * (b - a) / 2.0
     return total
@@ -132,7 +98,7 @@ def volkov_propagator(x, t_f, y, t_i, params: ModelParams):
     do not cross it.
     """
     if t_f == t_i:
-        raise DegeneratePathError("propagator endpoints coincide in time")
+        raise ValueError("propagator endpoints coincide in time")
     h = params.h
     s_cl = volkov_action(drive(t_f), drive(t_i), x, y)
     radicand = 2j * math.pi * h * (t_f - t_i)

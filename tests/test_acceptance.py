@@ -39,7 +39,6 @@ from drivendelta.oracle import (
 )
 from drivendelta.semiclassical import (
     action_by_quadrature,
-    make_path,
     survival_amplitude,
     tunnel_start_time,
 )
@@ -122,7 +121,7 @@ def test_criterion_3_zeta_vs_action():
             amp = survival_amplitude(params, 2, include_odd=True)
             for term in amp.packet_terms:
                 start = t0 + term.k * math.pi
-                s_num = action_by_quadrature(make_path(start, amp.t_f, 0.0, 0.0))
+                s_num = action_by_quadrature(start, amp.t_f)
                 zeta_num = (1j * s_num - 1j * e_m * start) / params.h
                 worst = max(worst, abs(term.zeta - zeta_num) / abs(zeta_num))
     ok = worst <= 1e-8

@@ -102,6 +102,10 @@ def test_scan_usage_errors(capsys):
     # grids that numpy refuses to allocate at once
     ["--gamma", "0.7", "--z", "1:1e300:1"],
     ["--gamma", "0.7", "--z", "1:2:1e-300"],
+    # an option of the engine that the scan does not run
+    ["--engine", "oracle", "--include-odd", "--gamma", "0.7", "--z", "1:1.1:0.1"],
+    ["--engine", "semiclassical", "--oracle-dt", "0.001", "--gamma", "0.7",
+     "--z", "6:6.2:0.1"],
 ])
 def test_scan_invalid_input_is_usage_error(tmp_path, capsys, argv):
     code = run(["scan", *argv, "--out", str(tmp_path / "scan.csv")])
@@ -350,6 +354,8 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
     (["compare"], {"cycles": 10**400}),
     (["scan"], {"cycle": 3, "sg-window": 5}),
     (["compare"], {"sg_window": 5}),
+    (["scan", "--engine", "oracle"], {"include_odd": True}),
+    (["scan"], {"oracle_dt": 0.001}),
 ], ids=["compare-oracle-dt-negative", "scan-oracle-dt-inf",
         "config-oracle-dt-text", "selfcheck-oracle-dt-negative",
         "config-sg-window-null", "config-include-odd-string",
@@ -358,7 +364,8 @@ def test_config_cycles_must_be_a_whole_number(tmp_path, capsys, command, cycles)
         "config-scan-gamma-true", "config-compare-gamma-true",
         "config-oracle-dt-true", "config-gamma-beyond-float",
         "config-cycles-beyond-float", "config-unknown-keys",
-        "config-compare-scan-only-key"])
+        "config-compare-scan-only-key", "config-include-odd-oracle-scan",
+        "config-oracle-dt-semiclassical-scan"])
 def test_bad_option_value_is_usage_error(tmp_path, capsys, argv, config):
     # each used to end in a traceback (an integer beyond float range in an
     # OverflowError), or to run with a value the user did not mean:
@@ -506,12 +513,16 @@ def test_compare_small_grid(tmp_path, capsys):
 
 
 def test_compare_warns_beyond_validated_gamma(tmp_path, capsys):
+    # one line per command, however many grid points lie beyond the range
     out = tmp_path / "cmp.csv"
-    code = run(["compare", "--gamma", "2.6", "--z", "5:5:1",
+    code = run(["compare", "--gamma", "2.6", "--z", "0.5:0.7:0.1",
                 "--cycles", "2", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "exceeds the validated range" in captured.err
+    warnings = [line for line in captured.err.splitlines()
+                if "exceeds the validated range" in line]
+    assert warnings == ["warning: gamma up to 2.6 exceeds the validated range "
+                        "(~2.5) at z=0.5, 0.6, 0.7"]
 
 
 def test_compare_warns_on_negative_rates(tmp_path, capsys):
@@ -596,7 +607,18 @@ def test_compare_semiclassical_infinite_rate_is_numeric_failure(
 def test_selfcheck_passes(capsys):
     assert run(["selfcheck"]) == 0
     out = capsys.readouterr().out
-    assert "[ok]" in out
+    names = [line[len("[ok] "):].split("  (")[0]
+             for line in out.splitlines() if line.startswith("[ok] ")]
+    assert names == [
+        "complex-time identities cos/sin(t0)",
+        "branched sqrt sheet",
+        "parameter round trip",
+        "saddle point vs quadrature",
+        "action closed form vs contour quadrature",
+        "one-period packet assembly",
+        "barrier demo i*pi",
+        "oracle field-off unitarity",
+    ]
     assert "FAIL" not in out
 
 

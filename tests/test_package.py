@@ -1,10 +1,12 @@
-"""Every module's public names import: no ``__all__`` entry is stale.  The
-CLI and its semiclassical path start without scipy; the oracle loads it on
-demand."""
+"""Every module's public names import: no ``__all__`` entry is stale, and
+every ``<module>.<name>`` the README names exists.  The CLI and its
+semiclassical path start without scipy; the oracle loads it on demand."""
 
+import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,9 @@ import pytest
 import drivendelta
 
 SRC = str(Path(drivendelta.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("model", "adiabatic", "semiclassical", "oracle", "analysis", "cli",
+           "errors")
 
 
 @pytest.mark.parametrize(
@@ -22,6 +27,22 @@ def test_star_import(name):
     namespace = {}
     exec(f"from drivendelta.{name} import *", namespace)
     assert set(namespace) - {"__builtins__"}
+
+
+def _readme_references():
+    """Each ``<module>.<name>`` inside a code span of the README."""
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    reference = re.compile(r"(?<![\w.])(%s)\.([A-Za-z_]\w*)" % "|".join(MODULES))
+    return sorted({match for span in re.findall(r"`([^`]+)`", text)
+                   for match in reference.findall(span)})
+
+
+def test_readme_names_only_what_exists():
+    references = _readme_references()
+    assert len(references) >= 10
+    missing = [f"{module}.{name}" for module, name in references
+               if not hasattr(importlib.import_module(f"drivendelta.{module}"), name)]
+    assert missing == []
 
 
 def _scipy_after(argv, tmp_path):

@@ -9,16 +9,13 @@ from drivendelta.adiabatic import (
     quasi_energy_averaged,
     rate_cycle_averaged,
 )
-from drivendelta.errors import DegeneratePathError
-from drivendelta.model import drive, from_dimensionless
+from drivendelta.model import drive, from_dimensionless, volkov_action
 from drivendelta.semiclassical import (
     SurvivalAmplitude,
     _burst_starts,
-    action,
     action_by_quadrature,
     branched_sqrt,
     ionization_rate,
-    make_path,
     rate_between_cycles,
     survival_amplitude,
     tunnel_start_time,
@@ -88,82 +85,83 @@ def test_branch_continuity_along_burst_index():
 
 
 # ----------------------------------------------------------------------
-# paths and actions
+# actions
 # ----------------------------------------------------------------------
 
-def test_make_path_trivial_cycle():
-    path = make_path(0.0, 2.0 * math.pi, 0.0, 0.0)
-    assert path.v0 == pytest.approx(0.0, abs=1e-16)
-    ts = np.linspace(0.0, 2.0 * math.pi, 64)
-    assert np.allclose(path.position(ts), 1.0 - np.cos(ts), atol=1e-15)
+def _closed_form_action(t_start, t_end, y=0.0, x=0.0):
+    return volkov_action(drive(t_end), drive(t_start), x, y)
 
 
-def test_make_path_endpoint_invariants():
+def test_action_by_quadrature_matches_volkov_action_at_random_endpoints():
+    # the reference quadrature builds its own path; an endpoint it misses
+    # would change the action it integrates
     rng = np.random.default_rng(5)
-    for _ in range(100):
+    for _ in range(50):
         ti = complex(rng.normal(), rng.normal())
         tf = ti + complex(rng.uniform(0.5, 8.0), rng.normal())
-        y, x = rng.normal(), rng.normal()
-        path = make_path(ti, tf, y, x)
-        assert abs(path.position(ti) - y) < 1e-12
-        assert abs(path.position(tf) - x) < 1e-12
+        y, x = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+        s_closed = _closed_form_action(ti, tf, y, x)
+        s_quad = action_by_quadrature(ti, tf, y, x)
+        assert abs(s_quad - s_closed) <= 1e-12 * abs(s_closed)
 
 
-def test_make_path_tunneling_example():
+def test_tunneling_path_emission_velocity():
+    # the path from (0, t0) to (0, 2*pi) drifts at v0; sin(t0) carries
+    # exactly i*gamma and v0 adds only the finite-time correction
     t0 = tunnel_start_time(0.7)
-    path = make_path(t0, 2.0 * math.pi, 0.0, 0.0)
-    expected_v0 = (1.0 - math.sqrt(1.49)) / (2.0 * math.pi - t0)
-    assert path.v0 == pytest.approx(expected_v0, rel=1e-14)
-    # emission velocity: sin(t0) carries exactly i*gamma; the drift v0 adds
-    # only the finite-time correction
-    assert cmath.sin(t0).imag == pytest.approx(0.7, abs=1e-14)
-    assert path.velocity(t0).imag == pytest.approx(0.7, rel=2e-2)
+    end, start = drive(2.0 * math.pi), drive(t0)
+    v0 = (end.cos - start.cos) / (end.t - start.t)
+    assert v0 == pytest.approx((1.0 - math.sqrt(1.49)) / (2.0 * math.pi - t0),
+                               rel=1e-14)
+    assert start.sin.imag == pytest.approx(0.7, abs=1e-14)
+    assert (start.sin + v0).imag == pytest.approx(0.7, rel=2e-2)
 
 
-def test_make_path_degenerate():
-    with pytest.raises(DegeneratePathError):
-        make_path(1.0, 1.0, 0.0, 0.5)
+def test_action_by_quadrature_degenerate():
+    with pytest.raises(ValueError):
+        action_by_quadrature(1.0, 1.0, 0.0, 0.5)
 
 
 def test_relevant_path_stays_off_origin():
-    path = make_path(0.0, 2.0 * math.pi, 0.0, 0.0)
+    # the packet path from (0, 0) to (0, 2*pi) has no drift, so it is
+    # x = 1 - cos t; it does not return to the delta at the origin between
+    # its endpoints, which is why volkov_propagator carries no delta phase
+    end, start = drive(2.0 * math.pi), drive(0.0)
+    assert (end.cos - start.cos) / (end.t - start.t) == pytest.approx(0.0, abs=1e-16)
     ts = np.linspace(1e-3, 2.0 * math.pi - 1e-3, 2001)
-    assert np.all(np.real(path.position(ts)) > 0.0)
+    assert np.all(1.0 - np.cos(ts) > 0.0)
 
 
 def test_action_classical_cycle_is_minus_z_tf():
     # S/h = -z*t_f along x = 1 - cos t, the phase behind channel closing
     for n in (1, 2, 3):
         t_f = 2.0 * math.pi * n
-        path = make_path(0.0, t_f, 0.0, 0.0)
         for z in (5.0, 10.0, 14.0):
             params = from_dimensionless(0.7, z)
-            assert action(path) / params.h == pytest.approx(-z * t_f, rel=1e-12)
+            assert (_closed_form_action(0.0, t_f) / params.h
+                    == pytest.approx(-z * t_f, rel=1e-12))
 
 
 def test_action_degenerate_limit():
     vals = []
     for eps in (1e-2, 1e-4, 1e-6):
-        path = make_path(1.0, 1.0 + eps, 0.2, 0.2)
-        vals.append(abs(action(path)))
+        vals.append(abs(_closed_form_action(1.0, 1.0 + eps, 0.2, 0.2)))
     assert vals[0] > vals[1] > vals[2]
     assert vals[-1] < 1e-5
 
 
 def test_action_closed_form_vs_quadrature_tunneling():
     t0 = tunnel_start_time(0.7)
-    path = make_path(t0, 2.0 * math.pi, 0.0, 0.0)
-    s_closed = action(path)
-    s_quad = action_by_quadrature(path)
+    s_closed = _closed_form_action(t0, 2.0 * math.pi)
+    s_quad = action_by_quadrature(t0, 2.0 * math.pi)
     assert abs(s_closed - s_quad) / abs(s_closed) < 1e-12
 
 
 def test_action_contour_independence():
     t0 = tunnel_start_time(0.7)
-    path = make_path(t0, 2.0 * math.pi, 0.0, 0.0)
-    straight = action_by_quadrature(path)
+    straight = action_by_quadrature(t0, 2.0 * math.pi)
     # down to the real axis first, then along it
-    dogleg = action_by_quadrature(path, waypoints=[0.0, 1.0])
+    dogleg = action_by_quadrature(t0, 2.0 * math.pi, waypoints=[0.0, 1.0])
     assert abs(straight - dogleg) / abs(straight) < 1e-8
 
 
@@ -179,7 +177,7 @@ def test_volkov_short_time_spreading_scale():
 
 
 def test_volkov_degenerate_duration():
-    with pytest.raises(DegeneratePathError):
+    with pytest.raises(ValueError):
         volkov_propagator(0.0, 1.0, 0.0, 1.0, P07)
 
 
@@ -203,8 +201,7 @@ def test_volkov_branched_sheet_for_complex_start():
     t0 = tunnel_start_time(0.7)
     t_f = 2.0 * math.pi
     u = volkov_propagator(0.0, t_f, 0.0, t0, P07)
-    path = make_path(t0, t_f, 0.0, 0.0)
-    expected = np.exp(1j * action(path) / P07.h) / branched_sqrt(
+    expected = np.exp(1j * _closed_form_action(t0, t_f) / P07.h) / branched_sqrt(
         2j * math.pi * P07.h * (t_f - t0))
     assert u == pytest.approx(expected, rel=1e-14)
 
@@ -269,8 +266,7 @@ def test_zeta_matches_contour_integrated_action(gamma, z):
     t_f = amp.t_f
     for term in amp.packet_terms:
         start = t0 + term.k * math.pi
-        path = make_path(start, t_f, 0.0, 0.0)
-        s_num = action_by_quadrature(path)
+        s_num = action_by_quadrature(start, t_f)
         zeta_num = 1j * s_num / params.h - 1j * e_m * start / params.h
         assert abs(term.zeta - zeta_num) / abs(zeta_num) < 1e-8
 
@@ -300,8 +296,7 @@ def test_phase_bookkeeping_channel_closing():
     for z in (5.0, 10.0, 14.5):
         params = from_dimensionless(0.7, z)
         bound_phase = -(-0.5 * params.gamma**2) * t_f / params.h
-        path = make_path(0.0, t_f, 0.0, 0.0)
-        packet_phase = action_by_quadrature(path).real / params.h
+        packet_phase = action_by_quadrature(0.0, t_f).real / params.h
         diff = bound_phase - packet_phase
         assert diff == pytest.approx(2.0 * math.pi * (params.n_io + params.z),
                                      rel=1e-8)
