@@ -117,6 +117,17 @@ def test_tunneling_path_emission_velocity():
     assert (start.sin + v0).imag == pytest.approx(0.7, rel=2e-2)
 
 
+def test_make_path_trivial_cycle():
+    # the path from (0, 0) to (0, 2*pi) has no drift, so it is x = 1 - cos t,
+    # whose action is the integral of sin^2 t/2 + (1 - cos t) cos t = -pi/2
+    end, start = drive(2.0 * math.pi), drive(0.0)
+    assert (end.cos - start.cos) / (end.t - start.t) == pytest.approx(0.0, abs=1e-16)
+    assert action_by_quadrature(0.0, 2.0 * math.pi) == pytest.approx(-0.5 * math.pi,
+                                                                      abs=1e-14)
+    assert _closed_form_action(0.0, 2.0 * math.pi) == pytest.approx(-0.5 * math.pi,
+                                                                     abs=1e-14)
+
+
 def test_action_by_quadrature_degenerate():
     with pytest.raises(ValueError):
         action_by_quadrature(1.0, 1.0, 0.0, 0.5)
