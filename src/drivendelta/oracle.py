@@ -17,31 +17,13 @@ ground-state overlaps are one closed form, _two_sided_overlap: a Gaussian in
 the free end point against the two-sided exponential bound state, through
 the scaled complementary error function of complex argument.
 
-The time march uses product integration: on each panel the regular factor is
-interpolated linearly and integrated exactly against (t-s)^(-1/2), which
-keeps the scheme stable and of empirical order ~2 despite the singularity.
-The weights are second differences of lag^(3/2); evaluated as differences
-they lose digits like eps*lag^2 (4e-9 relative at lag 4000), so beyond the
-first few lags they are summed as binomial series in 1/lag and keep every
-digit.
-
-Between (0, s) and (0, t) the action is two separable phases,
-phi(t) - phi(s), and one coupled term, so the march solves for
-F = exp(-i*phi/h)*f and each kernel entry costs one real phase x, the
-coupled term over h, and one exp(i*x), taken from a 4096-entry table and a
-short Taylor remainder (see _march).
-
-The history sum is a lower-triangular matrix of n(n+1)/2 pairs.  The march
-solves the rows in halves, recursively, and adds the solved left half's
-pull on the right half before solving that.  Near the diagonal the kernel
-is summed densely: rows in blocks of 32, their history in 32 x 256 tiles
-that stay in cache.  A block of at least 320 rows and columns whose
-distance from the diagonal is at least its size is numerically of low rank
-(9 to 31 at 1e-13 for z = 8 to 12), and adaptive cross approximation
-builds it from that many rows and columns.  Marches of fewer than 1279
-steps are all dense.  At z = 8 over two cycles (7,882 steps) the march
-evaluates 6.6 million kernel entries instead of 31 million pairs, and F
-stays within 3e-13*sqrt(gamma/h) of the dense march on the same weights.
+The time march uses product integration (_weights), stable and of
+empirical order ~2 despite the singularity, and a kernel entry costs one
+real phase x and one table-driven exp(i*x) (_march, _Cis).  The history
+sum, n(n+1)/2 pairs, is solved in halves, recursively: densely near the
+diagonal, in tiles that stay in cache, and far from it, where the kernel is
+analytic in both times, through its interpolant at p x p Chebyshev points
+(_Kernel.far).  README.md gives the costs.
 """
 
 from __future__ import annotations
@@ -143,9 +125,9 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
 class VolterraGrid:
     """Solved boundary function psi(0, t_j) on a uniform grid.
 
-    ``kernel_evals`` counts the kernel entries the solve evaluated, dense
-    tiles and compressed blocks' crosses together (the ``tolerance=``
-    companion included); the dense march has n(n+1)/2 pairs.
+    ``kernel_evals`` counts the kernel entries the solve evaluated (the
+    ``tolerance=`` companion included): each exact entry, and q*q for each
+    q x q core a far block tried (_Kernel.far); the dense march has n(n+1)/2.
     """
 
     params: ModelParams
@@ -190,8 +172,9 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     """
     if dt is None:
         dt = default_time_step(params)
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive, got dt={dt!r}")
+    for name, value in (("t_f", t_f), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive, got {name}={value!r}")
     gamma, h = params.gamma, params.h
     try:
         n = int(math.ceil(t_f / dt - 1e-12))
@@ -286,15 +269,10 @@ class _Cis:
 # in tiles of _BLOCK x _TILE kernel pairs (128 KiB of complex per buffer)
 _BLOCK = 32
 _TILE = 256
-# the history is split into a hierarchy of blocks (see _partition): the
-# leaves, and blocks closer to the diagonal than their own size, stay dense;
-# a block of at least _FAR rows and columns whose gap is at least its size
-# is compressed by adaptive cross approximation, stopped once the last cross
-# is below _ACA_TOL of the approximation (Frobenius norms).  At z = 2.5 to
-# 12 a far block of 256 cost about as much compressed as dense, one of 320
-# half as much, so marches of fewer than 4*_FAR - 1 steps stay dense.
+# a far block (see _blocks) has at least _FAR rows and columns, so marches of
+# fewer than 4*_FAR - 1 steps are all dense; _Kernel.far interpolates it.
 _FAR = 320
-_ACA_TOL = 1e-13
+_CHEB_TOL = 1e-13
 
 # (1 + u)^(3/2) = sum_m binom[m] u^m for |u| < 1, through u^22.  From lag
 # _SERIES_FROM on, w_mid and w_first are (4/3)*L^(3/2) times these series in
@@ -307,6 +285,11 @@ _MID_SERIES = np.where(np.arange(21) % 2 == 0, 2.0 * _BINOM[:21], 0.0)
 _MID_SERIES[0] = 0.0
 _FIRST_SERIES = _BINOM * (-1.0) ** np.arange(_BINOM.size)
 _FIRST_SERIES[:2] = 0.0
+
+
+def _series_weight(lags, series):
+    """w_mid or w_first over sqrt(dt) at real lags L >= _SERIES_FROM."""
+    return (4.0 / 3.0) * lags ** 1.5 * np.polynomial.polynomial.polyval(1.0 / lags, series)
 
 
 def _weights(n, dt):
@@ -329,10 +312,8 @@ def _weights(n, dt):
     w_mid[1:] = (4.0 / 3.0) * (p[2:] - 2.0 * p[1:-1] + p[:-2])
     w_first = np.zeros(n + 1)
     w_first[1:] = 2.0 * np.sqrt(lags[1:]) - (4.0 / 3.0) * (p[1:-1] - p[:-2])
-    big = lags[_SERIES_FROM:]
-    scale = (4.0 / 3.0) * big ** 1.5
-    w_mid[_SERIES_FROM:] = scale * np.polynomial.polynomial.polyval(1.0 / big, _MID_SERIES)
-    w_first[_SERIES_FROM:] = scale * np.polynomial.polynomial.polyval(1.0 / big, _FIRST_SERIES)
+    w_mid[_SERIES_FROM:] = _series_weight(lags[_SERIES_FROM:], _MID_SERIES)
+    w_first[_SERIES_FROM:] = _series_weight(lags[_SERIES_FROM:], _FIRST_SERIES)
     root = math.sqrt(dt)
     return root * w_mid, root * w_first, (4.0 / 3.0) * root
 
@@ -354,45 +335,108 @@ def _lagged(windows, lag0, rows, cols):
     return windows[top - rows + 1:top + 1][::-1, :cols]
 
 
-def _cross_approximation(row, col, m, k):
-    """Partially pivoted adaptive cross approximation of an m x k block.
+def _chebyshev_points(p):
+    """p Chebyshev points of the 2nd kind, 1 to -1: every 2nd of 2p - 1, bit for bit."""
+    return np.sin(0.5 * np.pi * np.arange(p - 1, -p, -2) / (p - 1))
 
-    ``row(a)`` and ``col(b)`` return one row and one column of the block,
-    possibly in a buffer that the next call overwrites; each is copied into
-    V or U before the next is asked for.  Returns (U, V) with block
-    ~ U.T @ V, or None once the rank grows past the point where the crosses
-    cost as much as the dense block.  The stopping rule is Bebendorf's:
-    |u_r|*|v_r| <= _ACA_TOL * |U.T @ V|_F.
-    """
-    limit = m * k // (4 * (m + k))
-    # room for 32 crosses (the ranks seen are 9 to 31), doubled when full
-    big_u = np.empty((min(limit, 32), m), dtype=complex)
-    big_v = np.empty((min(limit, 32), k), dtype=complex)
-    unused = np.ones(m, dtype=bool)
-    norm2 = 0.0
-    a = 0
-    for r in range(limit):
-        if r == len(big_u):
-            big_u = np.concatenate((big_u, np.empty_like(big_u)))
-            big_v = np.concatenate((big_v, np.empty_like(big_v)))
-        unused[a] = False
-        u, v = big_u[r], big_v[r]
-        v[:] = row(a)
-        v -= np.einsum("l,lk->k", big_u[:r, a], big_v[:r])
-        b = int(np.argmax(np.abs(v)))
-        if v[b] == 0.0:
-            return None
-        v /= v[b]
-        u[:] = col(b)
-        u -= np.einsum("l,lm->m", big_v[:r, b], big_u[:r])
-        cross = (np.vdot(u, u) * np.vdot(v, v)).real
-        overlap = (np.einsum("lm,m->l", big_u[:r], u.conj())
-                   * np.einsum("lk,k->l", big_v[:r], v.conj()))
-        norm2 += cross + 2.0 * overlap.sum().real
-        if cross <= _ACA_TOL**2 * norm2:
-            return big_u[:r + 1], big_v[:r + 1]
-        a = int(np.argmax(np.where(unused, np.abs(u), -1.0)))
-    return None
+
+def _barycentric(p, lo, hi, x):
+    """The len(x) x p matrix that interpolates from the p Chebyshev points of
+    [lo, hi] to x (second barycentric formula); a node's own point gets its unit row."""
+    weights = np.where(np.arange(p) % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    m = np.subtract.outer((2.0 * x - (lo + hi)) / (hi - lo), _chebyshev_points(p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights, m, out=m)
+        m /= m.sum(axis=1, keepdims=True)
+    m[np.isnan(m)] = 1.0  # on a node: inf/inf, and 0 beside it
+    return m
+
+
+def _real_times(matrix, z):
+    """matrix @ z, real by complex, in one thread: BLAS would busy every CPU."""
+    return (np.einsum("ij,j...->i...", matrix, z.real)
+            + 1j * np.einsum("ij,j...->i...", matrix, z.imag))
+
+
+class _Kernel:
+    """The kernel W_ji * exp(i*x_ji) of a march on the grid t (see _march).
+
+    Called with (j0, j1, i0, i1), it evaluates rows j0..j1-1 against columns
+    i0..i1-1 into a buffer that the next call overwrites; ``evals`` counts
+    entries as VolterraGrid.kernel_evals does."""
+
+    def __init__(self, t, dt, h, driven):
+        n = t.size - 1
+        self.dt, self.h, self.driven, self.evals = dt, h, driven, 0
+        self.nodes = drive(t, driven)
+        w_mid, self.w_first, self.w_diag = _weights(n, dt)
+        inv = np.r_[0.0, 1.0 / (2.0 * h * (dt * np.arange(1, n + 1)))]
+        self.w_lags, self.inv_lags = _lag_windows(w_mid), _lag_windows(inv)
+        # a far block's exact column 0 is shorter than the history.  As one
+        # block the work buffers stay with the allocator between solves; as
+        # several, glibc returned them: 10,000 page faults per 41-point scan
+        work = np.empty((_Cis.ROWS + 3, max(_BLOCK * _TILE, n + 1)))
+        self.cis = _Cis(work[:_Cis.ROWS])
+        self.x_buf = work[_Cis.ROWS]
+        self.k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
+
+    def __call__(self, j0, j1, i0, i1):
+        shape = (j1 - j0, i1 - i0)
+        size = shape[0] * shape[1]
+        self.evals += size
+        x = self.x_buf[:size].reshape(shape)
+        np.subtract(self.nodes.cos[j0:j1, None], self.nodes.cos[i0:i1], out=x)
+        np.multiply(x, x, out=x)
+        np.multiply(x, _lagged(self.inv_lags, j0 - i0, *shape), out=x)
+        weight = _lagged(self.w_lags, j0 - i0, *shape)
+        if i0 == 0:
+            weight = weight.copy()
+            weight[:, 0] = self.w_first[j0:j1]
+        # cis runs faster on flat, contiguous operands: a tile's Toeplitz
+        # view of the weights flattens to a copy
+        return self.cis(x.reshape(size), weight.reshape(size),
+                        out=self.k_buf[:size]).reshape(shape)
+
+    def core(self, q, j0, j1, i0, i1):
+        """The kernel at q x q Chebyshev points of rows j0..j1-1 and columns
+        i0..i1-1, at real lags, and its largest phase."""
+        self.evals += q * q
+        x = 0.5 + 0.5 * _chebyshev_points(q)
+        rows, cols = j0 + (j1 - j0 - 1) * x, i0 + (i1 - i0 - 1) * x
+        lag = rows[:, None] - cols
+        cos = drive(self.dt * np.concatenate((rows, cols)), self.driven).cos
+        phase = (cos[:q, None] - cos[q:]) ** 2 / (2.0 * self.h * self.dt * lag)
+        weight = math.sqrt(self.dt) * _series_weight(lag, _MID_SERIES)
+        return weight * np.exp(1j * phase), float(phase.max())
+
+    def far(self, j0, j1, i0, i1, f):
+        """K[j0:j1, i0:i1] @ f for a far block, as rows @ C @ cols.T @ f.
+
+        C is the kernel at p x p Chebyshev points of the block.  p = 17, 33,
+        65, ... grows until C meets the next core, which nests C, between C's
+        points to _CHEB_TOL * max(1, x) * max|core|: the rounding error of
+        exp(i*x) grows with the largest phase x.  Column 0 carries w_first,
+        not w_mid, and is summed exactly.
+        """
+        p = 17
+        while 2 * p - 1 <= min(j1 - j0, i1 - i0):
+            fine, x_max = self.core(2 * p - 1, j0, j1, i0, i1)
+            core = fine[::2, ::2]
+            mid = _barycentric(p, -1.0, 1.0, _chebyshev_points(2 * p - 1)[1::2])
+            interp = _real_times(mid, _real_times(mid, core).T).T
+            err = np.max(np.abs(interp - fine[1::2, 1::2]))
+            if not err > _CHEB_TOL * max(1.0, x_max) * np.max(np.abs(fine)):
+                break
+            p = 2 * p - 1
+        else:
+            raise ConvergenceError("the kernel's Chebyshev interpolant did not "
+                                   f"converge on the far block {(j0, j1, i0, i1)}")
+        skip = int(i0 == 0)
+        cols = _barycentric(p, i0, i1 - 1, np.arange(i0 + skip, i1)).T
+        v = np.einsum("ij,j->i", core, _real_times(cols, f[skip:]))
+        out = _real_times(_barycentric(p, j0, j1 - 1, np.arange(j0, j1)), v)
+        return out + self(j0, j1, 0, 1)[:, 0] * f[0] if skip else out
 
 
 def _partition(lo, hi):
@@ -439,58 +483,19 @@ def _march(t, dt, n, gamma, h, driven):
     with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  The steps
     come from _partition: a leaf is marched in blocks of _BLOCK rows, its
     own history reduced in tiles, the triangle inside a block row by row;
-    a dense block is summed in tiles; a far block is summed through its
-    cross approximation, or in tiles should that not converge.
+    a dense block is summed in tiles; a far block through _Kernel.far.
     """
-    nodes = drive(t, driven)
-    cos_t = nodes.cos
-    rot = np.exp((1j / h) * nodes.phi)  # f = rot * F
-
-    w_mid, w_first, w_diag = _weights(n, dt)
-    inv = np.zeros(n + 1)
-    inv[1:] = 1.0 / (2.0 * h * (dt * np.arange(1, n + 1)))
-    w_lags, inv_lags = _lag_windows(w_mid), _lag_windows(inv)
+    kernel = _Kernel(t, dt, h, driven)
+    rot = np.exp((1j / h) * kernel.nodes.phi)  # f = rot * F
 
     coupling = 1j * gamma / np.sqrt(2j * np.pi * h)
-    denom = 1.0 - coupling * w_diag
+    denom = 1.0 - coupling * kernel.w_diag
 
     big_g = np.empty(n + 1, dtype=complex)
     big_g[0] = math.sqrt(gamma / h)
     # g(t) = (U(t, 0) psi0)(x = 0)
     big_g[1:] = (_two_sided_overlap(drive(t[1:], driven), drive(0.0, driven),
                                     gamma, h, x=0.0) * np.conj(rot[1:]))
-
-    # cross approximations need whole rows and columns of far blocks.  All
-    # work buffers of a solve are one block: freed as one chunk, it stays
-    # with the allocator for the next solve.  As separate buffers, glibc
-    # gave their pages back to the system after each solve and faulted
-    # them in again, about 10,000 page faults per 41-point oracle scan.
-    room = max(_BLOCK * _TILE, n + 1)
-    work = np.empty((_Cis.ROWS + 3, room))
-    cis = _Cis(work[:_Cis.ROWS])
-    x_buf = work[_Cis.ROWS]
-    k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
-    evals = 0
-
-    def kernel(j0, j1, i0, i1):
-        # W_ji * exp(i*x_ji) for rows j0..j1-1 against columns i0..i1-1, in
-        # k_buf: the next call overwrites it
-        nonlocal evals
-        shape = (j1 - j0, i1 - i0)
-        size = shape[0] * shape[1]
-        evals += size
-        x = x_buf[:size].reshape(shape)
-        np.subtract(cos_t[j0:j1, None], cos_t[i0:i1], out=x)
-        np.multiply(x, x, out=x)
-        np.multiply(x, _lagged(inv_lags, j0 - i0, *shape), out=x)
-        weight = _lagged(w_lags, j0 - i0, *shape)
-        if i0 == 0:
-            weight = weight.copy()
-            weight[:, 0] = w_first[j0:j1]
-        # cis runs faster on flat, contiguous operands: the weight of a row
-        # or column flattens to a view, a tile's Toeplitz view to a copy
-        return cis(x.reshape(size), weight.reshape(size),
-                   out=k_buf[:size]).reshape(shape)
 
     big_f = np.empty(n + 1, dtype=complex)
     big_f[0] = big_g[0]
@@ -504,18 +509,6 @@ def _march(t, dt, n, gamma, h, driven):
                 acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
                                         big_f[c0:c1])
 
-    def far(j0, j1, i0, i1):
-        # False when the cross approximation does not converge
-        uv = _cross_approximation(
-            lambda a: kernel(j0 + a, j0 + a + 1, i0, i1)[0],
-            lambda b: kernel(j0, j1, i0 + b, i0 + b + 1)[:, 0],
-            j1 - j0, i1 - i0)
-        if uv is None:
-            return False
-        acc[j0:j1] += np.einsum("lm,l->m", uv[0],
-                                np.einsum("lk,k->l", uv[1], big_f[i0:i1]))
-        return True
-
     for kind, *span in _partition(0, n + 1):
         if kind == "leaf":
             lo, hi = span
@@ -526,9 +519,11 @@ def _march(t, dt, n, gamma, h, driven):
                 for a, j in enumerate(range(j0, j1)):
                     total = acc[j] + np.dot(k[a, :a], big_f[j0:j])
                     big_f[j] = (big_g[j] + coupling * total) / denom
-        elif kind == "dense" or not far(*span):
+        elif kind == "dense":
             dense(*span)
-    return rot * big_f, evals
+        else:
+            acc[span[0]:span[1]] += kernel.far(*span, big_f[span[2]:span[3]])
+    return rot * big_f, kernel.evals
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ call; a scan over z costs a few array operations per burst.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ __all__ = [
     "ionization_rate",
     "rate_between_cycles",
 ]
+
+# Gauss-Legendre rules, built on first use: leggauss(240) takes about 10 ms
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def branched_sqrt(w):
@@ -74,7 +78,7 @@ def action_by_quadrature(t_start, t_end, y=0.0, x=0.0, waypoints=None):
         raise ValueError("path endpoints coincide in time")
     v0 = (x - y + np.cos(t_end) - np.cos(t_start)) / (t_end - t_start)
     vertices = [t_start] + list(waypoints or []) + [t_end]
-    xs, ws = np.polynomial.legendre.leggauss(240)
+    xs, ws = _gauss_legendre(240)
     total = 0.0 + 0.0j
     for a, b in zip(vertices[:-1], vertices[1:]):
         t = a + (b - a) * (xs + 1.0) / 2.0

@@ -12,7 +12,9 @@ from drivendelta.oracle import (
     _BLOCK,
     _FAR,
     _Cis,
-    _cross_approximation,
+    _Kernel,
+    _barycentric,
+    _chebyshev_points,
     _free_evolution_overlap,
     _two_sided_overlap,
     _march,
@@ -250,7 +252,7 @@ def _march_deviation(params, t_f, n, driven=True):
     f, kernel_evals = _march(*args)
     # the dense march evaluates every pair, plus the upper halves of its
     # diagonal tiles; from n + 1 = 4 * _FAR nodes on, far blocks are
-    # compressed and fewer entries than pairs are evaluated
+    # interpolated and fewer entries than pairs are evaluated
     assert (kernel_evals < n * (n + 1) // 2) == (n + 1 >= 4 * _FAR)
     dev = np.max(np.abs(f - _reference_march(*args)))
     return dev / math.sqrt(params.gamma / params.h)
@@ -260,8 +262,8 @@ def _march_deviation(params, t_f, n, driven=True):
                                        pytest.param(4.0, 1, id="4.0"),
                                        pytest.param(4.0, 2, id="4.0-2cycles")])
 def test_march_matches_reference_driven(z, cycles):
-    # z = 4 compresses far blocks (n = 1971 and 3941, two and three levels
-    # of the hierarchy); measured deviations 4e-15, 9e-14 and 3e-13
+    # z = 4 interpolates far blocks (n = 1971 and 3941, two and three levels
+    # of the hierarchy); measured deviations 4e-15, 6e-14 and 1e-13
     params = from_dimensionless(0.7, z)
     t_f = 2.0 * math.pi * cycles
     n = int(math.ceil(t_f / default_time_step(params)))
@@ -279,7 +281,7 @@ def test_march_matches_reference_field_off():
 def test_march_matches_reference_block_edges(n):
     # fewer rows than one block, row counts that leave a partial block, and
     # the last dense march and the first split one (n + 1 = 4 * _FAR nodes,
-    # whose quarters are the smallest compressed blocks)
+    # whose quarters are the smallest far blocks)
     assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
 
 
@@ -319,23 +321,21 @@ def test_partition_covers_each_pair_once_in_causal_order(nodes):
     assert any(step[0] == "far" for step in _partition(0, nodes)) == (nodes >= 4 * _FAR)
 
 
-def test_kernel_evals_counts_tiles_and_crosses(monkeypatch):
+def test_kernel_evals_counts_tiles_and_cores(monkeypatch):
     import drivendelta.oracle as oracle_mod
 
-    ranks = []
-    aca = oracle_mod._cross_approximation
+    cores = []
+    core = oracle_mod._Kernel.core
 
-    def recording(row, col, m, k):
-        uv = aca(row, col, m, k)
-        ranks.append(len(uv[0]))
-        return uv
+    def recording(self, q, *span):
+        cores.append(q)
+        return core(self, q, *span)
 
-    monkeypatch.setattr(oracle_mod, "_cross_approximation", recording)
+    monkeypatch.setattr(oracle_mod._Kernel, "core", recording)
     params = from_dimensionless(0.7, 4.0)
     grid = solve_boundary_function(params, 4.0 * math.pi)
     n = grid.n_steps
-    expected = 0
-    far = iter(ranks)
+    expected = sum(q * q for q in cores)
     for kind, *span in _partition(0, n + 1):
         if kind == "leaf":
             # each row block: its history in the leaf plus its square tile
@@ -345,55 +345,72 @@ def test_kernel_evals_counts_tiles_and_crosses(monkeypatch):
                 expected += rows * (j0 - lo) + rows * rows
         else:
             j0, j1, i0, i1 = span
-            size = (j1 - j0, i1 - i0)
-            expected += next(far) * sum(size) if kind == "far" else size[0] * size[1]
-    assert ranks and next(far, None) is None
+            if kind == "dense":
+                expected += (j1 - j0) * (i1 - i0)
+            elif i0 == 0:
+                expected += j1 - j0  # the exact column 0
+    # each far block evaluates at least the cores of p = 17 and p = 33
+    assert len(cores) >= 2 * sum(step[0] == "far" for step in _partition(0, n + 1))
     assert grid.kernel_evals == expected < n * (n + 1) // 2
 
 
-def test_cross_approximation_grows_its_factors_and_stops_at_its_rank_limit():
-    # random complex 400 x 400 blocks of known rank, fed row by row and
-    # column by column; the limit is m*k // (4*(m + k)) = 50 crosses
-    rng = np.random.default_rng(11)
-    m = k = 400
-
-    def block(rank):
-        u = rng.normal(size=(rank, m)) + 1j * rng.normal(size=(rank, m))
-        v = rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
-        return u.T @ v
-
-    exact = block(40)
-    u, v = _cross_approximation(lambda a: exact[a], lambda b: exact[:, b], m, k)
-    # past the 32 crosses the factors start with; the 41st is below tolerance
-    assert len(u) == len(v) == 41
-    assert np.linalg.norm(u.T @ v - exact) / np.linalg.norm(exact) < 1e-12
-    exact = block(60)
-    assert _cross_approximation(lambda a: exact[a], lambda b: exact[:, b],
-                                m, k) is None
+@pytest.mark.parametrize("p", [17, 33])
+def test_barycentric_matrix_is_exact_on_polynomials_below_degree_p(p):
+    # rows 1000..1320 of a block: both edges are nodes, and so is the middle
+    # row, 1160, since 0 is a node for odd p
+    rows = np.arange(1000, 1321)
+    coef = np.random.default_rng(5).normal(size=p)
+    m = _barycentric(p, 1000, 1320, rows)
+    at_nodes = np.polynomial.chebyshev.chebval(_chebyshev_points(p), coef)
+    exact = np.polynomial.chebyshev.chebval((rows - 1160) / 160, coef)
+    assert np.max(np.abs(m @ at_nodes - exact)) < 1e-13 * np.max(np.abs(exact))
+    for row, node in ((0, p - 1), (160, p // 2), (320, 0)):
+        assert np.array_equal(m[row], np.eye(p)[node])
+        assert (m @ at_nodes)[row] == at_nodes[node]
 
 
-def test_far_blocks_fall_back_to_dense_tiles(monkeypatch):
-    # a far block whose cross approximation does not converge is summed on
-    # the dense tiles, so the march evaluates every entry the dense march does
-    import drivendelta.oracle as oracle_mod
+def _assert_far_block_matches_exact(kernel, span):
+    # against column 0, the middle and last columns, and a random vector;
+    # |K @ f| <= max|K| * sum|f| sets the scale
+    j0, j1, i0, i1 = span
+    exact = np.array([kernel(j, j + 1, i0, i1)[0].copy() for j in range(j0, j1)])
+    k = i1 - i0
+    phases = np.exp(2j * np.pi * np.random.default_rng(7).random(k))
+    for f in (np.eye(k)[0], np.eye(k)[k // 2], np.eye(k)[-1], phases):
+        err = np.max(np.abs(kernel.far(*span, f) - exact @ f))
+        assert err <= 1e-12 * np.max(np.abs(exact)) * np.sum(np.abs(f))
 
-    declined = []
 
-    def no_cross(row, col, m, k):
-        declined.append((m, k))
-
-    monkeypatch.setattr(oracle_mod, "_cross_approximation", no_cross)
+def test_far_blocks_match_their_exact_blocks_column_0_included():
+    # column 0 carries w_first, about half of the w_mid that the core
+    # interpolates: without its exact column a block is off by ~0.5
     params = from_dimensionless(0.7, 4.0)
-    t_f = 4.0 * math.pi
-    n = int(math.ceil(t_f / default_time_step(params)))
-    assert n == 3941
-    dt = t_f / n
-    args = (dt * np.arange(n + 1), dt, n, params.gamma, params.h, True)
-    f, kernel_evals = _march(*args)
-    assert declined
-    assert kernel_evals == 7_832_398
-    scale = math.sqrt(params.gamma / params.h)
-    assert np.max(np.abs(f - _reference_march(*args))) / scale < 1e-12
+    n = 1971
+    dt = 2.0 * math.pi / n
+    kernel = _Kernel(dt * np.arange(n + 1), dt, params.h, True)
+    far = [tuple(span) for kind, *span in _partition(0, n + 1) if kind == "far"]
+    assert any(i0 == 0 for _, _, i0, _ in far)
+    for span in far:
+        _assert_far_block_matches_exact(kernel, span)
+
+
+def test_p_choice_stops_at_the_rounding_floor(monkeypatch):
+    # a far block at z = 12 over two cycles with phases up to 24: its
+    # interpolation error plateaus at 1.2e-13 to 1.6e-13 of its largest
+    # entry, so p stops only because the floor grows with the phase
+    params = from_dimensionless(0.7, 12.0)
+    n = int(math.ceil(4.0 * math.pi / default_time_step(params)))
+    dt = 4.0 * math.pi / n
+    kernel = _Kernel(dt * np.arange(n + 1), dt, params.h, True)
+    span = (10715, 11085, 9976, 10346)
+    assert ("far", *span) in _partition(0, n + 1)
+    _assert_far_block_matches_exact(kernel, span)
+    # with the phase taken out of the rule, p grows until 2p - 1 passes
+    # the block's side
+    core = _Kernel.core
+    monkeypatch.setattr(_Kernel, "core", lambda *args: (core(*args)[0], 0.0))
+    with pytest.raises(ConvergenceError, match="did not converge on the far block"):
+        kernel.far(*span, np.ones(370))
 
 
 def test_weights_against_decimal_reference():
@@ -481,6 +498,12 @@ def test_solve_rejects_a_step_that_is_not_positive_and_finite(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
                                 dt=dt)
+
+
+@pytest.mark.parametrize("t_f", [0.0, -1.0, math.nan, math.inf])
+def test_solve_rejects_a_final_time_that_is_not_positive_and_finite(t_f):
+    with pytest.raises(ValueError, match="t_f must be positive"):
+        solve_boundary_function(from_dimensionless(0.7, 1.0), t_f)
 
 
 def test_solve_rejects_a_step_count_beyond_memory():
