@@ -380,6 +380,7 @@ class _Kernel:
         self.cis = _Cis(work[:_Cis.ROWS])
         self.x_buf = work[_Cis.ROWS]
         self.k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
+        self.matrices = {}  # far blocks' interpolation matrices, see _matrix
 
     def __call__(self, j0, j1, i0, i1):
         shape = (j1 - j0, i1 - i0)
@@ -410,6 +411,22 @@ class _Kernel:
         weight = math.sqrt(self.dt) * _series_weight(lag, _MID_SERIES)
         return weight * np.exp(1j * phase), float(phase.max())
 
+    def _matrix(self, p, size=None):
+        """The size x p barycentric matrix from p Chebyshev points of a block
+        side of ``size`` rows (or columns) to those rows; with no size, the
+        p x p midpoint matrix of the p check in :meth:`far`.
+
+        The affine map of integer rows to [-1, 1] is exact, so a matrix
+        depends on nothing else, and the solve keeps each one it builds.
+        """
+        if (p, size) not in self.matrices:
+            if size is None:
+                x, lo, hi = _chebyshev_points(2 * p - 1)[1::2], -1.0, 1.0
+            else:
+                x, lo, hi = np.arange(size), 0, size - 1
+            self.matrices[p, size] = _barycentric(p, lo, hi, x)
+        return self.matrices[p, size]
+
     def far(self, j0, j1, i0, i1, f):
         """K[j0:j1, i0:i1] @ f for a far block, as rows @ C @ cols.T @ f.
 
@@ -423,7 +440,7 @@ class _Kernel:
         while 2 * p - 1 <= min(j1 - j0, i1 - i0):
             fine, x_max = self.core(2 * p - 1, j0, j1, i0, i1)
             core = fine[::2, ::2]
-            mid = _barycentric(p, -1.0, 1.0, _chebyshev_points(2 * p - 1)[1::2])
+            mid = self._matrix(p)
             interp = _real_times(mid, _real_times(mid, core).T).T
             err = np.max(np.abs(interp - fine[1::2, 1::2]))
             if not err > _CHEB_TOL * max(1.0, x_max) * np.max(np.abs(fine)):
@@ -433,9 +450,9 @@ class _Kernel:
             raise ConvergenceError("the kernel's Chebyshev interpolant did not "
                                    f"converge on the far block {(j0, j1, i0, i1)}")
         skip = int(i0 == 0)
-        cols = _barycentric(p, i0, i1 - 1, np.arange(i0 + skip, i1)).T
+        cols = self._matrix(p, i1 - i0)[skip:].T
         v = np.einsum("ij,j->i", core, _real_times(cols, f[skip:]))
-        out = _real_times(_barycentric(p, j0, j1 - 1, np.arange(j0, j1)), v)
+        out = _real_times(self._matrix(p, j1 - j0), v)
         return out + self(j0, j1, 0, 1)[:, 0] * f[0] if skip else out
 
 
@@ -530,6 +547,43 @@ def _march(t, dt, n, gamma, h, driven):
 # ground-state projection
 # ----------------------------------------------------------------------
 
+# the projection's nodes per half of [0, t_f], uniform in u = sqrt(distance
+# to the end): at least _PROJECTION_NODES, and 2*_PROJECTION_PER_OSC
+# intervals per oscillation of the integrand where they are widest in t;
+# f between grid times is interpolated from _LAGRANGE_POINTS nodes.
+# README.md gives the error budget they meet.
+_PROJECTION_NODES = 1001
+_PROJECTION_PER_OSC = 20
+_LAGRANGE_POINTS = 6
+
+
+def _lagrange(f, dt, s):
+    """f, sampled on the uniform grid dt*arange(f.size), at the times s.
+
+    Each time takes the polynomial through the _LAGRANGE_POINTS nodes
+    around it, the window shifted inward at both ends, so it is exact on
+    quintics; a grid of fewer nodes takes all of them.
+    """
+    k = min(_LAGRANGE_POINTS, f.size)
+    pos = s / dt
+    j = np.clip(np.floor(pos).astype(int) - (k - 1) // 2, 0, f.size - k)
+    x = pos - j
+    out = np.zeros(s.shape, dtype=f.dtype)
+    for a in range(k):
+        weight = np.full(s.shape, 1.0 / math.prod(a - b for b in range(k) if b != a))
+        for b in range(k):
+            if b != a:
+                weight *= x - b
+        out += weight * f[j + a]
+    return out
+
+
+def _simpson(y, dx):
+    """Composite Simpson rule over the last axis of y, an odd number of
+    samples dx apart: scipy.integrate.simpson's even-spaced rule."""
+    return np.sum(y[..., :-2:2] + 4.0 * y[..., 1::2] + y[..., 2::2], axis=-1) * (dx / 3.0)
+
+
 def survival_probability(grid: VolterraGrid, t_f=None):
     """Survival amplitude p = <psi0|psi(t_f)> and probability w = |p|^2.
 
@@ -537,13 +591,11 @@ def survival_probability(grid: VolterraGrid, t_f=None):
     (closed-form) bound-state overlap of the kernel against the boundary
     function.  The integrand has square-root behavior at both endpoints, so
     each half of the interval is integrated in the variable sqrt(distance
-    to the endpoint), where it is smooth.
+    to the endpoint), where it is smooth, by Simpson's rule; the boundary
+    function between grid times is its local interpolant (_lagrange).
 
     ``t_f`` may pick an earlier grid time (defaults to the end of the grid).
     """
-    from scipy.integrate import simpson
-    from scipy.interpolate import CubicSpline
-
     params = grid.params
     gamma, h = params.gamma, params.h
     if t_f is None:
@@ -551,22 +603,18 @@ def survival_probability(grid: VolterraGrid, t_f=None):
     if not 0.0 < t_f <= grid.t[-1] + 1e-12:
         raise ValueError(f"t_f={t_f!r} outside the solved grid")
 
-    spline = CubicSpline(grid.t, grid.f)
     phase_rate = gamma**2 / (2.0 * h)
     n_osc = max(phase_rate * t_f, t_f) / (2.0 * math.pi)
-    m = int(max(4001, 2 * int(80 * n_osc) + 1))  # 80 nodes per oscillation
-    half = 0.5 * t_f
-    end = drive(t_f, grid.driven)
-
-    total = 0.0 + 0.0j
-    for left_half in (True, False):
-        u = np.linspace(0.0, math.sqrt(half), m)
-        t_src = u * u if left_half else t_f - u * u
-        vals = np.zeros(m, dtype=complex)
-        vals[1:] = (_two_sided_overlap(end, drive(t_src[1:], grid.driven),
-                                       gamma, h, y=0.0)
-                    * spline(t_src[1:]) * 2.0 * u[1:])
-        total += simpson(vals.real, x=u) + 1j * simpson(vals.imag, x=u)
+    m = max(_PROJECTION_NODES, 2 * int(_PROJECTION_PER_OSC * n_osc) + 1)
+    u = np.linspace(0.0, math.sqrt(0.5 * t_f), m)
+    # rows: the half from 0 and the half from t_f; u = 0 is left out, where
+    # the integrand vanishes and the second half's overlap is singular
+    t_src = np.stack((u[1:] * u[1:], t_f - u[1:] * u[1:]))
+    vals = np.zeros((2, m), dtype=complex)
+    vals[:, 1:] = (_two_sided_overlap(drive(t_f, grid.driven),
+                                      drive(t_src, grid.driven), gamma, h, y=0.0)
+                   * _lagrange(grid.f, grid.dt, t_src) * 2.0 * u[1:])
+    total = np.sum(_simpson(vals, u[1]))
 
     p = (_free_evolution_overlap(t_f, gamma, h, grid.driven)
          + 1j * gamma * total)

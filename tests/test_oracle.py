@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.interpolate import BarycentricInterpolator, CubicSpline
 from scipy.special import erfcx
 
 from drivendelta.errors import ConvergenceError
@@ -12,13 +13,16 @@ from drivendelta.oracle import (
     _BLOCK,
     _FAR,
     _Cis,
+    _LAGRANGE_POINTS,
     _Kernel,
     _barycentric,
     _chebyshev_points,
     _free_evolution_overlap,
+    _lagrange,
     _two_sided_overlap,
     _march,
     _partition,
+    _simpson,
     _weights,
     default_time_step,
     rate_between_cycles,
@@ -370,6 +374,21 @@ def test_barycentric_matrix_is_exact_on_polynomials_below_degree_p(p):
         assert (m @ at_nodes)[row] == at_nodes[node]
 
 
+def test_far_matrices_depend_only_on_p_and_block_size():
+    # a solve keeps one matrix per (p, size): the affine map of integer rows
+    # to [-1, 1] is exact, so a block anywhere on the grid, with or without
+    # its column 0, gets the same bits
+    kernel = _Kernel(np.arange(5.0), 1.0, 0.05, True)
+    m = kernel._matrix(33, 321)
+    assert kernel._matrix(33, 321) is m
+    for i0 in (0, 1000, 28673):
+        rows = np.arange(i0, i0 + 321)
+        assert np.array_equal(_barycentric(33, i0, i0 + 320, rows), m)
+        assert np.array_equal(_barycentric(33, i0, i0 + 320, rows[1:]), m[1:])
+    mid = _barycentric(33, -1.0, 1.0, _chebyshev_points(65)[1::2])
+    assert np.array_equal(kernel._matrix(33), mid)
+
+
 def _assert_far_block_matches_exact(kernel, span):
     # against column 0, the middle and last columns, and a random vector;
     # |K @ f| <= max|K| * sum|f| sets the scale
@@ -447,6 +466,99 @@ def test_cis_matches_complex_exp():
     one = _Cis(np.empty((_Cis.ROWS, 3)))(np.zeros(3))
     assert np.all(one == 1.0)
     assert np.all(one.imag == 0.0)
+
+
+# ----------------------------------------------------------------------
+# the projection against a spline-and-scipy reference
+# ----------------------------------------------------------------------
+
+def _reference_projection(grid, t_f=None, scale=16, interpolant=CubicSpline):
+    """survival_probability's p as it was computed before numpy took over:
+    a cubic spline of f and scipy's Simpson rule on max(4001,
+    2*int(80*n_osc) + 1) nodes per half, here ``scale`` times as many
+    intervals so that the reference's own quadrature error stays out of
+    the comparison."""
+    gamma, h = grid.params.gamma, grid.params.h
+    t_f = float(grid.t[-1]) if t_f is None else t_f
+    f = interpolant(grid.t, grid.f)
+    n_osc = max(gamma**2 / (2.0 * h) * t_f, t_f) / (2.0 * math.pi)
+    m = scale * (max(4001, 2 * int(80 * n_osc) + 1) - 1) + 1
+    u = np.linspace(0.0, math.sqrt(0.5 * t_f), m)
+    end = drive(t_f, grid.driven)
+    total = 0.0 + 0.0j
+    for t_src in (u * u, t_f - u * u):
+        vals = np.zeros(m, dtype=complex)
+        vals[1:] = (_two_sided_overlap(end, drive(t_src[1:], grid.driven),
+                                       gamma, h, y=0.0)
+                    * f(t_src[1:]) * 2.0 * u[1:])
+        total += simpson(vals.real, x=u) + 1j * simpson(vals.imag, x=u)
+    return _free_evolution_overlap(t_f, gamma, h, grid.driven) + 1j * gamma * total
+
+
+@pytest.mark.parametrize("gamma, z, cycles", [
+    *[(0.7, z, cycles) for z in (0.5, 0.8, 1.5, 2.5, 8.0, 12.0) for cycles in (1, 2)],
+    (0.3, 2.0, 2),
+])
+def test_projection_matches_the_spline_reference(gamma, z, cycles):
+    # measured deviations: 2e-10 to 3e-8 at gamma = 0.7, 1.8e-7 at
+    # gamma = 0.3, where the spline's own interpolation error dominates (a
+    # 4-point window would sit 1.9e-6 away there)
+    grid = solve_boundary_function(from_dimensionless(gamma, z),
+                                   2.0 * math.pi * cycles)
+    for n in range(1, cycles + 1):
+        t_f = 2.0 * math.pi * n
+        p, w = survival_probability(grid, t_f=t_f)
+        ref = _reference_projection(grid, t_f)
+        assert abs(p - ref) <= 1e-6 * abs(ref)
+        assert w == abs(p) ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_projection_on_short_grids_interpolates_through_every_node(n):
+    # n + 1 <= _LAGRANGE_POINTS nodes: one window, the polynomial through
+    # all of them, for every time of the projection
+    assert n + 1 <= _LAGRANGE_POINTS
+    t_f = 0.5 * math.pi
+    grid = solve_boundary_function(P_SMALL, t_f, dt=t_f / n)
+    assert grid.n_steps == n
+    p, _ = survival_probability(grid)
+    ref = _reference_projection(grid, interpolant=BarycentricInterpolator)
+    assert abs(p - ref) <= 1e-10 * abs(ref)
+    if n <= 3:
+        # a not-a-knot spline through at most 4 nodes is that polynomial too
+        assert abs(p - _reference_projection(grid)) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4, 5, 6, 7, 12, 40])
+def test_lagrange_interpolant_is_exact_on_polynomials(nodes):
+    # exact on quintics (on every polynomial through all nodes of a shorter
+    # grid), at every grid time, between them, and in the first and last
+    # intervals, where the window shifts inward
+    degree = min(_LAGRANGE_POINTS, nodes) - 1
+    dt = 0.37
+    rng = np.random.default_rng(nodes)
+    poly = np.polynomial.Polynomial(rng.normal(size=degree + 1)
+                                    + 1j * rng.normal(size=degree + 1))
+    end = dt * (nodes - 1)
+    s = np.concatenate((dt * np.arange(nodes), rng.uniform(0.0, end, 200 + nodes % 2),
+                        [0.1 * dt, 0.5 * dt, end - 0.5 * dt, end - 0.1 * dt]))
+    s = s.reshape(2, -1)
+    exact = poly(s)
+    value = _lagrange(poly(dt * np.arange(nodes)), dt, s)
+    assert value.shape == s.shape
+    assert np.max(np.abs(value - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_simpson_matches_scipy():
+    rng = np.random.default_rng(11)
+    for m in (3, 5, 1001, 4001):
+        y = rng.random(m)
+        dx = rng.uniform(0.1, 2.0)
+        ref = simpson(y, dx=dx)
+        assert abs(_simpson(y, dx) - ref) <= 1e-15 * ref
+    y = rng.random((2, 3, 801)) + 1j * rng.random((2, 3, 801))
+    ref = simpson(y.real, dx=0.01) + 1j * simpson(y.imag, dx=0.01)
+    assert np.all(np.abs(_simpson(y, 0.01) - ref) <= 1e-15 * np.abs(ref))
 
 
 def test_grid_refinement_differences_decrease():
