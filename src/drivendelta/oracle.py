@@ -414,7 +414,7 @@ class _Kernel:
     def _matrix(self, p, size=None):
         """The size x p barycentric matrix from p Chebyshev points of a block
         side of ``size`` rows (or columns) to those rows; with no size, the
-        p x p midpoint matrix of the p check in :meth:`far`.
+        (p - 1) x p matrix to the midpoints that :meth:`far` checks p at.
 
         The affine map of integer rows to [-1, 1] is exact, so a matrix
         depends on nothing else, and the solve keeps each one it builds.

@@ -17,6 +17,16 @@ point and the Volkov action and the rate formula were each written once:
            oracle.rate_between_cycles at (params, 1, 2), the calls compare
            made then)
 
+The oracle values alone (the scan's rates and peak in fx_scan_oracle.*,
+``Gamma_oracle`` and ``ratio`` in fx_compare.csv, ``Gamma_oracle`` in
+fx_compare_rates.json) were regenerated at commit 40b5679 ("Project the
+oracle in numpy with a node count sized to the march").  Its projection,
+a 6-point Lagrange interpolant and a numpy Simpson rule on at least 1001
+nodes per half in place of a cubic spline and scipy's Simpson rule on
+4001, moved them by up to 6.9e-9 relative, past the 1e-12 tolerance; the
+projection's own error budget is 1e-6.  Every semiclassical value is the
+one written at 024af6d.
+
 Tolerances: a semiclassical rate within 1e-12 * max|Gamma| of the scan, an
 oracle rate within 1e-12 relative; z, gamma_param, is_peak and
 nearest_threshold_k byte-identical.  The CSV files print 12 significant

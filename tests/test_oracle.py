@@ -472,17 +472,17 @@ def test_cis_matches_complex_exp():
 # the projection against a spline-and-scipy reference
 # ----------------------------------------------------------------------
 
-def _reference_projection(grid, t_f=None, scale=16, interpolant=CubicSpline):
+def _reference_projection(grid, t_f=None, interpolant=CubicSpline):
     """survival_probability's p as it was computed before numpy took over:
     a cubic spline of f and scipy's Simpson rule on max(4001,
-    2*int(80*n_osc) + 1) nodes per half, here ``scale`` times as many
+    2*int(80*n_osc) + 1) nodes per half, here with 16 times as many
     intervals so that the reference's own quadrature error stays out of
     the comparison."""
     gamma, h = grid.params.gamma, grid.params.h
     t_f = float(grid.t[-1]) if t_f is None else t_f
     f = interpolant(grid.t, grid.f)
     n_osc = max(gamma**2 / (2.0 * h) * t_f, t_f) / (2.0 * math.pi)
-    m = scale * (max(4001, 2 * int(80 * n_osc) + 1) - 1) + 1
+    m = 16 * (max(4001, 2 * int(80 * n_osc) + 1) - 1) + 1
     u = np.linspace(0.0, math.sqrt(0.5 * t_f), m)
     end = drive(t_f, grid.driven)
     total = 0.0 + 0.0j
@@ -500,7 +500,7 @@ def _reference_projection(grid, t_f=None, scale=16, interpolant=CubicSpline):
     (0.3, 2.0, 2),
 ])
 def test_projection_matches_the_spline_reference(gamma, z, cycles):
-    # measured deviations: 2e-10 to 3e-8 at gamma = 0.7, 1.8e-7 at
+    # measured deviations: 1e-10 to 3e-8 at gamma = 0.7, 1.8e-7 at
     # gamma = 0.3, where the spline's own interpolation error dominates (a
     # 4-point window would sit 1.9e-6 away there)
     grid = solve_boundary_function(from_dimensionless(gamma, z),
