@@ -194,7 +194,10 @@ def _fill_missing(z, raw, missing):
     if missing:
         good = np.isfinite(raw)
         if good.sum() < 2:
-            raise NumericError("too many engine failures to interpolate scan")
+            reasons = "".join(f"\n  z={z[i]:g}: {reason}"
+                              for i, reason in sorted(missing.items()))
+            raise NumericError("too many engine failures to interpolate scan: "
+                               f"{len(missing)} of {z.size} samples failed{reasons}")
         filled[~good] = np.interp(z[~good], z[good], raw[good])
     return filled
 

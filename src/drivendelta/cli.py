@@ -61,7 +61,7 @@ def _finite(text, what):
 def parse_range(text, require_step=True):
     """Parse start:stop:step, or start:stop (step None) if not require_step.
 
-    The start is inclusive; the grid ends before stop+step/2.
+    The start is inclusive; range_values gives the grid.
     """
     parts = [_finite(p, f"each field of the range {text!r}")
              for p in text.split(":")]
@@ -81,14 +81,20 @@ def parse_range(text, require_step=True):
 
 
 def range_values(lo, hi, step):
+    """lo + k*step for k >= 0 with k*step < (hi - lo) + step/2.
+
+    Offsets from lo are compared, since hi + step/2 rounds to hi where step
+    is below hi's last digit.
+    """
     try:
         count = int(math.floor((hi - lo) / step + 0.5)) + 1
-        values = lo + step * np.arange(count)
+        offsets = step * np.arange(count)
+        values = lo + offsets
     except (OverflowError, ValueError, MemoryError):
         raise _UsageError(f"the z grid {lo:g}:{hi:g}:{step:g} must be coarser: "
                           f"its {(hi - lo) / step:.3g} points do not fit in "
                           "memory") from None
-    return values[values < hi + 0.5 * step]
+    return values[offsets < (hi - lo) + 0.5 * step]
 
 
 def _resolve_out(path, default_name, fmt=None):

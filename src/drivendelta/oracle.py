@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
-from .model import ModelParams, decay_rate, drive
+from .model import Drive, ModelParams, decay_rate, drive
 
 __all__ = [
     "VolterraGrid",
@@ -126,7 +126,7 @@ class VolterraGrid:
     """Solved boundary function psi(0, t_j) on a uniform grid.
 
     ``kernel_evals`` counts the kernel entries the solve evaluated (the
-    ``tolerance=`` companion included): each exact entry, and q*q for each
+    ``tolerance=`` companion included): each tile entry, and q*q for each
     q x q core a far block tried (_Kernel.far); the dense march has n(n+1)/2.
     """
 
@@ -186,10 +186,10 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
         raise ValueError(f"the {t_f / dt:.3g} time steps of dt={dt:g} do not fit "
                          "in memory: take a larger dt or fewer cycles") from None
 
-    f, evals = _march(t, dt, n, gamma, h, driven)
+    f, evals = _march(t, gamma, h, driven)
 
     if tolerance is not None:
-        coarse, coarse_evals = _march(t[::2], 2.0 * dt, n // 2, gamma, h, driven)
+        coarse, coarse_evals = _march(t[::2], gamma, h, driven)
         evals += coarse_evals
         scale = math.sqrt(gamma / h)
         err = float(np.max(np.abs(coarse - f[::2])) / scale)
@@ -360,23 +360,23 @@ def _real_times(matrix, z):
 
 
 class _Kernel:
-    """The kernel W_ji * exp(i*x_ji) of a march on the grid t (see _march).
+    """The kernel w_mid[j - i] * exp(i*x_ji) of a march on the grid t, the
+    one Toeplitz kernel of every block (see _march).
 
     Called with (j0, j1, i0, i1), it evaluates rows j0..j1-1 against columns
-    i0..i1-1 into a buffer that the next call overwrites; ``evals`` counts
-    entries as VolterraGrid.kernel_evals does."""
+    i0..i1-1, at most _BLOCK x _TILE, into a buffer that the next call
+    overwrites; ``evals`` counts entries as VolterraGrid.kernel_evals does."""
 
-    def __init__(self, t, dt, h, driven):
-        n = t.size - 1
+    def __init__(self, t, h, driven):
+        n, dt = t.size - 1, t[1]
         self.dt, self.h, self.driven, self.evals = dt, h, driven, 0
         self.nodes = drive(t, driven)
-        w_mid, self.w_first, self.w_diag = _weights(n, dt)
+        self.w_mid, self.w_first, self.w_diag = _weights(n, dt)
         inv = np.r_[0.0, 1.0 / (2.0 * h * (dt * np.arange(1, n + 1)))]
-        self.w_lags, self.inv_lags = _lag_windows(w_mid), _lag_windows(inv)
-        # a far block's exact column 0 is shorter than the history.  As one
-        # block the work buffers stay with the allocator between solves; as
-        # several, glibc returned them: 10,000 page faults per 41-point scan
-        work = np.empty((_Cis.ROWS + 3, max(_BLOCK * _TILE, n + 1)))
+        self.w_lags, self.inv_lags = _lag_windows(self.w_mid), _lag_windows(inv)
+        # as one block the work buffers stay with the allocator between solves;
+        # as several, glibc returned them: 10,000 page faults per 41-point scan
+        work = np.empty((_Cis.ROWS + 3, _BLOCK * _TILE))
         self.cis = _Cis(work[:_Cis.ROWS])
         self.x_buf = work[_Cis.ROWS]
         self.k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
@@ -390,12 +390,9 @@ class _Kernel:
         np.subtract(self.nodes.cos[j0:j1, None], self.nodes.cos[i0:i1], out=x)
         np.multiply(x, x, out=x)
         np.multiply(x, _lagged(self.inv_lags, j0 - i0, *shape), out=x)
-        weight = _lagged(self.w_lags, j0 - i0, *shape)
-        if i0 == 0:
-            weight = weight.copy()
-            weight[:, 0] = self.w_first[j0:j1]
         # cis runs faster on flat, contiguous operands: a tile's Toeplitz
         # view of the weights flattens to a copy
+        weight = _lagged(self.w_lags, j0 - i0, *shape)
         return self.cis(x.reshape(size), weight.reshape(size),
                         out=self.k_buf[:size]).reshape(shape)
 
@@ -433,8 +430,7 @@ class _Kernel:
         C is the kernel at p x p Chebyshev points of the block.  p = 17, 33,
         65, ... grows until C meets the next core, which nests C, between C's
         points to _CHEB_TOL * max(1, x) * max|core|: the rounding error of
-        exp(i*x) grows with the largest phase x.  Column 0 carries w_first,
-        not w_mid, and is summed exactly.
+        exp(i*x) grows with the largest phase x.
         """
         p = 17
         while 2 * p - 1 <= min(j1 - j0, i1 - i0):
@@ -449,11 +445,8 @@ class _Kernel:
         else:
             raise ConvergenceError("the kernel's Chebyshev interpolant did not "
                                    f"converge on the far block {(j0, j1, i0, i1)}")
-        skip = int(i0 == 0)
-        cols = self._matrix(p, i1 - i0)[skip:].T
-        v = np.einsum("ij,j->i", core, _real_times(cols, f[skip:]))
-        out = _real_times(self._matrix(p, j1 - j0), v)
-        return out + self(j0, j1, 0, 1)[:, 0] * f[0] if skip else out
+        v = np.einsum("ij,j->i", core, _real_times(self._matrix(p, i1 - i0).T, f))
+        return _real_times(self._matrix(p, j1 - j0), v)
 
 
 def _partition(lo, hi):
@@ -487,8 +480,8 @@ def _blocks(j0, j1, i0, i1):
             for step in _blocks(*rows, *cols)]
 
 
-def _march(t, dt, n, gamma, h, driven):
-    """Boundary function f_j, j = 0..n, and the kernel entries evaluated.
+def _march(t, gamma, h, driven):
+    """Boundary function f_j on the grid t, and the kernel entries evaluated.
 
     The kernel's action is model.volkov_action from (0, t_i) to (0, t_j),
     phi_j - phi_i + h*x_ji.  With F = exp(-i*phi/h)*f (phi and cos from
@@ -497,26 +490,31 @@ def _march(t, dt, n, gamma, h, driven):
 
         F_j*(1 - c*w_diag) = G_j + c * sum_{i<j} W_ji * exp(i*x_ji) * F_i,
 
-    with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  The steps
-    come from _partition: a leaf is marched in blocks of _BLOCK rows, its
-    own history reduced in tiles, the triangle inside a block row by row;
-    a dense block is summed in tiles; a far block through _Kernel.far.
+    with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  W_ji is
+    w_mid[j - i], but node 0 carries w_first[j]: F_0 = G_0 is known, so the
+    difference starts the sums, once, and every block applies _Kernel.  The
+    steps come from _partition: a leaf is marched in blocks of _BLOCK rows,
+    its own history reduced in tiles, the triangle inside a block row by
+    row; a dense block is summed in tiles; a far block through _Kernel.far.
     """
-    kernel = _Kernel(t, dt, h, driven)
+    kernel = _Kernel(t, h, driven)
     rot = np.exp((1j / h) * kernel.nodes.phi)  # f = rot * F
 
     coupling = 1j * gamma / np.sqrt(2j * np.pi * h)
     denom = 1.0 - coupling * kernel.w_diag
 
-    big_g = np.empty(n + 1, dtype=complex)
+    big_g = np.empty(t.size, dtype=complex)
     big_g[0] = math.sqrt(gamma / h)
     # g(t) = (U(t, 0) psi0)(x = 0)
-    big_g[1:] = (_two_sided_overlap(drive(t[1:], driven), drive(0.0, driven),
+    big_g[1:] = (_two_sided_overlap(Drive._make(v[1:] for v in kernel.nodes),
+                                    drive(0.0, driven),
                                     gamma, h, x=0.0) * np.conj(rot[1:]))
 
-    big_f = np.empty(n + 1, dtype=complex)
+    big_f = np.empty(t.size, dtype=complex)
     big_f[0] = big_g[0]
-    acc = np.zeros(n + 1, dtype=complex)
+    acc = np.zeros(t.size, dtype=complex)
+    x0 = (kernel.nodes.cos[1:] - kernel.nodes.cos[0]) ** 2 / (2.0 * h * t[1:])
+    acc[1:] = (kernel.w_first[1:] - kernel.w_mid[1:]) * np.exp(1j * x0) * big_f[0]
 
     def dense(j0, j1, i0, i1):
         for r0 in range(j0, j1, _BLOCK):
@@ -526,7 +524,7 @@ def _march(t, dt, n, gamma, h, driven):
                 acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
                                         big_f[c0:c1])
 
-    for kind, *span in _partition(0, n + 1):
+    for kind, *span in _partition(0, t.size):
         if kind == "leaf":
             lo, hi = span
             for j0 in range(max(lo, 1), hi, _BLOCK):

@@ -32,6 +32,13 @@ def test_range_coarse():
     assert list(values) == [8.0, 10.0, 12.0, 14.0]
 
 
+@pytest.mark.parametrize("spec, value", [("1:1:1e-17", 1.0), ("1e16:1e16:1", 1e16)])
+def test_range_keeps_one_point_at_any_magnitude(spec, value):
+    # stop + step/2 rounds to stop here, so the end point is kept by its
+    # offset from start, not by its value
+    assert list(range_values(*parse_range(spec))) == [value]
+
+
 def test_range_rejects_bad():
     with pytest.raises(_UsageError):
         parse_range("5:4:0.1")
@@ -123,6 +130,20 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "absent.json" in err
     assert "Traceback" not in err
+
+
+def test_scan_that_cannot_interpolate_names_each_failure(tmp_path, capsys):
+    # gamma = 1e-300 gives a survival probability that is not finite at
+    # every z, so fewer than two samples are left to interpolate from
+    out = tmp_path / "s.csv"
+    code = run(["scan", "--gamma", "1e-300", "--z", "1:2:0.5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("numeric failure: too many engine failures to interpolate "
+                   "scan: 3 of 3 samples failed\n"
+                   + "".join(f"  z={z}: survival probability is not finite; "
+                             "rate is nan\n" for z in ("1", "1.5", "2")))
+    assert not out.exists()
 
 
 def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,15 @@ oracle rate within 1e-12 relative; z, gamma_param, is_peak and
 nearest_threshold_k byte-identical.  The CSV files print 12 significant
 digits, so a printed rate may in addition move by one unit in its last
 digit; the JSON files and fx_compare_rates.json carry every digit.
+
+fx_scan_nio sits at the precision floor of that bound.  Its rates run from
+-1.92e-4 to 1.46e-4 (-2.9e-6 at z = 2; 82 of 201 are negative, w > 1), so
+1e-12 * max|Gamma| is 1.9e-16 absolute.  Each rate is -ln(w)/2 over two
+cycles with w within 4e-4 of 1, where one unit in the last place of w moves
+it by 5.6e-17 (w < 1) or 1.1e-16 (w > 1).  The bound is below the rounding
+of w ~ 1 beyond a unit or two, so the fixture's semiclassical values must
+stay bit-identical in practice: a change that only rounds w differently
+fails here.
 """
 
 import csv
