@@ -74,8 +74,9 @@ def wkb_background(gamma, z):
 
 class ScanLine(NamedTuple):
     """A line of fixed gamma or fixed n_io through the (gamma, z) plane:
-    ``gamma_at(z)`` is the Keldysh factor at z (a scalar or an array), and
-    ``channel(z) = scale*z + shift`` the channel k = z + n_io closing at z."""
+    ``gamma_at(z)`` is the Keldysh factor at z (the one float of a fixed
+    gamma, else shaped like z), and ``channel(z) = scale*z + shift`` the
+    channel k = z + n_io closing at z."""
 
     gamma_at: Callable
     scale: float
@@ -101,7 +102,7 @@ def scan_line(mode, fixed_value):
     """The ScanLine of a fixed gamma, (scale, shift) = (1 + 2*gamma^2, 0), or
     of a fixed n_io, (scale, shift) = (1, n_io)."""
     if mode == "fixed_gamma":
-        return ScanLine(lambda z: unbox(np.full(np.shape(z), float(fixed_value))),
+        return ScanLine(lambda z: float(fixed_value),
                         1.0 + 2.0 * fixed_value * fixed_value, 0.0)
     if mode == "fixed_n_io":
         return ScanLine(lambda z: unbox(np.sqrt(
@@ -166,8 +167,8 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
     _check_filter(sg_window, sg_order)
 
-    gamma_param = line.gamma_at(z_values)
-    raw, missing = engine_rates(engine, from_dimensionless(gamma_param, z_values),
+    gamma = line.gamma_at(z_values)
+    raw, missing = engine_rates(engine, from_dimensionless(gamma, z_values),
                                 0, n_cycles, include_odd=include_odd,
                                 oracle_dt=oracle_dt)
 
@@ -176,14 +177,13 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     window = min(sg_window, z_values.size - 1 + z_values.size % 2)
     order = min(sg_order, max(window - 1, 0))
     smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
-    peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma_param)
+    peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma)
     _, thresholds = line.thresholds(z_values[0], z_values[-1])
     return RateScan(mode=mode, fixed_value=fixed_value, engine=engine,
                     n_cycles=n_cycles, z_values=z_values,
-                    gamma_param=gamma_param, gamma_raw=raw,
-                    gamma_smooth=smoothed, peaks=peak_z,
-                    peak_indices=peak_idx,
-                    thresholds=thresholds,
+                    gamma_param=np.broadcast_to(gamma, z_values.shape),
+                    gamma_raw=raw, gamma_smooth=smoothed, peaks=peak_z,
+                    peak_indices=peak_idx, thresholds=thresholds,
                     missing_indices=missing,
                     filter_settings={"sg_window": window, "sg_order": order,
                                      "prominence_frac": PROMINENCE_FRAC})
@@ -202,11 +202,11 @@ def _fill_missing(z, raw, missing):
     return filled
 
 
-def _detect_peaks(z, series, gamma_param):
+def _detect_peaks(z, series, gamma):
     """Peak indices and refined positions of the curve over its WKB background."""
     if z.size < 3:
         return np.array([], dtype=int), np.array([])
-    background = wkb_background(gamma_param, z)
+    background = wkb_background(gamma, z)
     normalized = series / background
     span = float(np.nanmax(normalized) - np.nanmin(normalized))
     if span <= 0.0 or not np.isfinite(span):

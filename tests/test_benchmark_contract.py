@@ -31,9 +31,13 @@ def test_benchmark_tracer_records_every_layer(tmp_path):
         assert traced_main(["scan", "--gamma", "0.7", "--z", "8:9:0.05",
                             "--cycles", "1", "--format", "both",
                             "--out", str(tmp_path / "scan")]) == 0
+        # parameter builds: the scan's grid, its peak background and its
+        # mid-range background; then the compare's grid
+        assert tracer.counts[0]["model.params.calls"] == 3
         assert traced_main(["compare", "--gamma", "0.7", "--z", "0.5:0.5:1",
                             "--cycles", "2",
                             "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert tracer.counts[0]["model.params.calls"] == 4
     finally:
         tracer.restore()
     assert cli_mod.main is original_main

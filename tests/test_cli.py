@@ -596,6 +596,39 @@ def test_oracle_step_count_beyond_memory_is_usage_error(tmp_path, capsys, argv,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_compare_oracle_step_longer_than_the_run(tmp_path, capsys):
+    # a maximum step beyond the final time is the one-step grid
+    code = run(["compare", "--gamma", "0.7", "--z", "1:1:1", "--oracle-dt",
+                "1e300", "--out", str(tmp_path / "cmp.csv")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "Traceback" not in err
+
+
+def test_fixed_gamma_reaches_the_semiclassical_engine_as_one_number(
+        tmp_path, monkeypatch):
+    import drivendelta.cli as cli_mod
+
+    real = cli_mod.semiclassical.rate_between_cycles
+    ndims = []
+
+    def recorded(params, n_first, n_last, include_odd=False):
+        ndims.append(np.ndim(params.gamma))
+        return real(params, n_first, n_last, include_odd=include_odd)
+
+    monkeypatch.setattr(cli_mod.semiclassical, "rate_between_cycles", recorded)
+    assert run(["scan", "--gamma", "0.7", "--z", "8:9:0.1",
+                "--out", str(tmp_path / "scan.csv")]) == 0
+    assert run(["compare", "--gamma", "0.7", "--z", "5:5.1:0.1", "--cycles", "2",
+                "--out", str(tmp_path / "cmp.csv")]) == 0
+    assert ndims == [0, 0]
+    # the output columns still give gamma at every sample
+    for name, size in (("scan.csv", 11), ("cmp.csv", 2)):
+        with open(tmp_path / name) as fh:
+            assert [row["gamma_param"] for row in csv.DictReader(fh)] == \
+                ["0.7"] * size
+
+
 def test_compare_semiclassical_infinite_rate_is_numeric_failure(
         tmp_path, capsys, monkeypatch):
     # the semiclassical grid call marks a vanished amplitude as a +inf rate

@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from drivendelta.model import (
+    ModelParams,
     decay_rate,
     drive,
     failure_reason,
@@ -19,19 +21,26 @@ def test_unit_inputs():
     assert p.gamma == 1.0
     assert p.z == 0.25
     assert p.h == 1.0
-    assert p.n_io == 0.5
 
 
 def test_from_dimensionless_hand_arithmetic():
     p = from_dimensionless(0.7, 10.0)
+    assert (p.gamma, p.z) == (0.7, 10.0)
     assert p.h == pytest.approx(0.025, rel=1e-12)
-    assert p.n_io == pytest.approx(9.8, rel=1e-12)
 
     p = from_dimensionless(1.0, 0.25)
-    assert p.h == pytest.approx(1.0, rel=1e-12)
+    assert p.h == 1.0
 
-    p = from_dimensionless(1.1, 2.924)
-    assert p.n_io == pytest.approx(2.0 * 1.21 * 2.924, rel=1e-12)
+
+def test_params_are_the_pair_as_given():
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["gamma", "z"]
+    # the sc_scan grid: gamma and h = 1/(4z) exactly as asked at every point
+    z = 6.0 + 0.001 * np.arange(14001)
+    p = from_dimensionless(0.7, z)
+    assert p.gamma == 0.7 and type(p.gamma) is float
+    assert p.z is z
+    assert np.array_equal(p.h, 0.25 / z)
+    assert p.point(3) == ModelParams(0.7, float(z[3]))
 
 
 def test_from_physical_direct_formulas():
@@ -42,11 +51,12 @@ def test_from_physical_direct_formulas():
 
 
 def test_derived_fields_mutually_consistent():
-    p = from_physical(1.3, 0.8, 0.4)
-    assert p.gamma == pytest.approx(p.alpha * p.omega / p.mu, rel=1e-12)
-    assert p.z == pytest.approx(p.mu**2 / (4 * p.omega**3), rel=1e-12)
+    alpha, mu, omega = 1.3, 0.8, 0.4
+    p = from_physical(alpha, mu, omega)
+    assert p.gamma == pytest.approx(alpha * omega / mu, rel=1e-12)
+    assert p.z == pytest.approx(mu**2 / (4 * omega**3), rel=1e-12)
+    assert p.h == pytest.approx(omega**3 / mu**2, rel=1e-12)
     assert p.h == pytest.approx(1.0 / (4.0 * p.z), rel=1e-12)
-    assert p.n_io == pytest.approx(2.0 * p.gamma**2 * p.z, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
@@ -73,12 +83,11 @@ def test_round_trip_random():
     for _ in range(1000):
         gamma = rng.uniform(0.1, 3.0)
         z = rng.uniform(0.5, 50.0)
-        p = from_dimensionless(gamma, z)
-        q = from_physical(p.alpha, p.mu, p.omega)
+        # omega = 1: mu = 2*sqrt(z) and alpha = gamma*mu
+        q = from_physical(gamma * 2.0 * math.sqrt(z), 2.0 * math.sqrt(z), 1.0)
         assert q.gamma == pytest.approx(gamma, rel=1e-12)
         assert q.z == pytest.approx(z, rel=1e-12)
         assert q.h == pytest.approx(1.0 / (4.0 * z), rel=1e-12)
-        assert q.n_io == pytest.approx(2.0 * gamma**2 * z, rel=1e-12)
 
 
 def test_from_dimensionless_on_a_grid_matches_points():
@@ -87,10 +96,9 @@ def test_from_dimensionless_on_a_grid_matches_points():
     grid = from_dimensionless(gammas, zs)
     for i, (gamma, z) in enumerate(zip(gammas, zs)):
         point = from_dimensionless(float(gamma), float(z))
-        for field in ("alpha", "mu", "omega", "gamma", "z", "h", "n_io"):
-            assert np.broadcast_to(getattr(grid, field), zs.shape)[i] == \
-                getattr(point, field)
-    assert type(from_dimensionless(0.7, 10.0).mu) is float
+        for field in ("gamma", "z", "h"):
+            assert getattr(grid, field)[i] == getattr(point, field)
+    assert type(from_dimensionless(0.7, 10.0).h) is float
 
 
 def test_from_dimensionless_rejects_any_nonpositive_grid_point():
@@ -106,7 +114,7 @@ def test_grid_point_is_the_point_built_alone():
     grid = from_dimensionless(gammas, zs)
     for i in range(zs.size):
         assert grid.point(i) == from_dimensionless(float(gammas[i]), float(zs[i]))
-        assert all(type(v) is float for v in vars(grid.point(i)).values())
+        assert all(type(v) is float for v in dataclasses.astuple(grid.point(i)))
 
 
 def test_volkov_phase_real_and_complex_times():

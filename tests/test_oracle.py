@@ -624,6 +624,14 @@ def test_solve_rejects_a_step_count_beyond_memory():
                                 dt=1e-15)
 
 
+def test_solve_takes_one_step_for_a_step_longer_than_the_run():
+    # t_f/dt underflows the 1e-12 rounding guard: the one-step grid, not n = 0
+    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
+                                   dt=1e300)
+    assert grid.n_steps == 1
+    assert grid.dt == 2.0 * math.pi
+
+
 def test_convergence_check_raises_on_coarse_dt():
     params = from_dimensionless(0.7, 10.0)
     with pytest.raises(ConvergenceError) as err:

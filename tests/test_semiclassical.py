@@ -309,7 +309,8 @@ def test_phase_bookkeeping_channel_closing():
         bound_phase = -(-0.5 * params.gamma**2) * t_f / params.h
         packet_phase = action_by_quadrature(0.0, t_f).real / params.h
         diff = bound_phase - packet_phase
-        assert diff == pytest.approx(2.0 * math.pi * (params.n_io + params.z),
+        n_io = 2.0 * params.gamma**2 * params.z
+        assert diff == pytest.approx(2.0 * math.pi * (n_io + params.z),
                                      rel=1e-8)
 
 
