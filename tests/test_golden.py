@@ -24,8 +24,16 @@ oracle in numpy with a node count sized to the march").  Its projection,
 a 6-point Lagrange interpolant and a numpy Simpson rule on at least 1001
 nodes per half in place of a cubic spline and scipy's Simpson rule on
 4001, moved them by up to 6.9e-9 relative, past the 1e-12 tolerance; the
-projection's own error budget is 1e-6.  Every semiclassical value is the
-one written at 024af6d.
+projection's own error budget is 1e-6.
+
+The semiclassical rates of fx_scan_nio alone (``Gamma_raw`` and
+``Gamma_smooth`` in its CSV and JSON) were regenerated at commit 82f3f99
+("Keep ModelParams as the pair (gamma, z) and a fixed gamma as one
+number").  ModelParams now stores gamma and z as given, where the round
+trip through (alpha, mu, omega) had rounded gamma and h = 1/(4z) off them;
+at fixed n_io that moved the rates by up to 2.2e-16, past the floor below.
+Its z, gamma_param, is_peak, nearest_threshold_k and peaks are the ones
+written at 024af6d, as is every other semiclassical value.
 
 Tolerances: a semiclassical rate within 1e-12 * max|Gamma| of the scan, an
 oracle rate within 1e-12 relative; z, gamma_param, is_peak and
