@@ -362,7 +362,13 @@ def write_scan_csv(scan: RateScan, path):
 
 
 def write_scan_json(scan: RateScan, path):
-    """Full scan dump with metadata; schema_version marks the layout."""
+    """Full scan dump with metadata; schema_version marks the layout.
+
+    The bytes are those of ``json.dump(doc, fh, indent=1, sort_keys=True)``
+    and a line feed, but each array is encoded by json's C encoder (compact
+    ``json.dumps``, several times faster than the indented encoder) and
+    given the indented layout by hand, one key at a time.
+    """
     period = modulation_period(scan)
     if period is not None:
         period = {"mean": period[0], "std": period[1]}
@@ -375,14 +381,28 @@ def write_scan_json(scan: RateScan, path):
         "filter_settings": scan.filter_settings,
         "missing_indices": sorted(scan.missing_indices),
         "detected_period": period,
-        "thresholds": scan.thresholds.tolist(),
-        "z": scan.z_values.tolist(),
-        "gamma_param": scan.gamma_param.tolist(),
-        "Gamma_raw": [None if math.isnan(v) else v
-                      for v in scan.gamma_raw.tolist()],
-        "Gamma_smooth": scan.gamma_smooth.tolist(),
-        "peaks": scan.peaks.tolist(),
+        "thresholds": scan.thresholds,
+        "z": scan.z_values,
+        "gamma_param": scan.gamma_param,
+        "Gamma_raw": scan.gamma_raw,
+        "Gamma_smooth": scan.gamma_smooth,
+        "peaks": scan.peaks,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(("{" if i == 0 else ",") + "\n " + json.dumps(key) + ": ")
+            value = doc[key]
+            if not isinstance(value, np.ndarray):
+                fh.write(json.dumps(value, indent=1, sort_keys=True)
+                         .replace("\n", "\n "))
+            elif value.size:
+                # a number or null token never holds ", "; a failed rate is null
+                body = json.dumps(value.tolist())[1:-1]
+                if key == "Gamma_raw":
+                    body = body.replace("NaN", "null")
+                fh.write("[\n  ")
+                fh.write(body.replace(", ", ",\n  "))
+                fh.write("\n ]")
+            else:
+                fh.write("[]")
+        fh.write("\n}\n")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .model import Drive, ModelParams, decay_rate, drive
 
 __all__ = [
@@ -89,6 +89,8 @@ def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every quadrature panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# most panels per half-line of the overlap quadrature: about 360 MB at its peak
+_MAX_PANELS = 2**17
 
 
 def _free_evolution_overlap(t_f, gamma, h, driven):
@@ -104,7 +106,11 @@ def _free_evolution_overlap(t_f, gamma, h, driven):
     beta = 1.0 / (2.0 * h * t_f)
     end, start = drive(t_f, driven), drive(0.0, driven)
     shift = end.cos - start.cos
-    panels = max(16, math.ceil(beta * (span + abs(shift)) ** 2 / math.pi))
+    panels = beta * (span + abs(shift)) ** 2 / math.pi
+    if not panels <= _MAX_PANELS:
+        raise NumericError(f"the free-evolution overlap needs {panels:.3g} "
+                           f"quadrature panels, more than {_MAX_PANELS}")
+    panels = max(16, math.ceil(panels))
     half_width = 0.5 * span / panels
 
     total = 0.0 + 0.0j
@@ -145,7 +151,8 @@ def default_time_step(params: ModelParams, factor=40.0):
     The bound phase rotates at gamma^2/(2h), the fastest scale at large z;
     the rule dt = min(2*pi, h/gamma^2)/factor over-resolves both scales.
     """
-    return min(2.0 * math.pi, params.h / params.gamma**2) / factor
+    gamma_sq = params.gamma**2  # 0 where gamma^2 underflows: h/gamma^2 = inf
+    return min(2.0 * math.pi, params.h / gamma_sq if gamma_sq else math.inf) / factor
 
 
 def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -551,3 +552,74 @@ def test_emission_deterministic(tmp_path):
     write_scan_json(scan, ja)
     write_scan_json(scan, jb)
     assert ja.read_bytes() == jb.read_bytes()
+
+
+def _json_dump_reference(scan):
+    """The scan JSON as ``json.dump(doc, fh, indent=1, sort_keys=True)`` and a
+    line feed write it, with every array a list."""
+    period = modulation_period(scan)
+    doc = {
+        "schema_version": 1,
+        "engine": scan.engine,
+        "mode": scan.mode,
+        "fixed_value": scan.fixed_value,
+        "n_cycles": scan.n_cycles,
+        "filter_settings": scan.filter_settings,
+        "missing_indices": sorted(scan.missing_indices),
+        "detected_period": None if period is None else {"mean": period[0],
+                                                        "std": period[1]},
+        "thresholds": scan.thresholds.tolist(),
+        "z": scan.z_values.tolist(),
+        "gamma_param": scan.gamma_param.tolist(),
+        "Gamma_raw": [None if math.isnan(v) else v
+                      for v in scan.gamma_raw.tolist()],
+        "Gamma_smooth": scan.gamma_smooth.tolist(),
+        "peaks": scan.peaks.tolist(),
+    }
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=1, sort_keys=True)
+    return (fh.getvalue() + "\n").encode()
+
+
+def _scan_with_a_failed_sample(monkeypatch):
+    def flaky(params, n_first, n_last, include_odd=False):
+        rates = rate_between_cycles(params, n_first, n_last,
+                                    include_odd=include_odd)
+        rates[7] = np.nan
+        return rates
+
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", flaky)
+    return scan_rate("semiclassical", "fixed_gamma", 0.7,
+                     np.arange(8.0, 9.0 + 0.005, 0.02), n_cycles=1)
+
+
+_JSON_SCANS = {
+    "small": lambda monkeypatch: _small_scan(),
+    "fixed_n_io": lambda monkeypatch: scan_rate(
+        "semiclassical", "fixed_n_io", 9.8, np.arange(2.0, 4.0 + 0.005, 0.01),
+        n_cycles=2, include_odd=True),
+    "failed_sample": _scan_with_a_failed_sample,
+    # too short for a peak or a channel closing: empty arrays, no period
+    "no_peaks": lambda monkeypatch: scan_rate(
+        "semiclassical", "fixed_gamma", 0.7, np.array([8.0, 8.02])),
+    "one_point": lambda monkeypatch: scan_rate(
+        "semiclassical", "fixed_gamma", 0.7, np.array([8.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JSON_SCANS))
+def test_json_bytes_are_those_of_json_dump(tmp_path, monkeypatch, case):
+    scan = _JSON_SCANS[case](monkeypatch)
+    path = tmp_path / "scan.json"
+    write_scan_json(scan, path)
+    written = path.read_bytes()
+    assert written == _json_dump_reference(scan)
+
+    doc = json.loads(written)
+    if case == "failed_sample":
+        assert doc["missing_indices"] == [7]
+        assert doc["Gamma_raw"][7] is None and b"\n  null,\n" in written
+    if case in ("no_peaks", "one_point"):
+        assert doc["peaks"] == doc["thresholds"] == []
+        assert b'"peaks": []' in written and b'"thresholds": []' in written
+        assert doc["detected_period"] is None

@@ -146,6 +146,24 @@ def test_scan_that_cannot_interpolate_names_each_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, panels", [
+    (["compare", "--gamma", "0.001"], "1.01e+07"),
+    (["scan", "--engine", "oracle", "--gamma", "0.001"], "5.07e+06"),
+    # gamma^2 underflows to 0: the default step is the field period's
+    (["compare", "--gamma", "1e-300"], "inf"),
+])
+def test_oracle_at_small_gamma_is_numeric_failure(tmp_path, capsys,
+                                                  no_overlap_panels, argv,
+                                                  panels):
+    code = run([*argv, "--z", "1:1:1", "--cycles", "2",
+                "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"numeric failure: the free-evolution overlap needs {panels} "
+            "quadrature panels, more than 131072\n") in err
+    assert "Traceback" not in err
+
+
 def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):
     import drivendelta.analysis as analysis_mod
 

@@ -100,6 +100,7 @@ def test_scan_matches_golden(tmp_path, name):
                  "--out", str(tmp_path / name)]) == 0
     old_doc = json.loads((GOLDEN / f"{name}.json").read_text())
     new_doc = json.loads((tmp_path / f"{name}.json").read_text())
+    assert new_doc.keys() == old_doc.keys()
 
     old_raw = np.array(old_doc["Gamma_raw"], dtype=float)
     if old_doc["engine"] == "oracle":

@@ -7,7 +7,7 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import BarycentricInterpolator, CubicSpline
 from scipy.special import erfcx
 
-from drivendelta.errors import ConvergenceError
+from drivendelta.errors import ConvergenceError, NumericError
 from drivendelta.model import drive, from_dimensionless
 from drivendelta.oracle import (
     _BLOCK,
@@ -630,6 +630,21 @@ def test_solve_takes_one_step_for_a_step_longer_than_the_run():
                                    dt=1e300)
     assert grid.n_steps == 1
     assert grid.dt == 2.0 * math.pi
+
+
+def test_overlap_refuses_more_panels_than_its_cap(no_overlap_panels):
+    # a tiny final time chirps the overlap by beta = 1/(2*h*t_f)
+    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 1e-13, dt=1.0)
+    with pytest.raises(NumericError, match=r"needs 1\.3e\+15 quadrature panels"):
+        survival_probability(grid)
+
+
+def test_default_step_where_gamma_squared_underflows():
+    # no bound-phase scale is left to resolve: the field period sets the step
+    assert default_time_step(from_dimensionless(1e-300, 1.0)) == 2.0 * math.pi / 40.0
+    params = from_dimensionless(0.7, 8.0)
+    assert default_time_step(params) == min(2.0 * math.pi,
+                                            params.h / 0.7**2) / 40.0
 
 
 def test_convergence_check_raises_on_coarse_dt():
