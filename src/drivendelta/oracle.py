@@ -89,7 +89,7 @@ def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
 
 # 16-point Gauss-Legendre rule on [-1, 1], shared by every quadrature panel
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# most panels per half-line of the overlap quadrature: about 360 MB at its peak
+# most panels per half-line of the overlap quadrature: a process peak near 340 MB
 _MAX_PANELS = 2**17
 
 
