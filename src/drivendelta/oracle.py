@@ -28,6 +28,7 @@ analytic in both times, through its interpolant at p x p Chebyshev points
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -278,7 +279,7 @@ _BLOCK = 32
 _TILE = 256
 # a far block (see _blocks) has at least _FAR rows and columns, so marches of
 # fewer than 4*_FAR - 1 steps are all dense; _Kernel.far interpolates it.
-_FAR = 320
+_FAR = 192
 _CHEB_TOL = 1e-13
 
 # (1 + u)^(3/2) = sum_m binom[m] u^m for |u| < 1, through u^22.  From lag
@@ -297,6 +298,25 @@ _FIRST_SERIES[:2] = 0.0
 def _series_weight(lags, series):
     """w_mid or w_first over sqrt(dt) at real lags L >= _SERIES_FROM."""
     return (4.0 / 3.0) * lags ** 1.5 * np.polynomial.polynomial.polyval(1.0 / lags, series)
+
+
+# a far block's lags are at least _FAR.  There w_mid/sqrt(dt) is (4/3) L^(-1/2)
+# times _MID_SERIES's nonzero terms, a series in 1/L^2, cut where the first
+# term left out is below eps/16 of the leading one at lag _FAR
+_FAR_SERIES = _MID_SERIES[2::2][:next(
+    m for m in range(1, 10)
+    if abs(_MID_SERIES[2 * m + 2]) * _FAR ** (-2.0 * m) < _MID_SERIES[2] * np.finfo(float).eps / 16)]
+
+
+def _far_weight(inv):
+    """w_mid over sqrt(dt) at real lags L >= _FAR, from inv = 1/L."""
+    v = inv * inv
+    w = np.full(v.shape, _FAR_SERIES[-1])
+    for c in _FAR_SERIES[-2::-1]:
+        w *= v
+        w += c
+    w *= np.sqrt(inv)
+    return (4.0 / 3.0) * w
 
 
 def _weights(n, dt):
@@ -361,9 +381,32 @@ def _barycentric(p, lo, hi, x):
 
 
 def _real_times(matrix, z):
-    """matrix @ z, real by complex, in one thread: BLAS would busy every CPU."""
-    return (np.einsum("ij,j...->i...", matrix, z.real)
-            + 1j * np.einsum("ij,j...->i...", matrix, z.imag))
+    """matrix @ z for a real matrix, in einsum on one thread: BLAS would busy
+    every CPU.  A complex matrix z is read as its float view, each row's
+    real and imaginary parts side by side, in one product; a complex
+    vector's two parts go one at a time, which einsum sums faster."""
+    if not np.iscomplexobj(z):
+        return np.einsum("ij,j...->i...", matrix, z)
+    if z.ndim == 1:
+        return (np.einsum("ij,j->i", matrix, z.real)
+                + 1j * np.einsum("ij,j->i", matrix, z.imag))
+    pairs = np.ascontiguousarray(z).view(float)
+    return np.einsum("ij,jk->ik", matrix, pairs, order="C").view(complex)
+
+
+# The points of [lo, hi] and the Chebyshev points lie symmetric about its
+# center, so row size-1-r of a side's barycentric matrix is row r reversed,
+# up to rounding: a solve keeps the top rows only, half the memory.
+def _mirror_times(top, size, v):
+    """matrix @ v for the size x p matrix whose top rows are ``top``."""
+    bottom = _real_times(top[:size - len(top)], v[::-1])[::-1]
+    return np.concatenate((_real_times(top, v), bottom))
+
+
+def _mirror_t_times(top, f):
+    """matrix.T @ f for the matrix of :func:`_mirror_times` with f.size rows."""
+    rest = f[len(top):][::-1]
+    return _real_times(top.T, f[:len(top)]) + _real_times(top[:rest.size].T, rest)[::-1]
 
 
 class _Kernel:
@@ -388,6 +431,9 @@ class _Kernel:
         self.x_buf = work[_Cis.ROWS]
         self.k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
         self.matrices = {}  # far blocks' interpolation matrices, see _matrix
+        # far blocks still to come per block side, which _march counts: far
+        # drops a side's matrices after its last block
+        self.sides = collections.Counter()
 
     def __call__(self, j0, j1, i0, i1):
         shape = (j1 - j0, i1 - i0)
@@ -409,25 +455,35 @@ class _Kernel:
         self.evals += q * q
         x = 0.5 + 0.5 * _chebyshev_points(q)
         rows, cols = j0 + (j1 - j0 - 1) * x, i0 + (i1 - i0 - 1) * x
-        lag = rows[:, None] - cols
         cos = drive(self.dt * np.concatenate((rows, cols)), self.driven).cos
-        phase = (cos[:q, None] - cos[q:]) ** 2 / (2.0 * self.h * self.dt * lag)
-        weight = math.sqrt(self.dt) * _series_weight(lag, _MID_SERIES)
-        return weight * np.exp(1j * phase), float(phase.max())
+        inv = np.divide(1.0, np.subtract.outer(rows, cols))
+        phase = np.subtract.outer(cos[:q], cos[q:])
+        phase *= phase
+        phase *= inv
+        phase *= 0.5 / (self.h * self.dt)
+        weight = math.sqrt(self.dt) * _far_weight(inv)
+        phase, weight = phase.reshape(-1), weight.reshape(-1)
+        out = np.empty(q * q, dtype=complex)
+        size = self.x_buf.size  # what cis's work buffers hold
+        for a in range(0, q * q, size):
+            self.cis(phase[a:a + size], weight[a:a + size], out=out[a:a + size])
+        return out.reshape(q, q), float(phase.max())
 
     def _matrix(self, p, size=None):
-        """The size x p barycentric matrix from p Chebyshev points of a block
-        side of ``size`` rows (or columns) to those rows; with no size, the
-        (p - 1) x p matrix to the midpoints that :meth:`far` checks p at.
+        """The barycentric matrix from p Chebyshev points of a block side of
+        ``size`` rows (or columns) to those rows, as its top (size + 1) // 2
+        rows (see _mirror_times); with no size, the (p - 1) x p matrix to the
+        midpoints that :meth:`far` checks p at.
 
         The affine map of integer rows to [-1, 1] is exact, so a matrix
-        depends on nothing else, and the solve keeps each one it builds.
+        depends on nothing else, and the solve keeps each one it builds
+        until the last block with that side (see ``sides``).
         """
         if (p, size) not in self.matrices:
             if size is None:
                 x, lo, hi = _chebyshev_points(2 * p - 1)[1::2], -1.0, 1.0
             else:
-                x, lo, hi = np.arange(size), 0, size - 1
+                x, lo, hi = np.arange((size + 1) // 2), 0, size - 1
             self.matrices[p, size] = _barycentric(p, lo, hi, x)
         return self.matrices[p, size]
 
@@ -452,8 +508,14 @@ class _Kernel:
         else:
             raise ConvergenceError("the kernel's Chebyshev interpolant did not "
                                    f"converge on the far block {(j0, j1, i0, i1)}")
-        v = np.einsum("ij,j->i", core, _real_times(self._matrix(p, i1 - i0).T, f))
-        return _real_times(self._matrix(p, j1 - j0), v)
+        v = np.einsum("ij,j->i", core, _mirror_t_times(self._matrix(p, i1 - i0), f))
+        out = _mirror_times(self._matrix(p, j1 - j0), j1 - j0, v)
+        for side in (j1 - j0, i1 - i0):
+            self.sides[side] -= 1
+            if self.sides[side] == 0:
+                for key in [key for key in self.matrices if key[1] == side]:
+                    del self.matrices[key]
+        return out
 
 
 def _partition(lo, hi):
@@ -531,7 +593,10 @@ def _march(t, gamma, h, driven):
                 acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
                                         big_f[c0:c1])
 
-    for kind, *span in _partition(0, t.size):
+    steps = _partition(0, t.size)
+    kernel.sides.update(side for kind, *span in steps if kind == "far"
+                        for side in (span[1] - span[0], span[3] - span[2]))
+    for kind, *span in steps:
         if kind == "leaf":
             lo, hi = span
             for j0 in range(max(lo, 1), hi, _BLOCK):

@@ -1,5 +1,10 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import BarycentricInterpolator, CubicSpline
 from scipy.special import erfcx
 
+import drivendelta
 from drivendelta.errors import ConvergenceError, NumericError
 from drivendelta.model import drive, from_dimensionless
 from drivendelta.oracle import (
@@ -17,11 +23,15 @@ from drivendelta.oracle import (
     _Kernel,
     _barycentric,
     _chebyshev_points,
+    _far_weight,
     _free_evolution_overlap,
     _lagrange,
     _two_sided_overlap,
     _march,
+    _mirror_t_times,
+    _mirror_times,
     _partition,
+    _real_times,
     _simpson,
     _weights,
     default_time_step,
@@ -282,11 +292,13 @@ def test_march_matches_reference_field_off():
 
 
 @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                               9 * _BLOCK + 5, 4 * _FAR - 2, 4 * _FAR - 1])
+                               9 * _BLOCK + 5, 4 * _FAR - 2, 4 * _FAR - 1,
+                               1278, 1279])
 def test_march_matches_reference_block_edges(n):
-    # fewer rows than one block, row counts that leave a partial block, and
-    # the last dense march and the first split one (n + 1 = 4 * _FAR nodes,
-    # whose quarters are the smallest far blocks)
+    # fewer rows than one block, row counts that leave a partial block, the
+    # last dense march and the first split one (n + 1 = 4 * _FAR nodes,
+    # whose quarters are the smallest far blocks), and a march split once
+    # more, into far blocks of 319 and 320 rows
     assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
 
 
@@ -303,7 +315,7 @@ def test_march_matches_reference_half_resolution_companion():
     assert _march_deviation(params, t_f, n // 2) < 1e-12
 
 
-@pytest.mark.parametrize("nodes", [4 * _FAR - 1, 4 * _FAR, 3001, 5121])
+@pytest.mark.parametrize("nodes", [4 * _FAR - 1, 4 * _FAR, 1279, 1280, 3001, 5121])
 def test_partition_covers_each_pair_once_in_causal_order(nodes):
     covered = np.zeros((nodes, nodes), dtype=np.int8)
     solved = 0
@@ -373,16 +385,65 @@ def test_barycentric_matrix_is_exact_on_polynomials_below_degree_p(p):
 
 
 def test_far_matrices_depend_only_on_p_and_block_size():
-    # a solve keeps one matrix per (p, size): the affine map of integer rows
-    # to [-1, 1] is exact, so a block anywhere on the grid gets the same bits
+    # a solve keeps one matrix per (p, size), its top rows: the affine map of
+    # integer rows to [-1, 1] is exact, so a block anywhere on the grid gets
+    # the same bits
     kernel = _Kernel(np.arange(5.0), 0.05, True)
     m = kernel._matrix(33, 321)
     assert kernel._matrix(33, 321) is m
+    assert m.shape == (161, 33)
     for i0 in (0, 1000, 28673):
-        rows = np.arange(i0, i0 + 321)
+        rows = np.arange(i0, i0 + 161)
         assert np.array_equal(_barycentric(33, i0, i0 + 320, rows), m)
     mid = _barycentric(33, -1.0, 1.0, _chebyshev_points(65)[1::2])
     assert np.array_equal(kernel._matrix(33), mid)
+
+
+@pytest.mark.parametrize("size", [320, 321])
+def test_mirrored_matrix_products_match_the_full_matrix(size):
+    # the bottom rows are the top ones turned about the center, to rounding
+    full = _barycentric(33, 0, size - 1, np.arange(size))
+    top = full[:(size + 1) // 2]
+    assert np.max(np.abs(full[::-1, ::-1][:top.shape[0]] - top)) <= 1e-15
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=33) + 1j * rng.normal(size=33)
+    f = rng.normal(size=size) + 1j * rng.normal(size=size)
+    assert np.max(np.abs(_mirror_times(top, size, v) - full @ v)) <= 1e-14
+    assert np.max(np.abs(_mirror_t_times(top, f) - full.T @ f)) <= 1e-13
+    assert np.max(np.abs(_mirror_t_times(top, f.real) - full.T @ f.real)) <= 1e-13
+
+
+def test_real_times_matches_matmul():
+    # real and complex, vectors and matrices, contiguous or not, and the
+    # real unit columns that far blocks are tested with
+    rng = np.random.default_rng(13)
+    matrix = rng.normal(size=(7, 9))
+    real = rng.normal(size=(9, 5))
+    cplx = real + 1j * rng.normal(size=(9, 5))
+    for z in (real[:, 0], real, cplx[:, 0], cplx, cplx[:, ::2], cplx.T.copy().T,
+              np.eye(9)[0], np.eye(9)[:, :3]):
+        for m in (matrix, np.asfortranarray(matrix), matrix.T.copy().T):
+            out = _real_times(m, z)
+            assert out.shape == (m @ z).shape and out.dtype == z.dtype
+            assert np.max(np.abs(out - m @ z)) <= 1e-14
+    assert np.array_equal(_real_times(matrix, np.eye(9)[0]), matrix[:, 0])
+
+
+def test_far_blocks_free_the_matrices_of_sides_no_later_block_has():
+    params = from_dimensionless(0.7, 4.0)
+    n = 3941
+    dt = 4.0 * math.pi / n
+    kernel = _Kernel(dt * np.arange(n + 1), params.h, True)
+    far = [span for kind, *span in _partition(0, n + 1) if kind == "far"]
+    sides = [(j1 - j0, i1 - i0) for j0, j1, i0, i1 in far]
+    kernel.sides.update(side for pair in sides for side in pair)
+    for index, span in enumerate(far):
+        kernel.far(*span, np.ones(span[3] - span[2]))
+        later = {side for pair in sides[index + 1:] for side in pair}
+        kept = {size for _, size in kernel.matrices if size is not None}
+        assert kept <= later
+        assert set(sides[index]) & later <= kept
+    assert all(size is None for _, size in kernel.matrices)
 
 
 def _assert_far_block_matches_exact(kernel, span):
@@ -411,6 +472,29 @@ def test_far_blocks_match_their_exact_blocks_column_0_included():
         _assert_far_block_matches_exact(kernel, span)
 
 
+def test_march_runs_on_one_thread(tmp_path):
+    # one-sided: a BLAS product with p >= 65 would busy a second CPU (README);
+    # measured in a fresh interpreter, where no earlier BLAS call spins
+    code = """
+import math, time
+from drivendelta.model import from_dimensionless
+from drivendelta.oracle import solve_boundary_function
+params = from_dimensionless(0.7, 12.0)
+solve_boundary_function(params, 0.1)
+wall, cpu = time.perf_counter(), time.process_time()
+solve_boundary_function(params, 4.0 * math.pi)
+print(time.process_time() - cpu, time.perf_counter() - wall)
+"""
+    src = str(Path(drivendelta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    cpu, wall = map(float, proc.stdout.split())
+    assert cpu <= 1.1 * wall
+
+
 def test_p_choice_stops_at_the_rounding_floor(monkeypatch):
     # a far block at z = 12 over two cycles with phases up to 24: its
     # interpolation error plateaus at 1.2e-13 to 1.6e-13 of its largest
@@ -430,10 +514,19 @@ def test_p_choice_stops_at_the_rounding_floor(monkeypatch):
         kernel.far(*span, np.ones(370))
 
 
-def test_weights_against_decimal_reference():
-    # 50-digit differences of L^(3/2); the direct float differences lose
-    # digits like eps*L^2 (4e-9 relative at L = 4000)
-    n = 30000
+def _decimal_mid(lag):
+    """w_mid / sqrt(dt) at a real lag, from 50-digit differences of L^(3/2)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lag = Decimal(lag)
+        power = [(lag + k) * (lag + k).sqrt() for k in (-1, 0, 1)]
+        return float(Decimal(4) / 3 * (power[2] - 2 * power[1] + power[0]))
+
+
+@functools.cache
+def _decimal_weights(n):
+    """w_mid and w_first over sqrt(dt) at lags 1..n, from 50-digit
+    differences of L^(3/2)."""
     with localcontext() as ctx:
         ctx.prec = 50
         roots = [Decimal(lag).sqrt() for lag in range(n + 2)]
@@ -442,13 +535,42 @@ def test_weights_against_decimal_reference():
                for lag in range(1, n + 1)]
         first = [2 * roots[lag] - Decimal(4) / 3 * (power[lag] - power[lag - 1])
                  for lag in range(1, n + 1)]
+    return np.array(mid, dtype=float), np.array(first, dtype=float)
+
+
+def test_weights_against_decimal_reference():
+    # the direct float differences lose digits like eps*L^2 (4e-9 relative
+    # at L = 4000)
+    n = 30000
+    mid, first = _decimal_weights(n)
     dt = 0.37
     w_mid, w_first, w_diag = _weights(n, dt)
     scale = math.sqrt(dt)
     assert w_mid[0] == w_first[0] == 0.0
-    assert np.max(np.abs(w_mid[1:] / (scale * np.array(mid, dtype=float)) - 1.0)) <= 1e-14
-    assert np.max(np.abs(w_first[1:] / (scale * np.array(first, dtype=float)) - 1.0)) <= 1e-14
+    assert np.max(np.abs(w_mid[1:] / (scale * mid) - 1.0)) <= 1e-14
+    assert np.max(np.abs(w_first[1:] / (scale * first) - 1.0)) <= 1e-14
     assert w_diag == pytest.approx(4.0 / 3.0 * scale, rel=1e-15)
+
+
+def test_far_weight_against_decimal_reference():
+    # a far block's cores take the weight at real lags from _FAR on, where
+    # its cut series must hold; from lag _FAR on, so lowering _FAR past the
+    # series' reach fails here
+    n = 30000
+    mid, _ = _decimal_weights(n)
+    lags = np.arange(_FAR, n + 1, dtype=float)
+    assert np.max(np.abs(_far_weight(1.0 / lags) / mid[_FAR - 1:] - 1.0)) <= 1e-15
+    real = _FAR + (n - _FAR) * np.random.default_rng(17).random(200) ** 4
+    real[:2] = _FAR, _FAR + 0.5
+    ref = np.array([_decimal_mid(lag) for lag in real])
+    assert np.max(np.abs(_far_weight(1.0 / real) / ref - 1.0)) <= 1e-15
+
+
+def test_far_weight_series_is_cut_for_far_lags_only():
+    # below _FAR the cut series falls short of the full one
+    lags = np.arange(4, _FAR // 4, dtype=float)
+    mid, _ = _decimal_weights(_FAR)
+    assert np.max(np.abs(_far_weight(1.0 / lags) / mid[3:_FAR // 4 - 1] - 1.0)) > 1e-15
 
 
 def test_cis_matches_complex_exp():
