@@ -253,8 +253,8 @@ def _prominent_peaks(y, prominence):
 
 
 def _parabolic_refine(z, y, i):
-    if i == 0 or i == len(y) - 1:
-        return z[i]
+    """The vertex of the parabola through samples i - 1, i and i + 1, for an
+    interior i, as _prominent_peaks gives; a plateau keeps z[i]."""
     denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
     if denom == 0.0:
         return z[i]

@@ -226,12 +226,28 @@ def cmd_scan(opt):
     print(f"WKB background 2*pi*D_avg at z={mid:.6g}: {bg:.6g}")
     for path in paths:
         print(f"wrote {path}")
+    _warn_coarse_oracle_dt(opt["oracle_dt"], scan.gamma_param, z_values)
     _warn_failures(scan.engine, z_values, scan.missing_indices)
     if scan.missing_indices:
         print(f"warning: {len(scan.missing_indices)} samples failed and were "
               "interpolated", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
+
+
+def _warn_coarse_oracle_dt(dt, gamma, z_values):
+    """One warning naming the grid points where the oracle's maximum step
+    ``dt`` is coarser than its default step, and that step."""
+    if dt is None:
+        return
+    params = model.from_dimensionless(gamma, z_values)
+    points = [params.point(i) for i in range(np.size(params.z))]
+    coarse = [f"z={p.z:g} ({step:.3g})" for p, step in
+              zip(points, map(oracle.default_time_step, points)) if dt > step]
+    if coarse:
+        print(f"warning: --oracle-dt {dt:g} is coarser than the oracle's default "
+              "step at " + ", ".join(coarse) + ": the march may be unresolved there",
+              file=sys.stderr)
 
 
 def _warn_failures(engine, z_values, failures):
@@ -270,6 +286,7 @@ def cmd_compare(opt):
               f"validated range (~{GAMMA_VALIDATED_MAX}) at z="
               + ", ".join(f"{z:g}" for z in z_values[beyond]), file=sys.stderr)
     params = model.from_dimensionless(gamma, z_values)
+    _warn_coarse_oracle_dt(opt["oracle_dt"], gamma, z_values)
     rates = {}
     failures = 0
     for engine in ("semiclassical", "oracle"):
@@ -415,8 +432,9 @@ def cmd_selfcheck(opt):
     ac_err = abs(ac - 1j * math.pi)
     _check(report, "barrier demo i*pi", ac_err < 1e-10, f"err {ac_err:.1e}")
 
+    pr_off = model.from_dimensionless(0.7, 0.5)
+    _warn_coarse_oracle_dt(opt["oracle_dt"], pr_off.gamma, pr_off.z)
     try:
-        pr_off = model.from_dimensionless(0.7, 0.5)
         # the self-consistency probe sees the sqrt boundary layer at t ~ 0,
         # which sits near 1e-3 in max norm at the default step
         grid = oracle.solve_boundary_function(

@@ -28,7 +28,6 @@ analytic in both times, through its interpolant at p x p Chebyshev points
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -282,37 +281,28 @@ _TILE = 256
 _FAR = 192
 _CHEB_TOL = 1e-13
 
-# (1 + u)^(3/2) = sum_m binom[m] u^m for |u| < 1, through u^22.  From lag
-# _SERIES_FROM on, w_mid and w_first are (4/3)*L^(3/2) times these series in
-# u = 1/L, which converge to 1e-16 there:
-#   (L+1)^(3/2) - 2 L^(3/2) + (L-1)^(3/2) = L^(3/2) sum_m 2*binom[2m] u^(2m),
-#   L^(3/2) - (L-1)^(3/2) = L^(3/2) (3u/2 - sum_{m>=2} binom[m] (-u)^m)
+# (1 - u)^(3/2) = sum_m binom[m] u^m for |u| < 1, through u^22.  From lag
+# _SERIES_FROM on, w_mid and w_first are (4/3) L^(-1/2) times these series,
+# which converge to 1e-16 there (u = 1/L; w_first's 2 L^(1/2) cancels):
+#   (L+1)^(3/2) - 2 L^(3/2) + (L-1)^(3/2) = L^(3/2) sum_{m>=1} 2*binom[2m] u^(2m),
+#   L^(3/2) - (L-1)^(3/2) = L^(3/2) (3u/2 - sum_{m>=2} binom[m] u^m)
 _SERIES_FROM = 4
-_BINOM = np.cumprod([1.0] + [(2.5 - m) / m for m in range(1, 23)])
-_MID_SERIES = np.where(np.arange(21) % 2 == 0, 2.0 * _BINOM[:21], 0.0)
-_MID_SERIES[0] = 0.0
-_FIRST_SERIES = _BINOM * (-1.0) ** np.arange(_BINOM.size)
-_FIRST_SERIES[:2] = 0.0
+_BINOM = np.cumprod([1.0] + [(m - 2.5) / m for m in range(1, 23)])
+_MID_SERIES = 2.0 * _BINOM[2:21:2]  # in 1/L^2
+_FIRST_SERIES = _BINOM[2:]  # in 1/L
+# a far block's lags are at least _FAR; there _MID_SERIES is cut where the
+# first term left out is below eps/16 of the leading one at lag _FAR
+_FAR_SERIES = _MID_SERIES[:next(
+    m for m in range(1, _MID_SERIES.size)
+    if abs(_MID_SERIES[m]) * _FAR ** (-2.0 * m)
+    < _MID_SERIES[0] * np.finfo(float).eps / 16)]
 
 
-def _series_weight(lags, series):
-    """w_mid or w_first over sqrt(dt) at real lags L >= _SERIES_FROM."""
-    return (4.0 / 3.0) * lags ** 1.5 * np.polynomial.polynomial.polyval(1.0 / lags, series)
-
-
-# a far block's lags are at least _FAR.  There w_mid/sqrt(dt) is (4/3) L^(-1/2)
-# times _MID_SERIES's nonzero terms, a series in 1/L^2, cut where the first
-# term left out is below eps/16 of the leading one at lag _FAR
-_FAR_SERIES = _MID_SERIES[2::2][:next(
-    m for m in range(1, 10)
-    if abs(_MID_SERIES[2 * m + 2]) * _FAR ** (-2.0 * m) < _MID_SERIES[2] * np.finfo(float).eps / 16)]
-
-
-def _far_weight(inv):
-    """w_mid over sqrt(dt) at real lags L >= _FAR, from inv = 1/L."""
-    v = inv * inv
-    w = np.full(v.shape, _FAR_SERIES[-1])
-    for c in _FAR_SERIES[-2::-1]:
+def _series_weight(inv, v, series):
+    """(4/3) L^(-1/2) * sum_m series[m] v^m at real lags L = 1/inv: w_mid
+    over sqrt(dt) with v = 1/L^2, w_first with v = 1/L."""
+    w = np.full(v.shape, series[-1])
+    for c in series[-2::-1]:
         w *= v
         w += c
     w *= np.sqrt(inv)
@@ -339,8 +329,9 @@ def _weights(n, dt):
     w_mid[1:] = (4.0 / 3.0) * (p[2:] - 2.0 * p[1:-1] + p[:-2])
     w_first = np.zeros(n + 1)
     w_first[1:] = 2.0 * np.sqrt(lags[1:]) - (4.0 / 3.0) * (p[1:-1] - p[:-2])
-    w_mid[_SERIES_FROM:] = _series_weight(lags[_SERIES_FROM:], _MID_SERIES)
-    w_first[_SERIES_FROM:] = _series_weight(lags[_SERIES_FROM:], _FIRST_SERIES)
+    inv = 1.0 / lags[_SERIES_FROM:]
+    w_mid[_SERIES_FROM:] = _series_weight(inv, inv * inv, _MID_SERIES)
+    w_first[_SERIES_FROM:] = _series_weight(inv, inv, _FIRST_SERIES)
     root = math.sqrt(dt)
     return root * w_mid, root * w_first, (4.0 / 3.0) * root
 
@@ -381,12 +372,11 @@ def _barycentric(p, lo, hi, x):
 
 
 def _real_times(matrix, z):
-    """matrix @ z for a real matrix, in einsum on one thread: BLAS would busy
-    every CPU.  A complex matrix z is read as its float view, each row's
-    real and imaginary parts side by side, in one product; a complex
-    vector's two parts go one at a time, which einsum sums faster."""
-    if not np.iscomplexobj(z):
-        return np.einsum("ij,j...->i...", matrix, z)
+    """matrix @ z, complex, for a real matrix and a complex z (or a real
+    vector), in einsum on one thread: BLAS would busy every CPU.  A matrix z
+    is read as its float view, each row's real and imaginary parts side by
+    side, in one product; a vector's two parts go one at a time, which
+    einsum sums faster."""
     if z.ndim == 1:
         return (np.einsum("ij,j->i", matrix, z.real)
                 + 1j * np.einsum("ij,j->i", matrix, z.imag))
@@ -431,9 +421,6 @@ class _Kernel:
         self.x_buf = work[_Cis.ROWS]
         self.k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
         self.matrices = {}  # far blocks' interpolation matrices, see _matrix
-        # far blocks still to come per block side, which _march counts: far
-        # drops a side's matrices after its last block
-        self.sides = collections.Counter()
 
     def __call__(self, j0, j1, i0, i1):
         shape = (j1 - j0, i1 - i0)
@@ -461,7 +448,7 @@ class _Kernel:
         phase *= phase
         phase *= inv
         phase *= 0.5 / (self.h * self.dt)
-        weight = math.sqrt(self.dt) * _far_weight(inv)
+        weight = math.sqrt(self.dt) * _series_weight(inv, inv * inv, _FAR_SERIES)
         phase, weight = phase.reshape(-1), weight.reshape(-1)
         out = np.empty(q * q, dtype=complex)
         size = self.x_buf.size  # what cis's work buffers hold
@@ -477,7 +464,7 @@ class _Kernel:
 
         The affine map of integer rows to [-1, 1] is exact, so a matrix
         depends on nothing else, and the solve keeps each one it builds
-        until the last block with that side (see ``sides``).
+        until the march returns.
         """
         if (p, size) not in self.matrices:
             if size is None:
@@ -509,13 +496,7 @@ class _Kernel:
             raise ConvergenceError("the kernel's Chebyshev interpolant did not "
                                    f"converge on the far block {(j0, j1, i0, i1)}")
         v = np.einsum("ij,j->i", core, _mirror_t_times(self._matrix(p, i1 - i0), f))
-        out = _mirror_times(self._matrix(p, j1 - j0), j1 - j0, v)
-        for side in (j1 - j0, i1 - i0):
-            self.sides[side] -= 1
-            if self.sides[side] == 0:
-                for key in [key for key in self.matrices if key[1] == side]:
-                    del self.matrices[key]
-        return out
+        return _mirror_times(self._matrix(p, j1 - j0), j1 - j0, v)
 
 
 def _partition(lo, hi):
@@ -593,10 +574,7 @@ def _march(t, gamma, h, driven):
                 acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
                                         big_f[c0:c1])
 
-    steps = _partition(0, t.size)
-    kernel.sides.update(side for kind, *span in steps if kind == "far"
-                        for side in (span[1] - span[0], span[3] - span[2]))
-    for kind, *span in steps:
+    for kind, *span in _partition(0, t.size):
         if kind == "leaf":
             lo, hi = span
             for j0 in range(max(lo, 1), hi, _BLOCK):

@@ -13,6 +13,7 @@ import drivendelta.semiclassical as sc_mod
 from drivendelta.analysis import (
     PROMINENCE_FRAC,
     RateScan,
+    _parabolic_refine,
     _prominent_peaks,
     appendix_c_demo,
     barrier_traversal_time,
@@ -61,6 +62,16 @@ def test_sg_endpoint_refit_stays_local():
     series = np.linspace(0.0, 10.0, 50)
     out = savitzky_golay(series, 11, 1)
     assert np.allclose(out, series, atol=1e-12)
+
+
+def test_sg_series_shorter_than_the_window_is_refit_per_point():
+    # every point takes the fit on the part of its window inside the series
+    series = np.random.default_rng(5).normal(size=7)
+    out = savitzky_golay(series, 11, 3)
+    for i in range(series.size):
+        lo, hi = max(0, i - 5), min(series.size, i + 6)
+        coef = np.polyfit(np.arange(lo, hi) - i, series[lo:hi], 3)
+        assert out[i] == pytest.approx(coef[-1], rel=1e-12, abs=1e-12)
 
 
 def test_sg_validation():
@@ -131,6 +142,17 @@ def test_prominence_is_the_height_over_the_higher_base():
                         (1.51, [1]), (3.0, [1]), (3.01, [])):
         assert _prominent_peaks(y, p).tolist() == expected
         assert _scipy_peaks(y, p).tolist() == expected
+
+
+@pytest.mark.parametrize("y", [[0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0],
+                               [0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 0.0]])
+def test_parabolic_refine_keeps_a_plateau_peak_in_place(y):
+    # three or more equal maxima lie on no parabola (zero second difference)
+    y = np.array(y)
+    z = np.linspace(6.0, 6.6, y.size)
+    i, = _prominent_peaks(y, 0.0)
+    assert y[i - 1] == y[i] == y[i + 1]
+    assert _parabolic_refine(z, y, i) == z[i]
 
 
 @pytest.mark.parametrize("name", ["fx_scan_gamma", "fx_scan_nio",

@@ -8,6 +8,8 @@ import pytest
 from drivendelta.analysis import wkb_background
 from drivendelta.cli import (_COMMANDS, _peak_offsets, main, parse_range,
                              range_values, _UsageError)
+from drivendelta.model import from_dimensionless
+from drivendelta.oracle import default_time_step
 
 
 def run(argv, capsys=None):
@@ -621,6 +623,31 @@ def test_compare_oracle_step_longer_than_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dt", ["1e300", "0.001"])
+@pytest.mark.parametrize("argv, z_values, codes", [
+    (["compare", "--gamma", "0.7", "--z", "1:1:1"], [1.0], (0, 0)),
+    (["scan", "--engine", "oracle", "--gamma", "0.7", "--z", "1:1.2:0.1"],
+     [1.0, 1.1, 1.2], (0, 0)),
+    (["selfcheck"], [0.5], (2, 0)),
+], ids=["compare", "scan", "selfcheck"])
+def test_oracle_dt_coarser_than_the_default_warns_once(tmp_path, capsys, dt,
+                                                       argv, z_values, codes):
+    # the warning names both steps and each z; exit codes are as without it
+    out = [] if argv[0] == "selfcheck" else ["--out", str(tmp_path / "out.csv")]
+    code = run([*argv, "--oracle-dt", dt, *out])
+    warned = [line for line in capsys.readouterr().err.splitlines()
+              if "--oracle-dt" in line]
+    if dt == "0.001":
+        assert code == codes[1] and warned == []
+        return
+    assert code == codes[0]
+    points = ", ".join(
+        f"z={z:g} ({default_time_step(from_dimensionless(0.7, z)):.3g})"
+        for z in z_values)
+    assert warned == [f"warning: --oracle-dt 1e+300 is coarser than the oracle's "
+                      f"default step at {points}: the march may be unresolved there"]
 
 
 def test_fixed_gamma_reaches_the_semiclassical_engine_as_one_number(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -18,12 +19,12 @@ from drivendelta.model import drive, from_dimensionless
 from drivendelta.oracle import (
     _BLOCK,
     _FAR,
+    _FAR_SERIES,
     _Cis,
     _LAGRANGE_POINTS,
     _Kernel,
     _barycentric,
     _chebyshev_points,
-    _far_weight,
     _free_evolution_overlap,
     _lagrange,
     _two_sided_overlap,
@@ -32,6 +33,7 @@ from drivendelta.oracle import (
     _mirror_times,
     _partition,
     _real_times,
+    _series_weight,
     _simpson,
     _weights,
     default_time_step,
@@ -414,36 +416,19 @@ def test_mirrored_matrix_products_match_the_full_matrix(size):
 
 
 def test_real_times_matches_matmul():
-    # real and complex, vectors and matrices, contiguous or not, and the
-    # real unit columns that far blocks are tested with
+    # complex vectors and matrices, contiguous or not, and the real unit
+    # vectors that far blocks are tested with
     rng = np.random.default_rng(13)
     matrix = rng.normal(size=(7, 9))
     real = rng.normal(size=(9, 5))
     cplx = real + 1j * rng.normal(size=(9, 5))
-    for z in (real[:, 0], real, cplx[:, 0], cplx, cplx[:, ::2], cplx.T.copy().T,
-              np.eye(9)[0], np.eye(9)[:, :3]):
+    for z in (real[:, 0], cplx[:, 0], cplx, cplx[:, ::2], cplx.T.copy().T,
+              np.eye(9)[0]):
         for m in (matrix, np.asfortranarray(matrix), matrix.T.copy().T):
             out = _real_times(m, z)
-            assert out.shape == (m @ z).shape and out.dtype == z.dtype
+            assert out.shape == (m @ z).shape and out.dtype == complex
             assert np.max(np.abs(out - m @ z)) <= 1e-14
     assert np.array_equal(_real_times(matrix, np.eye(9)[0]), matrix[:, 0])
-
-
-def test_far_blocks_free_the_matrices_of_sides_no_later_block_has():
-    params = from_dimensionless(0.7, 4.0)
-    n = 3941
-    dt = 4.0 * math.pi / n
-    kernel = _Kernel(dt * np.arange(n + 1), params.h, True)
-    far = [span for kind, *span in _partition(0, n + 1) if kind == "far"]
-    sides = [(j1 - j0, i1 - i0) for j0, j1, i0, i1 in far]
-    kernel.sides.update(side for pair in sides for side in pair)
-    for index, span in enumerate(far):
-        kernel.far(*span, np.ones(span[3] - span[2]))
-        later = {side for pair in sides[index + 1:] for side in pair}
-        kept = {size for _, size in kernel.matrices if size is not None}
-        assert kept <= later
-        assert set(sides[index]) & later <= kept
-    assert all(size is None for _, size in kernel.matrices)
 
 
 def _assert_far_block_matches_exact(kernel, span):
@@ -470,6 +455,22 @@ def test_far_blocks_match_their_exact_blocks_column_0_included():
     assert any(i0 == 0 for _, _, i0, _ in far)
     for span in far:
         _assert_far_block_matches_exact(kernel, span)
+
+
+def test_march_memory_peak_stays_with_mirrored_halves():
+    # 4.5 MiB traced at z = 8 over two cycles; keeping whole barycentric
+    # matrices instead of their top halves (see _matrix) reads 6.5 MiB
+    params = from_dimensionless(0.7, 8.0)
+    n = math.ceil(4.0 * math.pi / default_time_step(params))
+    t = (4.0 * math.pi / n) * np.arange(n + 1)
+    _march(t, params.gamma, params.h, True)  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        _march(t, params.gamma, params.h, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_march_runs_on_one_thread(tmp_path):
@@ -552,6 +553,12 @@ def test_weights_against_decimal_reference():
     assert w_diag == pytest.approx(4.0 / 3.0 * scale, rel=1e-15)
 
 
+def _far_weight(lags):
+    """w_mid over sqrt(dt) as a far block's cores take it."""
+    inv = 1.0 / lags
+    return _series_weight(inv, inv * inv, _FAR_SERIES)
+
+
 def test_far_weight_against_decimal_reference():
     # a far block's cores take the weight at real lags from _FAR on, where
     # its cut series must hold; from lag _FAR on, so lowering _FAR past the
@@ -559,18 +566,18 @@ def test_far_weight_against_decimal_reference():
     n = 30000
     mid, _ = _decimal_weights(n)
     lags = np.arange(_FAR, n + 1, dtype=float)
-    assert np.max(np.abs(_far_weight(1.0 / lags) / mid[_FAR - 1:] - 1.0)) <= 1e-15
+    assert np.max(np.abs(_far_weight(lags) / mid[_FAR - 1:] - 1.0)) <= 1e-15
     real = _FAR + (n - _FAR) * np.random.default_rng(17).random(200) ** 4
     real[:2] = _FAR, _FAR + 0.5
     ref = np.array([_decimal_mid(lag) for lag in real])
-    assert np.max(np.abs(_far_weight(1.0 / real) / ref - 1.0)) <= 1e-15
+    assert np.max(np.abs(_far_weight(real) / ref - 1.0)) <= 1e-15
 
 
 def test_far_weight_series_is_cut_for_far_lags_only():
     # below _FAR the cut series falls short of the full one
     lags = np.arange(4, _FAR // 4, dtype=float)
     mid, _ = _decimal_weights(_FAR)
-    assert np.max(np.abs(_far_weight(1.0 / lags) / mid[3:_FAR // 4 - 1] - 1.0)) > 1e-15
+    assert np.max(np.abs(_far_weight(lags) / mid[3:_FAR // 4 - 1] - 1.0)) > 1e-15
 
 
 def test_cis_matches_complex_exp():
@@ -744,6 +751,13 @@ def test_solve_rejects_a_step_count_beyond_memory():
                                          "do not fit in memory"):
         solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
                                 dt=1e-15)
+
+
+@pytest.mark.parametrize("t_f", [0.0, -1.0, math.nan, 2.0 * math.pi + 1e-9])
+def test_projection_rejects_a_time_outside_the_grid(t_f):
+    grid = solve_boundary_function(P_SMALL, 2.0 * math.pi, dt=0.1)
+    with pytest.raises(ValueError, match="outside the solved grid"):
+        survival_probability(grid, t_f=t_f)
 
 
 def test_solve_takes_one_step_for_a_step_longer_than_the_run():

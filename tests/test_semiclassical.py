@@ -231,6 +231,12 @@ def test_survival_amplitude_structure():
                                            rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_survival_amplitude_rejects_a_cycle_count_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        survival_amplitude(P07, n)
+
+
 def test_survival_amplitude_even_only_by_default():
     amp = survival_amplitude(P07, 2)
     assert [t.k for t in amp.packet_terms] == [0, 2]
