@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .model import ModelParams, all_true, unbox
+from .model import ModelParams, all_true, power, unbox
 
 __all__ = [
     "QuasiEnergy",
@@ -58,13 +58,13 @@ def rate_instantaneous(params: ModelParams, eta):
     if not all_true(eta > 0.0):
         raise ValueError(f"eta must be positive, got eta={eta!r}")
     g, h = params.gamma, params.h
-    return unbox((g * g / h) * np.exp(-2.0 * g**3 / (3.0 * eta * h)))
+    return unbox((g * g / h) * np.exp(-2.0 * power(g, 3) / (3.0 * eta * h)))
 
 
 def rate_cycle_averaged(params: ModelParams):
     """Cycle-averaged rate: saddle-point value sqrt(3h/(pi gamma^3)) * D(1)."""
     g, h = params.gamma, params.h
-    return unbox(np.sqrt(3.0 * h / (math.pi * g**3))
+    return unbox(np.sqrt(3.0 * h / (math.pi * power(g, 3)))
                  * rate_instantaneous(params, 1.0))
 
 
@@ -99,7 +99,7 @@ def stark_shift(params: ModelParams, eta):
     if not all_true((eta >= 0.0) & (eta <= 1.0)):
         raise ValueError(f"eta must lie in [0, 1], got eta={eta!r}")
     g, h = params.gamma, params.h
-    return -5.0 * h * h * eta * eta / (8.0 * g**4)
+    return -5.0 * h * h * eta * eta / (8.0 * power(g, 4))
 
 
 def stark_shift_averaged(params: ModelParams):
@@ -110,7 +110,7 @@ def stark_shift_averaged(params: ModelParams):
 def quasi_energy_averaged(params: ModelParams) -> QuasiEnergy:
     """Cycle-averaged quasi-energy; valid for propagation over whole cycles."""
     return QuasiEnergy(
-        e0=-0.5 * params.gamma**2,
+        e0=-0.5 * power(params.gamma, 2),
         e_ac=stark_shift_averaged(params),
         e_i=-0.5j * params.h * rate_cycle_averaged(params),
     )

@@ -440,7 +440,7 @@ def cmd_selfcheck(opt):
         grid = oracle.solve_boundary_function(
             pr_off, 4.0 * math.pi, dt=opt["oracle_dt"], driven=False,
             tolerance=3e-3)
-        _, w = oracle.survival_probability(grid)
+        _, w = oracle.survival_probability(grid, 2)
         uni = abs(w - 1.0)
         _check(report, "oracle field-off unitarity", uni < 1e-4,
                f"|w-1| = {uni:.2e}")

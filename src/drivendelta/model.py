@@ -73,6 +73,13 @@ def unbox(x):
     return x
 
 
+def power(x, k):
+    """x**k, bit for bit, for a float or an array; inf where it overflows,
+    where a Python float's ** raises OverflowError."""
+    with np.errstate(over="ignore"):
+        return unbox(np.float64(x) ** k)
+
+
 def all_true(mask):
     """Whether a comparison holds everywhere, for scalar and array operands."""
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
@@ -160,5 +167,6 @@ def decay_rate(probability, n_first, n_last):
     with np.errstate(all="ignore"):
         w_first = probability(n_first) if n_first else 1.0
         w_last = probability(n_last)
-        rate = -np.log(np.divide(w_last, w_first)) / (n_last - n_first)
+        # + 0.0: where w_last == w_first, -log(1) is -0.0, which prints as -0
+        rate = -np.log(np.divide(w_last, w_first)) / (n_last - n_first) + 0.0
     return unbox(np.where((w_first == 0.0) | (w_last == 0.0), np.inf, rate))

@@ -12,10 +12,12 @@ problem to the origin value f(t) = psi(0, t):
 a weakly singular Volterra equation of the second kind whose kernel carries
 the (t-s)^(-1/2) spreading prefactor.  U is exp(i*S/h)/sqrt(2*pi*i*h*T)
 with S = model.volkov_action between two model.drive endpoint records, the
-action the semiclassical engine uses too.  The inhomogeneity g and all
-ground-state overlaps are one closed form, _two_sided_overlap: a Gaussian in
-the free end point against the two-sided exponential bound state, through
-the scaled complementary error function of complex argument.
+action the semiclassical engine uses too.  The inhomogeneity g and the
+projection's bound-state overlaps are one closed form, _two_sided_overlap: a
+Gaussian in the free end point against the two-sided exponential bound
+state, through the scaled complementary error function of complex argument.
+The projection is taken after whole cycles, where the free-evolution
+overlap <psi0|U|psi0> is a closed form too (_free_evolution_overlap).
 
 The time march uses product integration (_weights), stable and of
 empirical order ~2 despite the singularity, and a kernel entry costs one
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError, NumericError
-from .model import Drive, ModelParams, decay_rate, drive
+from .errors import ConvergenceError
+from .model import Drive, ModelParams, decay_rate, drive, power
 
 __all__ = [
     "VolterraGrid",
@@ -87,40 +89,24 @@ def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
                    * 0.5 * math.sqrt(math.pi) / q_sqrt * e)
 
 
-# 16-point Gauss-Legendre rule on [-1, 1], shared by every quadrature panel
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# most panels per half-line of the overlap quadrature: a process peak near 340 MB
-_MAX_PANELS = 2**17
+def _free_evolution_overlap(n, gamma, h, driven):
+    """<psi0| U(t_f, 0) |psi0> after n whole cycles, t_f = 2*pi*n, in closed form.
 
+    There cos t_f = 1 and sin t_f = 0, so U is the free propagator times
+    exp(i*(phi_f - phi_i)/h).  In momentum space psi0 is the Lorentzian
+    sqrt(lam)*2*lam/(lam^2 + k^2), lam = gamma/h, and -d/d(lam^2) of
+    integral exp(-i*a*k^2)/(lam^2 + k^2) dk = (pi/lam)*erfcx(lam*sqrt(i*a))
+    gives, with zeta = gamma*sqrt(i*t_f/(2h)) (principal root),
 
-def _free_evolution_overlap(t_f, gamma, h, driven):
-    """<psi0| U(t_f, 0) |psi0> by quadrature over the source position.
-
-    Each half-line is cut into equal Gauss-Legendre panels, at least one per
-    half oscillation of the chirp exp(i*beta*(y - shift)^2) that the inner
-    overlap carries (beta = 1/(2*h*t_f), shift = cos t_f - 1), and never
-    fewer than 16.
+        exp(i*(phi_f - phi_i)/h) * ((1 - 2*zeta^2)*erfcx(zeta) + 2*zeta/sqrt(pi)).
     """
-    lam = gamma / h
-    span = 40.0 / lam
-    beta = 1.0 / (2.0 * h * t_f)
-    end, start = drive(t_f, driven), drive(0.0, driven)
-    shift = end.cos - start.cos
-    panels = beta * (span + abs(shift)) ** 2 / math.pi
-    if not panels <= _MAX_PANELS:
-        raise NumericError(f"the free-evolution overlap needs {panels:.3g} "
-                           f"quadrature panels, more than {_MAX_PANELS}")
-    panels = max(16, math.ceil(panels))
-    half_width = 0.5 * span / panels
+    from scipy.special import erfcx
 
-    total = 0.0 + 0.0j
-    for lo in (-span, 0.0):
-        mid = lo + half_width * (2.0 * np.arange(panels) + 1.0)
-        y = mid[:, None] + half_width * _GL_NODES
-        inner = _two_sided_overlap(end, start, gamma, h, y=y)
-        vals = math.sqrt(gamma / h) * np.exp(-lam * np.abs(y)) * inner
-        total += half_width * np.sum(vals * _GL_WEIGHTS)
-    return total
+    t_f = 2.0 * math.pi * n
+    end, start = drive(t_f, driven), drive(0.0, driven)
+    zeta = gamma * np.sqrt(0.5j * t_f / h)
+    return (np.exp((1j / h) * (end.phi - start.phi))
+            * ((1.0 - 2.0 * zeta * zeta) * erfcx(zeta) + 2.0 * zeta / math.sqrt(math.pi)))
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +137,9 @@ def default_time_step(params: ModelParams, factor=40.0):
     The bound phase rotates at gamma^2/(2h), the fastest scale at large z;
     the rule dt = min(2*pi, h/gamma^2)/factor over-resolves both scales.
     """
-    gamma_sq = params.gamma**2  # 0 where gamma^2 underflows: h/gamma^2 = inf
+    # h/gamma^2 is inf where gamma^2 underflows to 0, and 0 (a step that
+    # the solve rejects) where it overflows
+    gamma_sq = power(params.gamma, 2)
     return min(2.0 * math.pi, params.h / gamma_sq if gamma_sq else math.inf) / factor
 
 
@@ -163,7 +151,8 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     ----------
     params : ModelParams
     t_f : float
-        Final time; whole cycles (2*pi*n) recommended.
+        Final time.  :func:`survival_probability` projects after whole
+        cycles only, so a grid to project on ends at 2*pi*n.
     dt : float, optional
         Maximum step; defaults to :func:`default_time_step`.  The actual
         step divides t_f exactly; a step longer than t_f gives the one-step
@@ -632,29 +621,35 @@ def _simpson(y, dx):
     return np.sum(y[..., :-2:2] + 4.0 * y[..., 1::2] + y[..., 2::2], axis=-1) * (dx / 3.0)
 
 
-def survival_probability(grid: VolterraGrid, t_f=None):
-    """Survival amplitude p = <psi0|psi(t_f)> and probability w = |p|^2.
+def survival_probability(grid: VolterraGrid, n):
+    """Survival amplitude p = <psi0|psi(t_f)> and probability w = |p|^2
+    after n whole cycles, t_f = 2*pi*n, which the grid must reach.
 
-    Duhamel again: the free-evolution overlap plus the time integral of the
+    Duhamel again: the free-evolution overlap, in closed form at whole
+    cycles (_free_evolution_overlap), plus the time integral of the
     (closed-form) bound-state overlap of the kernel against the boundary
     function.  The integrand has square-root behavior at both endpoints, so
     each half of the interval is integrated in the variable sqrt(distance
     to the endpoint), where it is smooth, by Simpson's rule; the boundary
     function between grid times is its local interpolant (_lagrange).
-
-    ``t_f`` may pick an earlier grid time (defaults to the end of the grid).
     """
+    if not (math.isfinite(n) and n == int(n) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got n={n!r}")
+    t_f = 2.0 * math.pi * n
+    if t_f > grid.t[-1] * (1.0 + 1e-12):
+        raise ValueError(f"n={n!r}: t_f = 2*pi*n = {t_f:.6g} outside the solved grid "
+                         f"(t <= {grid.t[-1]:.6g})")
     params = grid.params
     gamma, h = params.gamma, params.h
-    if t_f is None:
-        t_f = float(grid.t[-1])
-    if not 0.0 < t_f <= grid.t[-1] + 1e-12:
-        raise ValueError(f"t_f={t_f!r} outside the solved grid")
 
-    phase_rate = gamma**2 / (2.0 * h)
+    phase_rate = power(gamma, 2) / (2.0 * h)
     n_osc = max(phase_rate * t_f, t_f) / (2.0 * math.pi)
-    m = max(_PROJECTION_NODES, 2 * int(_PROJECTION_PER_OSC * n_osc) + 1)
-    u = np.linspace(0.0, math.sqrt(0.5 * t_f), m)
+    try:
+        m = max(_PROJECTION_NODES, 2 * int(_PROJECTION_PER_OSC * n_osc) + 1)
+        u = np.linspace(0.0, math.sqrt(0.5 * t_f), m)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"the projection's {2 * _PROJECTION_PER_OSC * n_osc:.3g} "
+                         "nodes do not fit in memory") from None
     # rows: the half from 0 and the half from t_f; u = 0 is left out, where
     # the integrand vanishes and the second half's overlap is singular
     t_src = np.stack((u[1:] * u[1:], t_f - u[1:] * u[1:]))
@@ -664,8 +659,7 @@ def survival_probability(grid: VolterraGrid, t_f=None):
                    * _lagrange(grid.f, grid.dt, t_src) * 2.0 * u[1:])
     total = np.sum(_simpson(vals, u[1]))
 
-    p = (_free_evolution_overlap(t_f, gamma, h, grid.driven)
-         + 1j * gamma * total)
+    p = _free_evolution_overlap(n, gamma, h, grid.driven) + 1j * gamma * total
     return p, float(abs(p) ** 2)
 
 
@@ -686,6 +680,4 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None):
     """
     solve = functools.cache(lambda: solve_boundary_function(
         params, 2.0 * math.pi * n_last, dt=dt))
-    return decay_rate(
-        lambda n: survival_probability(solve(), t_f=2.0 * math.pi * n)[1],
-        n_first, n_last)
+    return decay_rate(lambda n: survival_probability(solve(), n)[1], n_first, n_last)

@@ -37,17 +37,3 @@ def _windowed_background_mean(z_values, series, period, halfwidth_periods=1.0):
 def windowed_background_mean():
     """Local background mean of a modulated rate curve (criterion 2)."""
     return _windowed_background_mean
-
-
-class _NoPanels:
-    def __rmul__(self, other):
-        raise AssertionError("the overlap quadrature laid out its panels")
-
-
-@pytest.fixture
-def no_overlap_panels(monkeypatch):
-    """Fail, where the oracle's overlap quadrature would lay out its
-    panels, instead of allocating them (gigabytes in the refused cases)."""
-    import drivendelta.oracle as oracle_mod
-
-    monkeypatch.setattr(oracle_mod, "_GL_NODES", _NoPanels())

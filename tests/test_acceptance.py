@@ -181,7 +181,7 @@ def test_criterion_6_oracle_sanity():
     grid = solve_boundary_function(
         params_off, 20.0 * math.pi,
         dt=default_time_step(params_off, factor=160.0), driven=False)
-    _, w_off = survival_probability(grid)
+    _, w_off = survival_probability(grid, 10)
     unitarity = abs(math.sqrt(w_off) - 1.0)
     unitarity_ok = unitarity <= 1e-6
 
@@ -194,7 +194,7 @@ def test_criterion_6_oracle_sanity():
         for factor in (20.0, 40.0, 80.0):
             g = solve_boundary_function(params, 2.0 * math.pi,
                                         dt=default_time_step(params, factor))
-            p, w = survival_probability(g)
+            p, w = survival_probability(g, 1)
             ps.append(p)
             bounded = bounded and (w <= 1.0 + 10.0 * 1e-5)
         d1, d2 = abs(ps[0] - ps[1]), abs(ps[1] - ps[2])

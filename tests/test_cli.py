@@ -148,21 +148,54 @@ def test_scan_that_cannot_interpolate_names_each_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, panels", [
-    (["compare", "--gamma", "0.001"], "1.01e+07"),
-    (["scan", "--engine", "oracle", "--gamma", "0.001"], "5.07e+06"),
-    # gamma^2 underflows to 0: the default step is the field period's
-    (["compare", "--gamma", "1e-300"], "inf"),
+@pytest.mark.parametrize("argv, column", [
+    (["compare"], "Gamma_oracle"),
+    (["scan", "--engine", "oracle"], "Gamma_raw"),
 ])
-def test_oracle_at_small_gamma_is_numeric_failure(tmp_path, capsys,
-                                                  no_overlap_panels, argv,
-                                                  panels):
-    code = run([*argv, "--z", "1:1:1", "--cycles", "2",
-                "--out", str(tmp_path / "out.csv")])
+def test_oracle_at_small_gamma_gives_a_rate(tmp_path, capsys, argv, column):
+    # the free-evolution overlap is a closed form at any gamma
+    out = tmp_path / "out.csv"
+    code = run([*argv, "--gamma", "0.001", "--z", "1:1:1", "--cycles", "2",
+                "--out", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out) as fh:
+        rate = float(next(csv.DictReader(fh))[column])
+    assert math.isfinite(rate) and rate >= 0.0
+
+
+def test_zero_oracle_rate_prints_as_0(tmp_path, capsys):
+    # gamma = 1e-300 leaves the bound state alone: w(1) = w(2) = 1 and
+    # -log(1) is -0.0, which the CSV would print as -0
+    out = tmp_path / "cmp.csv"
+    code = run(["compare", "--gamma", "1e-300", "--z", "1:1:1", "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == 2
-    assert (f"numeric failure: the free-evolution overlap needs {panels} "
-            "quadrature panels, more than 131072\n") in err
+    assert code == 2  # the semiclassical rate fails there
+    assert "semiclassical failed at z=1" in err and "Traceback" not in err
+    with open(out) as fh:
+        assert next(csv.DictReader(fh))["Gamma_oracle"] == "0"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["scan", "--gamma", "1e80", "--z", "1:1.1:0.05"], 1,
+                 "usage error: the z range 1:1.1 must be narrower", id="scan-1e80"),
+    pytest.param(["compare", "--gamma", "1e80", "--z", "1:1:1"], 1,
+                 "usage error: the 2.01e+163 time steps", id="compare-1e80"),
+    # gamma^2 overflows: every semiclassical sample fails with its reason,
+    # and the oracle's default step is 0
+    pytest.param(["scan", "--gamma", "1e200", "--z", "1:1.1:0.05"], 2,
+                 "  z=1.05: survival probability is not finite; rate is nan\n",
+                 id="scan-1e200"),
+    pytest.param(["compare", "--gamma", "1e200", "--z", "1:1:1"], 1,
+                 "usage error: dt must be positive, got dt=0.0", id="compare-1e200"),
+    pytest.param(["scan", "--engine", "oracle", "--gamma", "1e200", "--z", "1:1:1"], 1,
+                 "usage error: dt must be positive, got dt=0.0", id="oracle-scan-1e200"),
+])
+def test_large_gamma_ends_with_a_message(tmp_path, capsys, argv, code, message):
+    # a Python float's ** raised OverflowError here, as a traceback
+    assert run([*argv, "--out", str(tmp_path / "out.csv")]) == code
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
 
 

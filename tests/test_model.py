@@ -162,6 +162,15 @@ def test_decay_rate_formula_and_zero_cycle_convention():
             decay_rate(lambda n: 0.5, n_first, n_last)
 
 
+def test_decay_rate_of_an_unchanged_probability_is_plus_zero():
+    # -log(1) is -0.0; the rate is +0.0, for scalars and grids
+    for w_first, n_first in ((1.0, 0), (0.5, 1)):
+        rate = decay_rate({n_first: w_first, 2: w_first}.get, n_first, 2)
+        assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+    rates = decay_rate(lambda n: np.array([1.0, 0.5]), 0, 1)
+    assert math.copysign(1.0, rates[0]) == 1.0
+
+
 def test_decay_rate_fails_by_a_non_finite_value_for_scalars_and_grids():
     # a failed point is +inf where a probability vanished (0/0 included),
     # otherwise whatever the logarithm gives; nothing is raised
