@@ -31,6 +31,7 @@ __all__ = [
     "scan_rate",
     "savitzky_golay",
     "modulation_period",
+    "modulation_offset",
     "wkb_background",
     "barrier_traversal_time",
     "appendix_c_demo",
@@ -100,10 +101,14 @@ class ScanLine(NamedTuple):
 
 def scan_line(mode, fixed_value):
     """The ScanLine of a fixed gamma, (scale, shift) = (1 + 2*gamma^2, 0), or
-    of a fixed n_io, (scale, shift) = (1, n_io)."""
+    of a fixed n_io, (scale, shift) = (1, n_io).  A gamma whose scale
+    overflows has no channel spacing: a ValueError."""
     if mode == "fixed_gamma":
-        return ScanLine(lambda z: float(fixed_value),
-                        1.0 + 2.0 * fixed_value * fixed_value, 0.0)
+        scale = 1.0 + 2.0 * fixed_value * fixed_value
+        if scale == math.inf:
+            raise ValueError(f"gamma={fixed_value:g} is too large: the channel "
+                             "spacing 1/(1 + 2*gamma^2) underflows to 0")
+        return ScanLine(lambda z: float(fixed_value), scale, 0.0)
     if mode == "fixed_n_io":
         return ScanLine(lambda z: unbox(np.sqrt(
             fixed_value / (2.0 * np.asarray(z, dtype=float)))), 1.0, fixed_value)
@@ -154,7 +159,6 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
         The fixed Keldysh factor or the fixed ionization photon number.
     z_values : array, strictly increasing
     """
-    line = scan_line(mode, fixed_value)
     z_values = np.asarray(z_values, dtype=float)
     if z_values.size < 1 or np.any(np.diff(z_values) <= 0.0):
         raise ValueError("z_values must be non-empty and strictly increasing")
@@ -166,6 +170,8 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     if int(n_cycles) != n_cycles or n_cycles < 1:
         raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
     _check_filter(sg_window, sg_order)
+    line = scan_line(mode, fixed_value)
+    _, thresholds = line.thresholds(z_values[0], z_values[-1])
 
     gamma = line.gamma_at(z_values)
     raw, missing = engine_rates(engine, from_dimensionless(gamma, z_values),
@@ -178,7 +184,6 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     order = min(sg_order, max(window - 1, 0))
     smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
     peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma)
-    _, thresholds = line.thresholds(z_values[0], z_values[-1])
     return RateScan(mode=mode, fixed_value=fixed_value, engine=engine,
                     n_cycles=n_cycles, z_values=z_values,
                     gamma_param=np.broadcast_to(gamma, z_values.shape),
@@ -203,10 +208,12 @@ def _fill_missing(z, raw, missing):
 
 
 def _detect_peaks(z, series, gamma):
-    """Peak indices and refined positions of the curve over its WKB background."""
-    if z.size < 3:
-        return np.array([], dtype=int), np.array([])
+    """Peak indices and refined positions of the curve over its WKB
+    background; none where that background is not positive and finite (it
+    underflows to 0 at large gamma)."""
     background = wkb_background(gamma, z)
+    if z.size < 3 or not np.all((background > 0.0) & (background < math.inf)):
+        return np.array([], dtype=int), np.array([])
     normalized = series / background
     span = float(np.nanmax(normalized) - np.nanmin(normalized))
     if span <= 0.0 or not np.isfinite(span):
@@ -308,6 +315,23 @@ def modulation_period(scan: RateScan):
         return None
     spacings = np.diff(scan.peaks)
     return float(spacings.mean()), float(spacings.std())
+
+
+def modulation_offset(z, reference, other, period):
+    """Offset in z of ``other``'s modulation peak from ``reference``'s, in
+    [-period/2, period/2).
+
+    Each series is fit by least squares to a constant, a linear trend in
+    z - z_mid and the fundamental cos and sin at ``period``; its peak is
+    where the fitted phase is zero.  The offset does not depend on z_mid.
+    """
+    x = np.asarray(z, dtype=float)
+    x = x - 0.5 * (x[0] + x[-1])
+    phase = 2.0 * math.pi * x / period
+    design = np.column_stack([np.ones_like(x), x, np.cos(phase), np.sin(phase)])
+    coef, *_ = np.linalg.lstsq(design, np.column_stack([reference, other]), rcond=None)
+    peaks = period * np.arctan2(coef[3], coef[2]) / (2.0 * math.pi)
+    return float((peaks[1] - peaks[0] + 0.5 * period) % period - 0.5 * period)
 
 
 def barrier_traversal_time(x_start, x_end, energy=-0.5):

@@ -165,24 +165,29 @@ def _one_of(*choices):
 
 
 def _mode_and_value(opt):
+    """Mode, fixed gamma or n_io, and the scan line through them."""
     if (opt["gamma"] is None) == (opt["n_io"] is None):
         raise _UsageError("give exactly one of --gamma or --n-io")
-    if opt["gamma"] is not None:
-        return "fixed_gamma", opt["gamma"]
-    return "fixed_n_io", opt["n_io"]
+    mode, fixed = (("fixed_gamma", opt["gamma"]) if opt["gamma"] is not None
+                   else ("fixed_n_io", opt["n_io"]))
+    try:
+        return mode, fixed, analysis.scan_line(mode, fixed)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _mode_and_grid(opt):
-    """Mode, fixed gamma or n_io, and z grid of a scan or a comparison."""
+    """Mode, fixed gamma or n_io, scan line and z grid of a scan or a
+    comparison."""
     if opt["z"] is None:
         raise _UsageError("--z start:stop:step is required")
-    mode, fixed = _mode_and_value(opt)
+    mode, fixed, line = _mode_and_value(opt)
     z_values = range_values(*parse_range(opt["z"]))
     if z_values.size == 0:
         raise _UsageError("empty z range")
     if not z_values[0] > 0.0:
         raise _UsageError(f"z must be positive, got z={z_values[0]:g}")
-    return mode, fixed, z_values
+    return mode, fixed, line, z_values
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +204,7 @@ def cmd_scan(opt):
             raise _UsageError(f"--{name.replace('_', '-')} must be left out "
                               f"of a scan with --engine {opt['engine']}: it "
                               f"belongs to the {engine} engine")
-    mode, fixed, z_values = _mode_and_grid(opt)
+    mode, fixed, line, z_values = _mode_and_grid(opt)
     paths = _resolve_out(opt["out"], f"scan_{opt['engine']}.csv", opt["format"])
     try:
         scan = analysis.scan_rate(
@@ -217,7 +222,7 @@ def cmd_scan(opt):
             analysis.write_scan_json(scan, path)
 
     mid = 0.5 * (z_values[0] + z_values[-1])
-    bg = analysis.wkb_background(analysis.scan_line(mode, fixed).gamma_at(mid), mid)
+    bg = analysis.wkb_background(line.gamma_at(mid), mid)
     period = analysis.modulation_period(scan)
     period_text = ("n/a (too few peaks)" if period is None
                    else "{:.6g} +- {:.2g}".format(*period))
@@ -242,8 +247,12 @@ def _warn_coarse_oracle_dt(dt, gamma, z_values):
         return
     params = model.from_dimensionless(gamma, z_values)
     points = [params.point(i) for i in range(np.size(params.z))]
-    coarse = [f"z={p.z:g} ({step:.3g})" for p, step in
-              zip(points, map(oracle.default_time_step, points)) if dt > step]
+    try:
+        steps = list(map(oracle.default_time_step, points))
+    except ValueError as exc:  # a gamma too large for the oracle
+        raise _UsageError(str(exc))
+    coarse = [f"z={p.z:g} ({step:.3g})" for p, step in zip(points, steps)
+              if dt > step]
     if coarse:
         print(f"warning: --oracle-dt {dt:g} is coarser than the oracle's default "
               "step at " + ", ".join(coarse) + ": the march may be unresolved there",
@@ -272,13 +281,13 @@ def _scan_paths(stem, fmt):
 # ----------------------------------------------------------------------
 
 def cmd_compare(opt):
-    mode, fixed, z_values = _mode_and_grid(opt)
+    _, _, line, z_values = _mode_and_grid(opt)
     n_last = opt["cycles"]
     if n_last < 2:
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
     path, = _resolve_out(opt["out"], "compare.csv")
 
-    gamma = analysis.scan_line(mode, fixed).gamma_at(z_values)
+    gamma = line.gamma_at(z_values)
     gamma_param = np.broadcast_to(gamma, z_values.shape)
     beyond = gamma_param > GAMMA_VALIDATED_MAX
     if beyond.any():
@@ -317,23 +326,12 @@ def cmd_compare(opt):
     if good.any() and np.mean(sc_arr[good]) != 0.0:
         ratio = float(np.mean(or_arr[good]) / np.mean(sc_arr[good]))
         print(f"mean cycle-smoothed rate ratio oracle/semiclassical: {ratio:.4g}")
-        offsets = _peak_offsets(z_values[good], sc_arr[good], or_arr[good],
-                                gamma_param[good])
-        if offsets is not None:
-            print(f"peak position offsets (z): {offsets}")
+        if good.sum() >= 7:
+            offset = analysis.modulation_offset(z_values[good], sc_arr[good],
+                                                or_arr[good], 1.0 / line.scale)
+            print(f"modulation peak offset oracle - semiclassical (z): "
+                  f"{offset:+.3f}")
     return EXIT_NUMERIC if failures else EXIT_OK
-
-
-def _peak_offsets(z, sc, orc, gamma):
-    """z offset of each oracle peak from the nearest semiclassical peak."""
-    if z.size < 7:
-        return None
-    idx_sc, _ = analysis._detect_peaks(z, sc, gamma)
-    idx_or, _ = analysis._detect_peaks(z, orc, gamma)
-    if idx_sc.size == 0 or idx_or.size == 0:
-        return None
-    return [round(float(z[i] - z[idx_sc[np.argmin(np.abs(z[idx_sc] - z[i]))]]), 6)
-            for i in idx_or]
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +341,9 @@ def _peak_offsets(z, sc, orc, gamma):
 def cmd_thresholds(opt):
     if opt["z"] is None:
         raise _UsageError("--z start:stop is required")
-    mode, fixed = _mode_and_value(opt)
+    _, _, line = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
     paths = [] if opt["out"] is None else _resolve_out(opt["out"], None)
-    line = analysis.scan_line(mode, fixed)
     try:
         ks, z_k = line.thresholds(lo, hi)
     except ValueError as exc:

@@ -136,10 +136,13 @@ def default_time_step(params: ModelParams, factor=40.0):
 
     The bound phase rotates at gamma^2/(2h), the fastest scale at large z;
     the rule dt = min(2*pi, h/gamma^2)/factor over-resolves both scales.
+    Where gamma^2 overflows no step resolves that phase: a ValueError.
     """
-    # h/gamma^2 is inf where gamma^2 underflows to 0, and 0 (a step that
-    # the solve rejects) where it overflows
+    # h/gamma^2 is inf where gamma^2 underflows to 0
     gamma_sq = power(params.gamma, 2)
+    if gamma_sq == math.inf:
+        raise ValueError(f"gamma={params.gamma:g} is too large for the oracle: "
+                         "gamma^2 overflows")
     return min(2.0 * math.pi, params.h / gamma_sq if gamma_sq else math.inf) / factor
 
 

@@ -27,6 +27,7 @@ from drivendelta.adiabatic import (
 from drivendelta.analysis import (
     appendix_c_demo,
     engine_rates,
+    modulation_offset,
     modulation_period,
     scan_rate,
     wkb_background,
@@ -213,38 +214,27 @@ def test_criterion_6_oracle_sanity():
 # 7. cross-method agreement
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _window_rates(z_star, n_first=1, n_last=2):
-    """Rates (cycles n_first -> n_last) of both engines across a window of
-    +-0.4 around z_star, computed as `compare` computes them."""
-    z_grid = np.round(np.arange(z_star - 0.4, z_star + 0.4001, 0.1), 9)
-    params = from_dimensionless(GAMMA, z_grid)
+def _window_agreement(z_star, n_first=1, n_last=2):
+    """Window mean ratio oracle/semiclassical, modulation peak offset, and
+    whether both are within criterion 7's tolerances, from the rates
+    (cycles n_first -> n_last) of both engines across +-0.4 around z_star,
+    computed as `compare` computes them."""
+    z = np.round(np.arange(z_star - 0.4, z_star + 0.4001, 0.1), 9)
+    params = from_dimensionless(GAMMA, z)
     (sc, sc_failed), (orc, orc_failed) = (
         engine_rates(engine, params, n_first, n_last)
         for engine in ("semiclassical", "oracle"))
     assert not sc_failed and not orc_failed, (sc_failed, orc_failed)
-    return z_grid, sc, orc
-
-
-def _modulation_phase_peak(z, series, z_center):
-    """Peak position of the fundamental modulation by harmonic regression."""
-    x = z - z_center
-    ph = 2.0 * np.pi * x / PERIOD
-    design = np.column_stack([np.ones_like(x), x, np.cos(ph), np.sin(ph)])
-    coef, *_ = np.linalg.lstsq(design, series, rcond=None)
-    return z_center + PERIOD * math.atan2(coef[3], coef[2]) / (2.0 * math.pi)
+    ratio = float(np.mean(orc) / np.mean(sc))
+    offset = modulation_offset(z, sc, orc, PERIOD)
+    return ratio, offset, 0.5 <= ratio <= 2.0 and abs(offset) <= 0.1
 
 
 def test_criterion_7_cross_method():
     details = []
     ok = True
     for z_star in (8.0, 10.0, 12.0, 14.0):
-        z, sc, orc = _window_rates(z_star)
-        ratio = float(np.mean(orc) / np.mean(sc))
-        pk_sc = _modulation_phase_peak(z, sc, z_star)
-        pk_or = _modulation_phase_peak(z, orc, z_star)
-        offset = (pk_or - pk_sc + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
-        point_ok = 0.5 <= ratio <= 2.0 and abs(offset) <= 0.1
+        ratio, offset, point_ok = _window_agreement(z_star)
         ok = ok and point_ok
         details.append(f"z={z_star:g}: ratio={ratio:.2f}, "
                        f"peak offset={offset:+.3f}{'' if point_ok else ' <-'}")
@@ -261,12 +251,7 @@ def test_criterion_7_supplement_steady_state_z10():
     numerics report, and shows the wave-packet theory matches it within the
     criterion-7 tolerances.
     """
-    z_grid, sc, orc = _window_rates(10.0, 3, 5)
-    ratio = float(np.mean(orc) / np.mean(sc))
-    offset = (_modulation_phase_peak(z_grid, orc, 10.0)
-              - _modulation_phase_peak(z_grid, sc, 10.0) + PERIOD / 2.0) \
-        % PERIOD - PERIOD / 2.0
-    ok = 0.5 <= ratio <= 2.0 and abs(offset) <= 0.1
+    ratio, offset, ok = _window_agreement(10.0, 3, 5)
     print(f"\nACCEPTANCE 7 supplement: steady-state z=10 ratio={ratio:.2f}, "
           f"peak offset={offset:+.3f} -> {'PASS' if ok else 'FAIL'}")
     assert ok

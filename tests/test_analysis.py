@@ -18,6 +18,7 @@ from drivendelta.analysis import (
     appendix_c_demo,
     barrier_traversal_time,
     engine_rates,
+    modulation_offset,
     modulation_period,
     savitzky_golay,
     scan_line,
@@ -198,6 +199,25 @@ def test_modulation_period_requires_peaks():
     starved = RateScan(**{**scan.__dict__, "peaks": scan.peaks[:3],
                           "peak_indices": scan.peak_indices[:3]})
     assert modulation_period(starved) is None
+
+
+@pytest.mark.parametrize("period", [1.0 / 1.98, 1.0])
+@pytest.mark.parametrize("shift", [0.03, -0.12, 0.7])
+def test_modulation_offset_recovers_a_known_shift(period, shift):
+    # two modulated series on a falling background, over about 1.6 periods;
+    # the fit spans them exactly, and a shift past half a period comes back
+    # wrapped into [-period/2, period/2)
+    z = np.linspace(8.0, 8.0 + 1.6 * period, 17)
+
+    def modulated(peak, level):
+        return (level - 0.5 * (z - 8.0)
+                + 0.2 * np.cos(2.0 * np.pi * (z - peak) / period))
+
+    offset = modulation_offset(z, modulated(8.2, 2.0),
+                               modulated(8.2 + shift, 3.0), period)
+    wrapped = (shift + period / 2.0) % period - period / 2.0
+    assert offset == pytest.approx(wrapped, abs=1e-12)
+    assert -period / 2.0 <= offset < period / 2.0
 
 
 def test_scan_line_threshold_examples():
@@ -411,6 +431,9 @@ def test_scan_validation():
     ("fixed_gamma", 0.7, [6.0, 7.0], 0),
     ("fixed_gamma", 0.7, [6.0, 7.0], 1.5),
     ("fixed_kappa", 0.7, [6.0, 7.0], 1),
+    # channel thresholds that do not fit in memory, or no channel spacing
+    ("fixed_gamma", 1e80, [1.0, 1.1], 1),
+    ("fixed_gamma", 1e200, [1.0, 1.1], 1),
 ])
 def test_scan_rejects_invalid_input_before_any_engine_call(monkeypatch, mode,
                                                           fixed, z, cycles):
@@ -438,6 +461,14 @@ def test_scan_rejects_bad_smoothing_before_any_engine_call(monkeypatch, sg_windo
         with pytest.raises(ValueError, match="smoothing"):
             scan_rate(engine_name, "fixed_gamma", 0.7, [6.0, 7.0],
                       sg_window=sg_window, sg_order=sg_order)
+
+
+def test_scan_finds_no_peaks_where_the_background_underflows():
+    # at gamma = 30 the WKB background underflows to 0: the rate has no
+    # normalized curve, so no peaks (and no division by zero)
+    scan = scan_rate("semiclassical", "fixed_gamma", 30.0, [1.0, 1.05, 1.1])
+    assert np.all(wkb_background(30.0, scan.z_values) == 0.0)
+    assert scan.peaks.size == 0 and scan.peak_indices.size == 0
 
 
 def test_scan_clamps_the_window_to_a_short_grid():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from drivendelta.analysis import wkb_background
-from drivendelta.cli import (_COMMANDS, _peak_offsets, main, parse_range,
-                             range_values, _UsageError)
+from drivendelta.analysis import modulation_offset
+from drivendelta.cli import (_COMMANDS, main, parse_range, range_values,
+                             _UsageError)
 from drivendelta.model import from_dimensionless
 from drivendelta.oracle import default_time_step
 
@@ -176,27 +176,34 @@ def test_zero_oracle_rate_prints_as_0(tmp_path, capsys):
         assert next(csv.DictReader(fh))["Gamma_oracle"] == "0"
 
 
+GAMMA_1E200 = "usage error: gamma=1e+200 is too large"
+
+
 @pytest.mark.parametrize("argv, code, message", [
     pytest.param(["scan", "--gamma", "1e80", "--z", "1:1.1:0.05"], 1,
                  "usage error: the z range 1:1.1 must be narrower", id="scan-1e80"),
     pytest.param(["compare", "--gamma", "1e80", "--z", "1:1:1"], 1,
                  "usage error: the 2.01e+163 time steps", id="compare-1e80"),
-    # gamma^2 overflows: every semiclassical sample fails with its reason,
-    # and the oracle's default step is 0
-    pytest.param(["scan", "--gamma", "1e200", "--z", "1:1.1:0.05"], 2,
-                 "  z=1.05: survival probability is not finite; rate is nan\n",
-                 id="scan-1e200"),
+    # 1 + 2*gamma^2 overflows: no channel spacing, with or without a step
+    pytest.param(["scan", "--gamma", "1e200", "--z", "1:1.1:0.05"], 1,
+                 GAMMA_1E200, id="scan-1e200"),
     pytest.param(["compare", "--gamma", "1e200", "--z", "1:1:1"], 1,
-                 "usage error: dt must be positive, got dt=0.0", id="compare-1e200"),
-    pytest.param(["scan", "--engine", "oracle", "--gamma", "1e200", "--z", "1:1:1"], 1,
-                 "usage error: dt must be positive, got dt=0.0", id="oracle-scan-1e200"),
+                 GAMMA_1E200, id="compare-1e200"),
+    pytest.param(["compare", "--gamma", "1e200", "--z", "1:1:1",
+                  "--oracle-dt", "0.01"], 1, GAMMA_1E200, id="compare-1e200-dt"),
+    pytest.param(["scan", "--engine", "oracle", "--gamma", "1e200", "--z", "1:1:1"],
+                 1, GAMMA_1E200, id="oracle-scan-1e200"),
+    pytest.param(["scan", "--engine", "oracle", "--gamma", "1e200", "--z", "1:1:1",
+                  "--oracle-dt", "0.01"], 1, GAMMA_1E200, id="oracle-scan-1e200-dt"),
 ])
 def test_large_gamma_ends_with_a_message(tmp_path, capsys, argv, code, message):
-    # a Python float's ** raised OverflowError here, as a traceback
+    # a Python float's ** raised OverflowError here, as a traceback; the
+    # oracle's default step was 0 where gamma^2 overflows
     assert run([*argv, "--out", str(tmp_path / "out.csv")]) == code
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert "dt=0.0" not in err and "(0)" not in err
 
 
 def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):
@@ -553,17 +560,20 @@ def test_output_path_that_names_no_file_is_usage_error(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["sub", "taken.csv"]
 
 
-def test_peak_offsets_use_the_scan_prominence_rule():
-    # a ripple far below 5% of the normalized span makes no peaks of its own
-    z = np.arange(6.0, 9.0 + 0.005, 0.01)
-    bg = wkb_background(0.7, z)
-    sc = bg * (1.0 + 0.5 * np.cos(2.0 * np.pi * z / 0.5))
-    orc = bg * (1.0 + 0.5 * np.cos(2.0 * np.pi * (z - 0.02) / 0.5)
-                + 0.01 * np.cos(2.0 * np.pi * z / 0.04))
-    # one offset per main oracle peak inside the grid, none for the ripple
-    # or for the rising edge at z = 6
-    offsets = _peak_offsets(z, sc, orc, np.full(z.size, 0.7))
-    assert offsets == pytest.approx([0.02] * 5, abs=0.011)
+def test_compare_prints_the_modulation_offset_of_its_csv(tmp_path, capsys):
+    # criterion 7's fit at the channel spacing, over seven points
+    out = tmp_path / "cmp.csv"
+    assert run(["compare", "--gamma", "0.7", "--z", "0.5:1.1:0.1", "--cycles", "2",
+                "--out", str(out)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if "offset" in line]
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    z, sc, orc = (np.array([float(row[c]) for row in rows]) for c in
+                  ("z", "Gamma_semiclassical", "Gamma_oracle"))
+    offset = modulation_offset(z, sc, orc, 1.0 / (1.0 + 2.0 * 0.7**2))
+    assert printed == ["modulation peak offset oracle - semiclassical (z): "
+                       f"{offset:+.3f}"]
 
 
 def test_demo_appendix_c(capsys):
@@ -605,8 +615,10 @@ def test_compare_warns_on_negative_rates(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = run(["compare", "--gamma", "0.7", "--z", "0.5:0.9:0.1",
                 "--cycles", "2", "--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert code == 0
+    assert "offset" not in captured.out  # fewer than seven points
     assert [line for line in err.splitlines() if "below zero" in line] == [
         "warning: oracle rate below zero at z=0.8: the survival probability "
         "rose from cycle 1 to 2"]

@@ -822,6 +822,12 @@ def test_default_step_where_gamma_squared_underflows():
                                             params.h / 0.7**2) / 40.0
 
 
+def test_no_default_step_where_gamma_squared_overflows():
+    # the step was 0 there, which the solve rejected as dt=0.0
+    with pytest.raises(ValueError, match=r"gamma=1e\+200 is too large"):
+        solve_boundary_function(from_dimensionless(1e200, 1.0), 2.0 * math.pi)
+
+
 def test_convergence_check_raises_on_coarse_dt():
     params = from_dimensionless(0.7, 10.0)
     with pytest.raises(ConvergenceError) as err:
