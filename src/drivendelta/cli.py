@@ -231,7 +231,7 @@ def cmd_scan(opt):
     print(f"WKB background 2*pi*D_avg at z={mid:.6g}: {bg:.6g}")
     for path in paths:
         print(f"wrote {path}")
-    _warn_coarse_oracle_dt(opt["oracle_dt"], scan.gamma_param, z_values)
+    _warn_coarse_oracle_dt(opt["oracle_dt"], line.gamma_at(z_values), z_values)
     _warn_failures(scan.engine, z_values, scan.missing_indices)
     if scan.missing_indices:
         print(f"warning: {len(scan.missing_indices)} samples failed and were "
@@ -287,7 +287,10 @@ def cmd_compare(opt):
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
     path, = _resolve_out(opt["out"], "compare.csv")
 
-    gamma = line.gamma_at(z_values)
+    try:
+        gamma = line.gamma_at(z_values)
+    except ValueError as exc:  # a fixed n_io whose gamma over- or underflows
+        raise _UsageError(str(exc))
     gamma_param = np.broadcast_to(gamma, z_values.shape)
     beyond = gamma_param > GAMMA_VALIDATED_MAX
     if beyond.any():
@@ -346,10 +349,11 @@ def cmd_thresholds(opt):
     paths = [] if opt["out"] is None else _resolve_out(opt["out"], None)
     try:
         ks, z_k = line.thresholds(lo, hi)
+        gamma = np.broadcast_to(line.gamma_at(z_k), z_k.shape)
     except ValueError as exc:
         raise _UsageError(str(exc))
     header = ["k", "z_k", "gamma_at_threshold"]
-    columns = [ks, z_k, np.broadcast_to(line.gamma_at(z_k), z_k.shape)]
+    columns = [ks, z_k, gamma]
     for path in paths:
         with open(path, "w") as fh:
             analysis.write_table(fh, header, columns)

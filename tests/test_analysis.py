@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 from pathlib import Path
@@ -161,8 +160,8 @@ def test_parabolic_refine_keeps_a_plateau_peak_in_place(y):
 def test_prominent_peaks_match_scipy_on_the_golden_scans(name):
     doc = json.loads((GOLDEN / (name + ".json")).read_text())
     z = np.array(doc["z"])
-    normalized = (np.array(doc["Gamma_smooth"])
-                  / wkb_background(np.array(doc["gamma_param"]), z))
+    gamma = scan_line(doc["mode"], doc["fixed_value"]).gamma_at(z)
+    normalized = np.array(doc["Gamma_smooth"]) / wkb_background(gamma, z)
     span = float(normalized.max() - normalized.min())
     for frac in (0.0, 0.01, PROMINENCE_FRAC, 0.2, 0.5):
         got = _prominent_peaks(normalized, frac * span)
@@ -182,8 +181,7 @@ def _synthetic_scan(period=0.5, z0=6.0, z1=20.0, step=0.01):
     background = np.array([wkb_background(0.7, zz) for zz in z])
     idx, refined = _detect_peaks(z, series * background, gamma)
     return RateScan(mode="fixed_gamma", fixed_value=0.7, engine="semiclassical",
-                    n_cycles=1, z_values=z, gamma_param=gamma,
-                    gamma_raw=series, gamma_smooth=None, peaks=refined,
+                    n_cycles=1, z_values=z, gamma_raw=series, gamma_smooth=None, peaks=refined,
                     peak_indices=idx, thresholds=np.array([]))
 
 
@@ -237,6 +235,22 @@ def test_scan_line_threshold_examples():
     assert z_k[0] == pytest.approx(0.2, abs=1e-14)
 
 
+@pytest.mark.parametrize("mode, fixed, z_hi", [
+    ("fixed_gamma", 0.0, 2.0**53 + 2.0),
+    ("fixed_gamma", 0.7, 1e300),
+    ("fixed_n_io", 1e300, 2.0),
+])
+def test_scan_line_rejects_a_channel_index_past_2_53(mode, fixed, z_hi):
+    # above 2**53 neighbouring doubles lie more than one channel apart, and
+    # the scan CSV's nearest channel wrapped past int64
+    line = scan_line(mode, fixed)
+    with pytest.raises(ValueError) as info:
+        line.thresholds(z_hi, z_hi)
+    assert f"at z={z_hi:g} must be at most 2**53" in str(info.value)
+    ks, _ = scan_line("fixed_gamma", 0.0).thresholds(2.0**53, 2.0**53)
+    assert ks.tolist() == [2**53]
+
+
 def test_scan_line_threshold_spacing_exact():
     lines = [("fixed_gamma", g, 1.0 / (1.0 + 2.0 * g**2))
              for g in (0.5, 0.7, 1.1, 2.3)]
@@ -281,12 +295,15 @@ def test_scan_fixed_gamma_other_keldysh():
     assert mean == pytest.approx(1.0 / 3.42, rel=0.02)
 
 
-def test_scan_fixed_n_io_threshold_spacing_is_one():
+def test_scan_fixed_n_io_threshold_spacing_is_one(tmp_path):
     z = np.arange(2.0, 12.0 + 0.005, 0.05)
     scan = scan_rate("semiclassical", "fixed_n_io", 9.8, z, n_cycles=1)
     assert np.allclose(np.diff(scan.thresholds), 1.0, atol=1e-12)
-    # Keldysh factor varies along the scan as sqrt(n_io/(2z))
-    assert np.allclose(scan.gamma_param, np.sqrt(9.8 / (2.0 * z)), rtol=1e-14)
+    # the CSV's Keldysh factor varies along the scan as sqrt(n_io/(2z))
+    write_scan_csv(scan, tmp_path / "scan.csv")
+    with open(tmp_path / "scan.csv") as fh:
+        gamma = [float(row["gamma_param"]) for row in csv.DictReader(fh)]
+    assert np.allclose(gamma, np.sqrt(9.8 / (2.0 * z)), rtol=1e-11)
 
 
 def _reference_rates(params, n_first, n_last, include_odd=False):
@@ -320,7 +337,6 @@ def test_grid_scan_matches_per_point_reference(monkeypatch, mode, fixed,
     scale = np.max(np.abs(ref.gamma_raw))
     assert np.max(np.abs(grid.gamma_raw - ref.gamma_raw)) <= 1e-12 * scale
     assert np.max(np.abs(grid.gamma_smooth - ref.gamma_smooth)) <= 1e-12 * scale
-    assert np.array_equal(grid.gamma_param, ref.gamma_param)
     assert grid.peak_indices.size >= 4
     assert np.array_equal(grid.peak_indices, ref.peak_indices)
     assert np.allclose(grid.peaks, ref.peaks, rtol=0.0, atol=1e-12)
@@ -586,7 +602,7 @@ def test_json_schema(tmp_path):
     write_scan_json(scan, path)
     with open(path) as fh:
         doc = json.load(fh)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["engine"] == "semiclassical"
     assert doc["mode"] == "fixed_gamma"
     assert len(doc["z"]) == scan.z_values.size
@@ -608,30 +624,31 @@ def test_emission_deterministic(tmp_path):
 
 
 def _json_dump_reference(scan):
-    """The scan JSON as ``json.dump(doc, fh, indent=1, sort_keys=True)`` and a
-    line feed write it, with every array a list."""
+    """The scan JSON as ``json.dumps(doc, sort_keys=True, separators=(",",
+    ":"))`` and a line feed write it, with every array a list and a failed
+    rate null."""
     period = modulation_period(scan)
+    missing = sorted(scan.missing_indices)
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "engine": scan.engine,
         "mode": scan.mode,
         "fixed_value": scan.fixed_value,
         "n_cycles": scan.n_cycles,
         "filter_settings": scan.filter_settings,
-        "missing_indices": sorted(scan.missing_indices),
+        "missing_indices": missing,
+        "missing_reasons": [scan.missing_indices[i] for i in missing],
         "detected_period": None if period is None else {"mean": period[0],
                                                         "std": period[1]},
         "thresholds": scan.thresholds.tolist(),
         "z": scan.z_values.tolist(),
-        "gamma_param": scan.gamma_param.tolist(),
         "Gamma_raw": [None if math.isnan(v) else v
                       for v in scan.gamma_raw.tolist()],
         "Gamma_smooth": scan.gamma_smooth.tolist(),
         "peaks": scan.peaks.tolist(),
     }
-    fh = io.StringIO()
-    json.dump(doc, fh, indent=1, sort_keys=True)
-    return (fh.getvalue() + "\n").encode()
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
 
 
 def _scan_with_a_failed_sample(monkeypatch):
@@ -668,11 +685,17 @@ def test_json_bytes_are_those_of_json_dump(tmp_path, monkeypatch, case):
     written = path.read_bytes()
     assert written == _json_dump_reference(scan)
 
-    doc = json.loads(written)
+    def strict(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    doc = json.loads(written, parse_constant=strict)
     if case == "failed_sample":
         assert doc["missing_indices"] == [7]
-        assert doc["Gamma_raw"][7] is None and b"\n  null,\n" in written
+        assert doc["missing_reasons"] == [
+            "survival probability is not finite; rate is nan"]
+        assert doc["Gamma_raw"][7] is None and b",null," in written
+        assert b"NaN" not in written
     if case in ("no_peaks", "one_point"):
         assert doc["peaks"] == doc["thresholds"] == []
-        assert b'"peaks": []' in written and b'"thresholds": []' in written
+        assert b'"peaks":[]' in written and b'"thresholds":[]' in written
         assert doc["detected_period"] is None

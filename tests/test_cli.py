@@ -206,6 +206,72 @@ def test_large_gamma_ends_with_a_message(tmp_path, capsys, argv, code, message):
     assert "dt=0.0" not in err and "(0)" not in err
 
 
+NO_GAMMA = "gives no finite positive gamma = sqrt(n_io/(2z))"
+
+
+@pytest.mark.parametrize("argv, where", [
+    pytest.param(["compare", "--n-io", "1e10", "--z", "1e-300:1e-300:1"],
+                 "n_io=1e+10 at z=1e-300", id="compare-overflow"),
+    pytest.param(["compare", "--n-io", "5e-324", "--z", "1:1:1"],
+                 "n_io=4.94066e-324 at z=1", id="compare-underflow"),
+    pytest.param(["compare", "--n-io", "1e-300", "--z", "1e300:1e300:1"],
+                 "n_io=1e-300 at z=1e+300", id="compare-large-z"),
+    pytest.param(["scan", "--n-io", "5e-324", "--z", "1:1:1"],
+                 "n_io=4.94066e-324 at z=1", id="scan-underflow"),
+    pytest.param(["thresholds", "--n-io", "5e-324", "--z", "1:3"],
+                 "n_io=4.94066e-324 at z=1", id="thresholds-underflow"),
+])
+def test_fixed_n_io_without_a_finite_gamma_is_usage_error(tmp_path, capsys,
+                                                          monkeypatch, argv,
+                                                          where):
+    # gamma = sqrt(n_io/(2z)) overflowed with a RuntimeWarning, or was 0 and
+    # named as gamma=0.0 or printed; now one message, before any engine runs
+    import drivendelta.oracle as oracle_mod
+    import drivendelta.semiclassical as sc_mod
+
+    def engine(*args, **kwargs):
+        raise AssertionError("engine called on invalid input")
+
+    monkeypatch.setattr(sc_mod, "rate_between_cycles", engine)
+    monkeypatch.setattr(oracle_mod, "rate_between_cycles", engine)
+    assert run([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {where} {NO_GAMMA}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_past_channel_index_2_53_is_usage_error(tmp_path, capsys):
+    # nearest_threshold_k wrapped to -2**63 here, after a RuntimeWarning
+    out = tmp_path / "s.csv"
+    assert run(["scan", "--gamma", "0.7", "--z", "1e300:1e300:1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the channel index k=1.98e+300 at z=1e+300 must be at "
+        "most 2**53: past it, neighbouring doubles lie more than one channel "
+        "apart\n")
+    assert not out.exists()
+
+
+def test_scan_json_gives_the_reason_of_a_failed_sample(tmp_path, monkeypatch):
+    import drivendelta.analysis as analysis_mod
+
+    real = analysis_mod.semiclassical.rate_between_cycles
+
+    def vanished(params, n_first, n_last, include_odd=False):
+        rates = real(params, n_first, n_last, include_odd=include_odd)
+        rates[3] = np.inf
+        return rates
+
+    monkeypatch.setattr(analysis_mod.semiclassical, "rate_between_cycles",
+                        vanished)
+    assert run(["scan", "--gamma", "0.7", "--z", "8:9:0.1", "--format", "json",
+                "--out", str(tmp_path / "s.json")]) == 2
+    doc = json.loads((tmp_path / "s.json").read_text())
+    assert doc["missing_indices"] == [3] and doc["Gamma_raw"][3] is None
+    assert doc["missing_reasons"] == ["survival amplitude vanished; rate diverges"]
+
+
 def test_scan_warns_with_each_failure_reason(tmp_path, capsys, monkeypatch):
     import drivendelta.analysis as analysis_mod
 

@@ -35,6 +35,13 @@ at fixed n_io that moved the rates by up to 2.2e-16, past the floor below.
 Its z, gamma_param, is_peak, nearest_threshold_k and peaks are the ones
 written at 024af6d, as is every other semiclassical value.
 
+The three scan JSON fixtures were converted to schema 2 at the commit
+that introduced it, with every value kept as frozen: each was loaded,
+its ``gamma_param`` dropped, ``schema_version`` set to 2 and an empty
+``missing_reasons`` added, and written as ``json.dumps(doc,
+sort_keys=True, separators=(",", ":"), allow_nan=False)`` and a line feed.
+The CSV fixtures are untouched, and still hold the ``gamma_param`` column.
+
 Tolerances: a semiclassical rate within 1e-12 * max|Gamma| of the scan, an
 oracle rate within 1e-12 relative; z, gamma_param, is_peak and
 nearest_threshold_k byte-identical.  The CSV files print 12 significant
@@ -110,7 +117,7 @@ def test_scan_matches_golden(tmp_path, name):
     for key in ("Gamma_raw", "Gamma_smooth"):
         _assert_close(new_doc[key], old_doc[key], tol)
     for key in ("schema_version", "engine", "mode", "fixed_value", "n_cycles",
-                "filter_settings", "missing_indices", "z", "gamma_param"):
+                "filter_settings", "missing_indices", "missing_reasons", "z"):
         assert new_doc[key] == old_doc[key], key
     _assert_close(new_doc["thresholds"], old_doc["thresholds"],
                   1e-12 * np.abs(old_doc["thresholds"]))
