@@ -408,8 +408,9 @@ def write_scan_json(scan: RateScan, path):
     every non-finite value (a failed rate) null.  Each value is encoded by
     its own ``json.dumps``, one key at a time: one call over the whole
     document holds the text of every array at once, which raised the peak
-    RSS of three 14,001-point scans by 8.6%.  ``missing_reasons`` gives the
-    reason for each index of ``missing_indices``.
+    RSS of a process that writes three 14,001-point scans by 8%.
+    ``missing_reasons`` gives the reason for each index of
+    ``missing_indices``.
     """
     period = modulation_period(scan)
     if period is not None:
