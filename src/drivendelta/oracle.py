@@ -21,11 +21,14 @@ overlap <psi0|U|psi0> is a closed form too (_free_evolution_overlap).
 
 The time march uses product integration (_weights), stable and of
 empirical order ~2 despite the singularity, and a kernel entry costs one
-real phase x and one table-driven exp(i*x) (_march, _Cis).  The history
-sum, n(n+1)/2 pairs, is solved in halves, recursively: densely near the
-diagonal, in tiles that stay in cache, and far from it, where the kernel is
-analytic in both times, through its interpolant at p x p Chebyshev points
-(_Kernel.far).  README.md gives the costs.
+real phase x and one table-driven exp(i*x) (_march, _Cis).  A run of
+whole cycles takes m = ceil(2*pi/dt) steps per cycle (solve_boundary_function),
+so the kernel repeats when both times move by m steps.  The history sum,
+n(n+1)/2 pairs, is solved a cycle at a time and each cycle in halves,
+recursively: densely near the diagonal, in tiles that stay in cache, and far
+from it, where the kernel is analytic in both times, through its
+interpolant at p x p Chebyshev points (_Kernel.far), whose p a block shifted
+by whole cycles reuses.  README.md gives the costs.
 """
 
 from __future__ import annotations
@@ -157,9 +160,12 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
         Final time.  :func:`survival_probability` projects after whole
         cycles only, so a grid to project on ends at 2*pi*n.
     dt : float, optional
-        Maximum step; defaults to :func:`default_time_step`.  The actual
-        step divides t_f exactly; a step longer than t_f gives the one-step
-        grid.  A step count that numpy cannot allocate is a ValueError.
+        Maximum step; defaults to :func:`default_time_step`.  When t_f is
+        2*pi*k, whole cycles, the grid takes m = ceil(2*pi/dt) steps per
+        cycle, n = k*m, so that the march can reuse the kernel's period; a
+        step longer than a cycle gives one step per cycle.  Any other t_f
+        takes n = ceil(t_f/dt).  A step count that numpy cannot allocate is
+        a ValueError.
     driven : bool
         With False the drive term is removed from the kernel (the mu -> 0
         limit at fixed gamma, h); the solution is then the stationary bound
@@ -167,7 +173,8 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
     tolerance : float, optional
         When set, re-solves on a doubled step and raises ConvergenceError
         if the two boundary functions differ by more than ``tolerance``
-        relative to the bound-state amplitude.
+        relative to the bound-state amplitude.  Its grid takes an even
+        number of steps per cycle, at least 4 in all.
     """
     if dt is None:
         dt = default_time_step(params)
@@ -176,19 +183,25 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
             raise ValueError(f"{name} must be positive, got {name}={value!r}")
     gamma, h = params.gamma, params.h
     try:
-        n = max(1, math.ceil(t_f / dt - 1e-12))
+        # k whole cycles of m steps; any other t_f is one "cycle" of its own
+        k = round(t_f / (2.0 * math.pi))
+        if k < 1 or abs(t_f - 2.0 * math.pi * k) > 1e-12 * t_f:
+            k = 1
+        m = max(1, math.ceil(t_f / k / dt - 1e-12))
         if tolerance is not None:
-            n = max(4, n + n % 2)  # the half-resolution companion needs n even
+            # the half-resolution companion needs m even, and n >= 4
+            m = max(4 // k, m + m % 2)
+        n = k * m
         dt = t_f / n
         t = dt * np.arange(n + 1)
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(f"the {t_f / dt:.3g} time steps of dt={dt:g} do not fit "
                          "in memory: take a larger dt or fewer cycles") from None
 
-    f, evals = _march(t, gamma, h, driven)
+    f, evals = _march(t, gamma, h, driven, m)
 
     if tolerance is not None:
-        coarse, coarse_evals = _march(t[::2], gamma, h, driven)
+        coarse, coarse_evals = _march(t[::2], gamma, h, driven, m // 2)
         evals += coarse_evals
         scale = math.sqrt(gamma / h)
         err = float(np.max(np.abs(coarse - f[::2])) / scale)
@@ -367,13 +380,15 @@ def _real_times(matrix, z):
     """matrix @ z, complex, for a real matrix and a complex z (or a real
     vector), in einsum on one thread: BLAS would busy every CPU.  A matrix z
     is read as its float view, each row's real and imaginary parts side by
-    side, in one product; a vector's two parts go one at a time, which
-    einsum sums faster."""
+    side, in one product over a contiguous transposed copy, so that each
+    entry is a dot product of two contiguous rows (half the time of the
+    strided product); a vector's two parts go one at a time, which einsum
+    sums faster."""
     if z.ndim == 1:
         return (np.einsum("ij,j->i", matrix, z.real)
                 + 1j * np.einsum("ij,j->i", matrix, z.imag))
-    pairs = np.ascontiguousarray(z).view(float)
-    return np.einsum("ij,jk->ik", matrix, pairs, order="C").view(complex)
+    pairs = np.ascontiguousarray(np.ascontiguousarray(z).view(float).T)
+    return np.einsum("ij,kj->ik", matrix, pairs, order="C").view(complex)
 
 
 # The points of [lo, hi] and the Chebyshev points lie symmetric about its
@@ -397,11 +412,16 @@ class _Kernel:
 
     Called with (j0, j1, i0, i1), it evaluates rows j0..j1-1 against columns
     i0..i1-1, at most _BLOCK x _TILE, into a buffer that the next call
-    overwrites; ``evals`` counts entries as VolterraGrid.kernel_evals does."""
+    overwrites; ``evals`` counts entries as VolterraGrid.kernel_evals does.
+    The kernel repeats when both times move by a whole ``period`` of steps
+    (one cycle), so a far block shifted by whole periods takes the p that
+    the first of its shifts chose (see far)."""
 
-    def __init__(self, t, h, driven):
+    def __init__(self, t, h, driven, period=None):
         n, dt = t.size - 1, t[1]
         self.dt, self.h, self.driven, self.evals = dt, h, driven, 0
+        self.period = period or n
+        self.far_p = {}  # (lag, first column mod period, rows, columns) -> p
         self.nodes = drive(t, driven)
         self.w_mid, self.w_first, self.w_diag = _weights(n, dt)
         inv = np.r_[0.0, 1.0 / (2.0 * h * (dt * np.arange(1, n + 1)))]
@@ -466,13 +486,12 @@ class _Kernel:
             self.matrices[p, size] = _barycentric(p, lo, hi, x)
         return self.matrices[p, size]
 
-    def far(self, j0, j1, i0, i1, f):
-        """K[j0:j1, i0:i1] @ f for a far block, as rows @ C @ cols.T @ f.
+    def search(self, j0, j1, i0, i1):
+        """p and the p x p core C of a far block.
 
-        C is the kernel at p x p Chebyshev points of the block.  p = 17, 33,
-        65, ... grows until C meets the next core, which nests C, between C's
-        points to _CHEB_TOL * max(1, x) * max|core|: the rounding error of
-        exp(i*x) grows with the largest phase x.
+        p = 17, 33, 65, ... grows until C meets the next core, which nests C,
+        between C's points to _CHEB_TOL * max(1, x) * max|core|: the rounding
+        error of exp(i*x) grows with the largest phase x.
         """
         p = 17
         while 2 * p - 1 <= min(j1 - j0, i1 - i0):
@@ -482,27 +501,54 @@ class _Kernel:
             interp = _real_times(mid, _real_times(mid, core).T).T
             err = np.max(np.abs(interp - fine[1::2, 1::2]))
             if not err > _CHEB_TOL * max(1.0, x_max) * np.max(np.abs(fine)):
-                break
+                return p, core
             p = 2 * p - 1
+        raise ConvergenceError("the kernel's Chebyshev interpolant did not "
+                               f"converge on the far block {(j0, j1, i0, i1)}")
+
+    def far(self, j0, j1, i0, i1, f):
+        """K[j0:j1, i0:i1] @ f for a far block, as rows @ C @ cols.T @ f.
+
+        C is the kernel at p x p Chebyshev points of the block, p from
+        :meth:`search`.  A block whose shift by whole periods was searched
+        before is the same block, so it takes that p and evaluates C alone:
+        the nested points make C bit for bit the core the search returns.
+        """
+        key = (j0 - i0, i0 % self.period, j1 - j0, i1 - i0)
+        if key in self.far_p:
+            p = self.far_p[key]
+            core = self.core(p, j0, j1, i0, i1)[0]
         else:
-            raise ConvergenceError("the kernel's Chebyshev interpolant did not "
-                                   f"converge on the far block {(j0, j1, i0, i1)}")
+            p, core = self.search(j0, j1, i0, i1)
+            self.far_p[key] = p
         v = np.einsum("ij,j->i", core, _mirror_t_times(self._matrix(p, i1 - i0), f))
         return _mirror_times(self._matrix(p, j1 - j0), j1 - j0, v)
 
 
-def _partition(lo, hi):
+def _partition(lo, hi, period):
     """The march over rows lo..hi-1 as a list of steps, in order.
 
     ("leaf", lo, hi) solves rows lo..hi-1, whose history before lo is
     already summed; ("dense" or "far", j0, j1, i0, i1) adds
-    K[j0:j1, i0:i1] @ F[i0:i1] to the sums of rows j0..j1-1.  Rows are split
-    in halves while their quarters can hold a far block.
+    K[j0:j1, i0:i1] @ F[i0:i1] to the sums of rows j0..j1-1.  Rows that
+    span several periods of ``period`` rows are marched a period at a time:
+    first the period's history in each earlier one, split by _blocks, then
+    the period itself.  So a step shifted by whole periods is a step of the
+    same shape.  Rows within a period are split in halves while their
+    quarters can hold a far block.
     """
+    if hi - lo > period:
+        steps = []
+        for c0 in range(lo, hi, period):
+            for i0 in range(lo, c0, period):
+                steps += _blocks(c0, c0 + period, i0, i0 + period)
+            steps += _partition(c0, c0 + period, period)
+        return steps
     if hi - lo < 4 * _FAR:
         return [("leaf", lo, hi)]
     mid = (lo + hi) // 2
-    return _partition(lo, mid) + _blocks(mid, hi, lo, mid) + _partition(mid, hi)
+    return (_partition(lo, mid, period) + _blocks(mid, hi, lo, mid)
+            + _partition(mid, hi, period))
 
 
 def _blocks(j0, j1, i0, i1):
@@ -522,7 +568,7 @@ def _blocks(j0, j1, i0, i1):
             for step in _blocks(*rows, *cols)]
 
 
-def _march(t, gamma, h, driven):
+def _march(t, gamma, h, driven, period=None):
     """Boundary function f_j on the grid t, and the kernel entries evaluated.
 
     The kernel's action is model.volkov_action from (0, t_i) to (0, t_j),
@@ -533,13 +579,15 @@ def _march(t, gamma, h, driven):
         F_j*(1 - c*w_diag) = G_j + c * sum_{i<j} W_ji * exp(i*x_ji) * F_i,
 
     with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  W_ji is
-    w_mid[j - i], but node 0 carries w_first[j]: F_0 = G_0 is known, so the
-    difference starts the sums, once, and every block applies _Kernel.  The
-    steps come from _partition: a leaf is marched in blocks of _BLOCK rows,
-    its own history reduced in tiles, the triangle inside a block row by
-    row; a dense block is summed in tiles; a far block through _Kernel.far.
+    w_mid[j - i], but node 0 carries w_first[j]: F_0 = G_0 is known, so its
+    terms start the sums, and every block, over nodes 1..n, applies
+    _Kernel.  With ``period`` steps per cycle (default: none, the whole
+    grid) the nodes of cycle c are c*period + 1..(c + 1)*period.  The steps
+    come from _partition: a leaf is marched in blocks of _BLOCK rows, its
+    own history reduced in tiles, the triangle inside a block row by row; a
+    dense block is summed in tiles; a far block through _Kernel.far.
     """
-    kernel = _Kernel(t, h, driven)
+    kernel = _Kernel(t, h, driven, period)
     rot = np.exp((1j / h) * kernel.nodes.phi)  # f = rot * F
 
     coupling = 1j * gamma / np.sqrt(2j * np.pi * h)
@@ -556,7 +604,7 @@ def _march(t, gamma, h, driven):
     big_f[0] = big_g[0]
     acc = np.zeros(t.size, dtype=complex)
     x0 = (kernel.nodes.cos[1:] - kernel.nodes.cos[0]) ** 2 / (2.0 * h * t[1:])
-    acc[1:] = (kernel.w_first[1:] - kernel.w_mid[1:]) * np.exp(1j * x0) * big_f[0]
+    acc[1:] = kernel.w_first[1:] * np.exp(1j * x0) * big_f[0]
 
     def dense(j0, j1, i0, i1):
         for r0 in range(j0, j1, _BLOCK):
@@ -566,10 +614,10 @@ def _march(t, gamma, h, driven):
                 acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
                                         big_f[c0:c1])
 
-    for kind, *span in _partition(0, t.size):
+    for kind, *span in _partition(1, t.size, kernel.period):
         if kind == "leaf":
             lo, hi = span
-            for j0 in range(max(lo, 1), hi, _BLOCK):
+            for j0 in range(lo, hi, _BLOCK):
                 j1 = min(j0 + _BLOCK, hi)
                 dense(j0, j1, lo, j0)
                 k = kernel(j0, j1, j0, j1)

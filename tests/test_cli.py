@@ -728,7 +728,7 @@ def test_oracle_step_count_beyond_memory_is_usage_error(tmp_path, capsys, argv,
 
 
 def test_compare_oracle_step_longer_than_the_run(tmp_path, capsys):
-    # a maximum step beyond the final time is the one-step grid
+    # a maximum step beyond a cycle gives one step per cycle
     code = run(["compare", "--gamma", "0.7", "--z", "1:1:1", "--oracle-dt",
                 "1e300", "--out", str(tmp_path / "cmp.csv")])
     err = capsys.readouterr().err

@@ -26,6 +26,16 @@ nodes per half in place of a cubic spline and scipy's Simpson rule on
 4001, moved them by up to 6.9e-9 relative, past the 1e-12 tolerance; the
 projection's own error budget is 1e-6.
 
+The compare oracle values at z = 0.5, 0.8 and 0.9 alone (``Gamma_oracle``
+and ``ratio`` in fx_compare.csv, ``Gamma_oracle`` in fx_compare_rates.json)
+were regenerated at the commit that made the oracle take whole steps per
+cycle ("Whole steps per cycle: far blocks reuse their p across cycles").
+Over two cycles the solve takes n = 2*ceil(2*pi/dt) steps in place of
+ceil(4*pi/dt), one more at those three points, which moved their rates by
+1.5e-7, 1.5e-6 and 5.7e-7 relative, past the 1e-12 tolerance.  At z = 0.6
+and 0.7 the step count is unchanged and the rates moved by 3.6e-15 and
+8.1e-14, so those two values are still the ones of 40b5679.
+
 The semiclassical rates of fx_scan_nio alone (``Gamma_raw`` and
 ``Gamma_smooth`` in its CSV and JSON) were regenerated at commit 82f3f99
 ("Keep ModelParams as the pair (gamma, z) and a fixed gamma as one

@@ -298,15 +298,15 @@ def _reference_march(t, dt, n, gamma, h, driven):
     return f
 
 
-def _march_deviation(params, t_f, n, driven=True):
+def _march_deviation(params, t_f, n, driven=True, period=None):
     dt = t_f / n
     t = dt * np.arange(n + 1)
     args = (t, dt, n, params.gamma, params.h, driven)
-    f, kernel_evals = _march(t, params.gamma, params.h, driven)
+    f, kernel_evals = _march(t, params.gamma, params.h, driven, period)
     # the dense march evaluates every pair, plus the upper halves of its
-    # diagonal tiles; from n + 1 = 4 * _FAR nodes on, far blocks are
+    # diagonal tiles; from n = 4 * _FAR rows on, far blocks are
     # interpolated and fewer entries than pairs are evaluated
-    assert (kernel_evals < n * (n + 1) // 2) == (n + 1 >= 4 * _FAR)
+    assert (kernel_evals < n * (n + 1) // 2) == (n >= 4 * _FAR)
     dev = np.max(np.abs(f - _reference_march(*args)))
     return dev / math.sqrt(params.gamma / params.h)
 
@@ -315,14 +315,15 @@ def _march_deviation(params, t_f, n, driven=True):
                                        pytest.param(4.0, 1, id="4.0"),
                                        pytest.param(4.0, 2, id="4.0-2cycles")])
 def test_march_matches_reference_driven(z, cycles):
-    # z = 4 interpolates far blocks (n = 1971 and 3941, two and three levels
-    # of the hierarchy); measured deviations 4e-15, 1e-13 and 5e-13, most
-    # of it the rounding of the reference's difference-form weights
+    # z = 4 interpolates far blocks (1971 steps per cycle, two levels of the
+    # hierarchy, and over two cycles the block of the second cycle's history
+    # in the first); measured deviations 4e-15, 1e-13 and 5e-13, most of it
+    # the rounding of the reference's difference-form weights
     params = from_dimensionless(0.7, z)
-    t_f = 2.0 * math.pi * cycles
-    n = int(math.ceil(t_f / default_time_step(params)))
-    assert n > 8 * _BLOCK
-    assert _march_deviation(params, t_f, n) < 1e-12
+    period = int(math.ceil(2.0 * math.pi / default_time_step(params)))
+    assert period > 8 * _BLOCK
+    assert _march_deviation(params, 2.0 * math.pi * cycles, cycles * period,
+                            period=period) < 1e-12
 
 
 def test_march_matches_reference_field_off():
@@ -332,12 +333,12 @@ def test_march_matches_reference_field_off():
 
 @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                9 * _BLOCK + 5, 4 * _FAR - 2, 4 * _FAR - 1,
-                               1278, 1279])
+                               4 * _FAR, 1278, 1279, 1280])
 def test_march_matches_reference_block_edges(n):
     # fewer rows than one block, row counts that leave a partial block, the
-    # last dense march and the first split one (n + 1 = 4 * _FAR nodes,
-    # whose quarters are the smallest far blocks), and a march split once
-    # more, into far blocks of 319 and 320 rows
+    # last dense marches and the first split one (n = 4 * _FAR rows after
+    # node 0, whose quarters are the smallest far blocks), and marches split
+    # once more, into far blocks of 319 and 320 rows
     assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
 
 
@@ -354,11 +355,18 @@ def test_march_matches_reference_half_resolution_companion():
     assert _march_deviation(params, t_f, n // 2) < 1e-12
 
 
-@pytest.mark.parametrize("nodes", [4 * _FAR - 1, 4 * _FAR, 1279, 1280, 3001, 5121])
-def test_partition_covers_each_pair_once_in_causal_order(nodes):
-    covered = np.zeros((nodes, nodes), dtype=np.int8)
-    solved = 0
-    for kind, *span in _partition(0, nodes):
+@pytest.mark.parametrize("n, cycles", [
+    *(pytest.param(n, 1, id=str(n)) for n in (4 * _FAR - 1, 4 * _FAR, 1279, 1280,
+                                               3001, 5121)),
+    *(pytest.param(cycles * m, cycles, id=f"{cycles * m}-{cycles}cycles")
+      for m, cycles in ((1971, 2), (300, 5), (1183, 5)))])
+def test_partition_covers_each_pair_once_in_causal_order(n, cycles):
+    # rows 1..n; node 0's terms start the sums, so no step touches it
+    period = n // cycles
+    steps = _partition(1, n + 1, period)
+    covered = np.zeros((n + 1, n + 1), dtype=np.int8)
+    solved = 1
+    for kind, *span in steps:
         if kind == "leaf":
             lo, hi = span
             assert lo == solved
@@ -367,45 +375,110 @@ def test_partition_covers_each_pair_once_in_causal_order(nodes):
             continue
         j0, j1, i0, i1 = span
         # columns solved, rows not yet
-        assert i1 <= solved <= j0
+        assert 1 <= i1 <= solved <= j0
         if kind == "far":
             assert min(j1 - j0, i1 - i0) >= _FAR
             assert j0 - i1 + 1 >= max(j1 - j0, i1 - i0)
         covered[j0:j1, i0:i1] += 1
-    assert solved == nodes
-    assert np.array_equal(covered, np.tril(np.ones((nodes, nodes), np.int8), -1))
-    assert any(step[0] == "far" for step in _partition(0, nodes)) == (nodes >= 4 * _FAR)
+    assert solved == n + 1
+    expected = np.tril(np.ones((n + 1, n + 1), np.int8), -1)
+    expected[:, 0] = 0
+    assert np.array_equal(covered, expected)
+    if cycles == 1:
+        assert any(step[0] == "far" for step in steps) == (n >= 4 * _FAR)
+    else:
+        # a step shifted back by whole cycles, where it stays past node 0,
+        # is a step too: the same block of the periodic kernel
+        assert any(step[0] == "far" for step in steps)
+        shifted = {(kind, *(e - period for e in span)) for kind, *span in steps
+                   if span[0] > period and span[-1 if kind == "leaf" else 2] > period}
+        assert shifted and shifted <= set(steps)
 
 
 def test_kernel_evals_counts_tiles_and_cores(monkeypatch):
     import drivendelta.oracle as oracle_mod
 
-    cores = []
+    cores = {}
     core = oracle_mod._Kernel.core
 
     def recording(self, q, *span):
-        cores.append(q)
+        cores.setdefault(span, []).append(q)
         return core(self, q, *span)
 
     monkeypatch.setattr(oracle_mod._Kernel, "core", recording)
     params = from_dimensionless(0.7, 4.0)
-    grid = solve_boundary_function(params, 4.0 * math.pi)
+    grid = solve_boundary_function(params, 6.0 * math.pi)
     n = grid.n_steps
-    expected = sum(q * q for q in cores)
-    for kind, *span in _partition(0, n + 1):
+    period = n // 3
+    steps = _partition(1, n + 1, period)
+    expected = sum(q * q for qs in cores.values() for q in qs)
+    for kind, *span in steps:
         if kind == "leaf":
             # each row block: its history in the leaf plus its square tile
             lo, hi = span
-            for j0 in range(max(lo, 1), hi, _BLOCK):
+            for j0 in range(lo, hi, _BLOCK):
                 rows = min(j0 + _BLOCK, hi) - j0
                 expected += rows * (j0 - lo) + rows * rows
         else:
             j0, j1, i0, i1 = span
             if kind == "dense":
                 expected += (j1 - j0) * (i1 - i0)
-    # each far block evaluates at least the cores of p = 17 and p = 33
-    assert len(cores) >= 2 * sum(step[0] == "far" for step in _partition(0, n + 1))
+    # the first of a far block's shifts by whole cycles evaluates at least
+    # the cores of p = 17 and p = 33; each later one its p x p core alone
+    seen = set()
+    for kind, j0, j1, i0, i1 in (step for step in steps if step[0] == "far"):
+        key = (j0 - i0, i0 % period, j1 - j0, i1 - i0)
+        qs = cores[(j0, j1, i0, i1)]
+        assert len(qs) == 1 if key in seen else len(qs) >= 2
+        seen.add(key)
+    assert len(seen) < sum(step[0] == "far" for step in steps)
     assert grid.kernel_evals == expected < n * (n + 1) // 2
+
+
+def _far_calls(monkeypatch):
+    """Record each far block the march sums: its kernel, span and whether
+    its p was recorded before."""
+    import drivendelta.oracle as oracle_mod
+
+    calls = []
+    far = oracle_mod._Kernel.far
+
+    def recording(self, j0, j1, i0, i1, f):
+        key = (j0 - i0, i0 % self.period, j1 - j0, i1 - i0)
+        calls.append((self, (j0, j1, i0, i1), key in self.far_p))
+        return far(self, j0, j1, i0, i1, f)
+
+    monkeypatch.setattr(oracle_mod._Kernel, "far", recording)
+    return calls
+
+
+def test_reused_far_blocks_take_the_p_of_their_own_search(monkeypatch):
+    # z = 12 over three cycles: the blocks of cycles 2 and 3 repeat those of
+    # cycle 1 and its history, and each would choose the same p itself
+    calls = _far_calls(monkeypatch)
+    solve_boundary_function(from_dimensionless(0.7, 12.0), 6.0 * math.pi)
+    reused = [(kernel, span) for kernel, span, seen in calls if seen]
+    assert len(reused) > len(calls) // 2
+    for kernel, (j0, j1, i0, i1) in reused:
+        key = (j0 - i0, i0 % kernel.period, j1 - j0, i1 - i0)
+        assert kernel.search(j0, j1, i0, i1)[0] == kernel.far_p[key]
+
+
+def test_far_reuse_keeps_the_rates_of_a_march_that_searches_every_block(monkeypatch):
+    # the same grid and partition, with each far block's p searched afresh
+    params = from_dimensionless(0.7, 12.0)
+    rates = [rate_between_cycles(params, 1, 3), rate_between_cycles(params, 2, 3)]
+    calls = _far_calls(monkeypatch)
+    forget = _Kernel.far
+
+    def searching(self, *args):
+        self.far_p.clear()
+        return forget(self, *args)
+
+    monkeypatch.setattr(_Kernel, "far", searching)
+    fresh = [rate_between_cycles(params, 1, 3), rate_between_cycles(params, 2, 3)]
+    assert calls and not any(seen for _, _, seen in calls)
+    assert rates == pytest.approx(fresh, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [17, 33])
@@ -480,16 +553,19 @@ def _assert_far_block_matches_exact(kernel, span):
         assert err <= 1e-12 * np.max(np.abs(exact)) * np.sum(np.abs(f))
 
 
-def test_far_blocks_match_their_exact_blocks_column_0_included():
-    # node 0's w_first enters the march's sums once (_march), so a far
-    # block that starts at column 0 holds the one Toeplitz kernel, w_mid at
-    # every lag, and its interpolant must meet column 0 as it meets the rest
+def test_far_blocks_match_their_exact_blocks():
+    # node 0's w_first starts the march's sums (_march), so every far block,
+    # from column 1 on, holds the one Toeplitz kernel, w_mid at every lag;
+    # over two cycles the second cycle's blocks take the p of the first's,
+    # and the far calls after a block's first take its recorded p
     params = from_dimensionless(0.7, 4.0)
-    n = 1971
-    dt = 2.0 * math.pi / n
-    kernel = _Kernel(dt * np.arange(n + 1), params.h, True)
-    far = [tuple(span) for kind, *span in _partition(0, n + 1) if kind == "far"]
-    assert any(i0 == 0 for _, _, i0, _ in far)
+    period = 1971
+    n = 2 * period
+    dt = 4.0 * math.pi / n
+    kernel = _Kernel(dt * np.arange(n + 1), params.h, True, period)
+    far = [tuple(span) for kind, *span in _partition(1, n + 1, period) if kind == "far"]
+    assert any(i0 == 1 for _, _, i0, _ in far)
+    assert any(i1 <= period < j0 for j0, _, _, i1 in far)
     for span in far:
         _assert_far_block_matches_exact(kernel, span)
 
@@ -535,21 +611,22 @@ print(time.process_time() - cpu, time.perf_counter() - wall)
 
 def test_p_choice_stops_at_the_rounding_floor(monkeypatch):
     # a far block at z = 12 over two cycles with phases up to 24: its
-    # interpolation error plateaus at 1.2e-13 to 1.6e-13 of its largest
+    # interpolation error plateaus at 1.1e-13 to 1.6e-13 of its largest
     # entry, so p stops only because the floor grows with the phase
     params = from_dimensionless(0.7, 12.0)
-    n = int(math.ceil(4.0 * math.pi / default_time_step(params)))
+    period = int(math.ceil(2.0 * math.pi / default_time_step(params)))
+    n = 2 * period
     dt = 4.0 * math.pi / n
-    kernel = _Kernel(dt * np.arange(n + 1), params.h, True)
-    span = (10715, 11085, 9976, 10346)
-    assert ("far", *span) in _partition(0, n + 1)
+    kernel = _Kernel(dt * np.arange(n + 1), params.h, True, period)
+    span = (10716, 11086, 9977, 10347)
+    assert ("far", *span) in _partition(1, n + 1, period)
     _assert_far_block_matches_exact(kernel, span)
     # with the phase taken out of the rule, p grows until 2p - 1 passes
     # the block's side
     core = _Kernel.core
     monkeypatch.setattr(_Kernel, "core", lambda *args: (core(*args)[0], 0.0))
     with pytest.raises(ConvergenceError, match="did not converge on the far block"):
-        kernel.far(*span, np.ones(370))
+        kernel.search(*span)
 
 
 def _decimal_mid(lag):
@@ -812,6 +889,46 @@ def test_solve_takes_one_step_for_a_step_longer_than_the_run():
                                    dt=1e300)
     assert grid.n_steps == 1
     assert grid.dt == 2.0 * math.pi
+    # over whole cycles a step longer than a cycle gives one step per cycle
+    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 6.0 * math.pi,
+                                   dt=1e300)
+    assert grid.n_steps == 3
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 5])
+def test_solve_takes_whole_steps_per_cycle(cycles):
+    # m = ceil(2*pi/dt) steps per cycle, so the step stays at or below dt;
+    # at z = 8 over two cycles 7882 = 2*3941 as with ceil(t_f/dt)
+    dt = default_time_step(from_dimensionless(0.7, 8.0))
+    params = from_dimensionless(0.7, 1.0)
+    m = math.ceil(2.0 * math.pi / dt)
+    assert m == 3941
+    grid = solve_boundary_function(params, 2.0 * math.pi * cycles, dt=dt)
+    assert grid.n_steps == cycles * m
+    assert grid.dt <= dt
+    assert grid.t[m] == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+
+def test_solve_takes_an_even_number_of_steps_per_cycle_for_its_companion():
+    # 2*pi/0.5 = 12.57: 13 steps per cycle, 14 with tolerance=; the
+    # companion then marches 7 per cycle
+    params = from_dimensionless(0.7, 1.0)
+    for cycles in (1, 3):
+        t_f = 2.0 * math.pi * cycles
+        assert solve_boundary_function(params, t_f, dt=0.5).n_steps == 13 * cycles
+        grid = solve_boundary_function(params, t_f, dt=0.5, tolerance=1.0)
+        assert grid.n_steps == 14 * cycles
+    # at least 4 steps in all, as before
+    assert solve_boundary_function(params, 2.0 * math.pi, dt=1e300,
+                                   tolerance=10.0).n_steps == 4
+    assert solve_boundary_function(params, 4.0 * math.pi, dt=1e300,
+                                   tolerance=10.0).n_steps == 4
+
+
+def test_solve_takes_ceil_steps_for_a_run_of_no_whole_cycles():
+    params = from_dimensionless(0.7, 1.0)
+    assert solve_boundary_function(params, 5.0, dt=0.3).n_steps == 17
+    assert solve_boundary_function(params, 3.0 * math.pi, dt=0.5).n_steps == 19
 
 
 def test_default_step_where_gamma_squared_underflows():
