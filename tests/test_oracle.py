@@ -391,7 +391,7 @@ def test_partition_covers_each_pair_once_in_causal_order(n, cycles):
         # is a step too: the same block of the periodic kernel
         assert any(step[0] == "far" for step in steps)
         shifted = {(kind, *(e - period for e in span)) for kind, *span in steps
-                   if span[0] > period and span[-1 if kind == "leaf" else 2] > period}
+                   if min(span) > period}
         assert shifted and shifted <= set(steps)
 
 
@@ -469,11 +469,11 @@ def test_far_reuse_keeps_the_rates_of_a_march_that_searches_every_block(monkeypa
     params = from_dimensionless(0.7, 12.0)
     rates = [rate_between_cycles(params, 1, 3), rate_between_cycles(params, 2, 3)]
     calls = _far_calls(monkeypatch)
-    forget = _Kernel.far
+    far = _Kernel.far
 
     def searching(self, *args):
         self.far_p.clear()
-        return forget(self, *args)
+        return far(self, *args)
 
     monkeypatch.setattr(_Kernel, "far", searching)
     fresh = [rate_between_cycles(params, 1, 3), rate_between_cycles(params, 2, 3)]
@@ -898,7 +898,8 @@ def test_solve_takes_one_step_for_a_step_longer_than_the_run():
 @pytest.mark.parametrize("cycles", [1, 2, 5])
 def test_solve_takes_whole_steps_per_cycle(cycles):
     # m = ceil(2*pi/dt) steps per cycle, so the step stays at or below dt;
-    # at z = 8 over two cycles 7882 = 2*3941 as with ceil(t_f/dt)
+    # z = 8's default step gives 7882 = 2*3941 over two cycles, as
+    # ceil(t_f/dt) did (the grid depends on the step alone: z = 1 is cheap)
     dt = default_time_step(from_dimensionless(0.7, 8.0))
     params = from_dimensionless(0.7, 1.0)
     m = math.ceil(2.0 * math.pi / dt)
@@ -918,7 +919,7 @@ def test_solve_takes_an_even_number_of_steps_per_cycle_for_its_companion():
         assert solve_boundary_function(params, t_f, dt=0.5).n_steps == 13 * cycles
         grid = solve_boundary_function(params, t_f, dt=0.5, tolerance=1.0)
         assert grid.n_steps == 14 * cycles
-    # at least 4 steps in all, as before
+    # and at least 4 steps in all
     assert solve_boundary_function(params, 2.0 * math.pi, dt=1e300,
                                    tolerance=10.0).n_steps == 4
     assert solve_boundary_function(params, 4.0 * math.pi, dt=1e300,
