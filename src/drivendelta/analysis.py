@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle, semiclassical
 from .adiabatic import rate_cycle_averaged
 from .errors import NumericError
-from .model import failure_reason, from_dimensionless, unbox
+from .model import cycle_count, failure_reason, from_dimensionless, unbox
 
 __all__ = [
     "ScanLine",
@@ -183,8 +183,7 @@ def scan_rate(engine, mode, fixed_value, z_values, n_cycles=1,
     if not (math.isfinite(fixed_value) and fixed_value > 0.0):
         name = mode.removeprefix("fixed_")
         raise ValueError(f"{name} must be positive, got {name}={fixed_value!r}")
-    if int(n_cycles) != n_cycles or n_cycles < 1:
-        raise ValueError(f"cycles must be a positive integer, got {n_cycles!r}")
+    n_cycles = cycle_count(n_cycles, "cycles")
     _check_filter(sg_window, sg_order)
     line = scan_line(mode, fixed_value)
     _, thresholds = line.thresholds(z_values[0], z_values[-1])

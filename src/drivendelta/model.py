@@ -17,6 +17,7 @@ call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,6 +151,16 @@ def failure_reason(rate):
     return f"survival probability is not finite; rate is {rate}"
 
 
+def cycle_count(value, name="n", least=1):
+    """``value`` as an int count of whole cycles, at least ``least``; a bool, a
+    string, a fraction, nan or inf is the one ValueError of every cycle count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {name}={value!r}")
+    return int(value)
+
+
 def decay_rate(probability, n_first, n_last):
     """Per-cycle decay rate -ln(w(n_last)/w(n_first)) / (n_last - n_first).
 
@@ -160,10 +171,9 @@ def decay_rate(probability, n_first, n_last):
     exception but a rate that is not finite (see :func:`failure_reason`):
     +inf where either probability vanished, 0/0 included.
     """
-    if not (int(n_first) == n_first and int(n_last) == n_last
-            and 0 <= n_first < n_last):
-        raise ValueError("need integers 0 <= n_first < n_last, "
-                         f"got n_first={n_first!r}, n_last={n_last!r}")
+    n_first, n_last = cycle_count(n_first, "n_first", 0), cycle_count(n_last, "n_last")
+    if n_first >= n_last:
+        raise ValueError(f"need n_first < n_last, got n_first={n_first}, n_last={n_last}")
     with np.errstate(all="ignore"):
         w_first = probability(n_first) if n_first else 1.0
         w_last = probability(n_last)

@@ -21,27 +21,28 @@ overlap <psi0|U|psi0> is a closed form too (_free_evolution_overlap).
 
 The time march uses product integration (_weights), stable and of
 empirical order ~2 despite the singularity, and a kernel entry costs one
-real phase x and one table-driven exp(i*x) (_march, _Cis).  A run of
-whole cycles takes m = ceil(2*pi/dt) steps per cycle (solve_boundary_function),
-so the kernel repeats when both times move by m steps.  The history sum,
-n(n+1)/2 pairs, is solved a cycle at a time and each cycle in halves,
-recursively: densely near the diagonal, in tiles that stay in cache, and far
-from it, where the kernel is analytic in both times, through its
-interpolant at p x p Chebyshev points (_Kernel.far), whose p a block shifted
-by whole cycles reuses.  README.md gives the costs.
+real phase x and one table-driven exp(i*x) (_march, _Cis).  A solve takes
+a count of whole cycles, m = ceil(2*pi/dt) steps each
+(solve_boundary_function), so the kernel repeats when both times move by m
+steps.  The history sum, n(n+1)/2 pairs, is solved a cycle at a time and
+each cycle in halves, recursively: densely near the diagonal, in tiles that
+stay in cache, and far from it, where the kernel is analytic in both times,
+through its interpolant at p x p Chebyshev points (_Kernel.far), whose p a
+block shifted by whole cycles reuses.  README.md gives the costs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
-from .model import Drive, ModelParams, decay_rate, drive, power
+from .model import Drive, ModelParams, cycle_count, decay_rate, drive, power
 
 __all__ = [
     "VolterraGrid",
@@ -149,23 +150,26 @@ def default_time_step(params: ModelParams, factor=40.0):
     return min(2.0 * math.pi, params.h / gamma_sq if gamma_sq else math.inf) / factor
 
 
-def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
+# a solve's peak memory per step, by tracemalloc at 2.5e4 to 1.3e5 steps (z = 1):
+# the O(n) arrays of the march; fixed costs make it more on fewer steps
+_SOLVE_BYTES_PER_STEP = 264
+
+
+def solve_boundary_function(params: ModelParams, cycles, dt=None, driven=True,
                             tolerance=None) -> VolterraGrid:
     """March the weakly singular Volterra equation for f(t) = psi(0, t).
 
     Parameters
     ----------
     params : ModelParams
-    t_f : float
-        Final time.  :func:`survival_probability` projects after whole
-        cycles only, so a grid to project on ends at 2*pi*n.
+    cycles : int
+        Whole field cycles to solve, t_f = 2*pi*cycles (model.cycle_count).
     dt : float, optional
-        Maximum step; defaults to :func:`default_time_step`.  When t_f is
-        2*pi*k, whole cycles, the grid takes m = ceil(2*pi/dt) steps per
-        cycle, n = k*m, so that the march can reuse the kernel's period; a
-        step longer than a cycle gives one step per cycle.  Any other t_f
-        takes n = ceil(t_f/dt).  A step count that numpy cannot allocate is
-        a ValueError.
+        Maximum step; defaults to :func:`default_time_step`.  The grid takes
+        m = ceil(2*pi/dt) steps per cycle, n = cycles*m, so that the march
+        can reuse the kernel's period; a step longer than a cycle gives one
+        step per cycle.  A step count whose solve cannot fit in the
+        machine's memory is a ValueError.
     driven : bool
         With False the drive term is removed from the kernel (the mu -> 0
         limit at fixed gamma, h); the solution is then the stationary bound
@@ -176,22 +180,22 @@ def solve_boundary_function(params: ModelParams, t_f, dt=None, driven=True,
         relative to the bound-state amplitude.  Its grid takes an even
         number of steps per cycle, at least 4 in all.
     """
+    cycles = cycle_count(cycles, "cycles")
     if dt is None:
         dt = default_time_step(params)
-    for name, value in (("t_f", t_f), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive, got {name}={value!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive, got dt={dt!r}")
     gamma, h = params.gamma, params.h
+    t_f = 2.0 * math.pi * cycles
     try:
-        # k whole cycles of m steps; any other t_f is one "cycle" of its own
-        k = round(t_f / (2.0 * math.pi))
-        if k < 1 or abs(t_f - 2.0 * math.pi * k) > 1e-12 * t_f:
-            k = 1
-        m = max(1, math.ceil(t_f / k / dt - 1e-12))
+        m = max(1, math.ceil(2.0 * math.pi / dt - 1e-12))
         if tolerance is not None:
             # the half-resolution companion needs m even, and n >= 4
-            m = max(4 // k, m + m % 2)
-        n = k * m
+            m = max(4 // cycles, m + m % 2)
+        n = cycles * m
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if n * _SOLVE_BYTES_PER_STEP > memory:
+            raise MemoryError
         dt = t_f / n
         t = dt * np.arange(n + 1)
     except (OverflowError, ValueError, MemoryError):
@@ -417,10 +421,10 @@ class _Kernel:
     (one cycle), so a far block shifted by whole periods takes the p that
     the first of its shifts chose (see far)."""
 
-    def __init__(self, t, h, driven, period=None):
+    def __init__(self, t, h, driven, period):
         n, dt = t.size - 1, t[1]
         self.dt, self.h, self.driven, self.evals = dt, h, driven, 0
-        self.period = period or n
+        self.period = period
         self.far_p = {}  # (lag, first column mod period, rows, columns) -> p
         self.nodes = drive(t, driven)
         self.w_mid, self.w_first, self.w_diag = _weights(n, dt)
@@ -568,7 +572,7 @@ def _blocks(j0, j1, i0, i1):
             for step in _blocks(*rows, *cols)]
 
 
-def _march(t, gamma, h, driven, period=None):
+def _march(t, gamma, h, driven, period):
     """Boundary function f_j on the grid t, and the kernel entries evaluated.
 
     The kernel's action is model.volkov_action from (0, t_i) to (0, t_j),
@@ -581,11 +585,11 @@ def _march(t, gamma, h, driven, period=None):
     with G = exp(-i*phi/h)*g and c = i*gamma/sqrt(2*pi*i*h).  W_ji is
     w_mid[j - i], but node 0 carries w_first[j]: F_0 = G_0 is known, so its
     terms start the sums, and every block, over nodes 1..n, applies
-    _Kernel.  With ``period`` steps per cycle (default: none, the whole
-    grid) the nodes of cycle c are c*period + 1..(c + 1)*period.  The steps
-    come from _partition: a leaf is marched in blocks of _BLOCK rows, its
-    own history reduced in tiles, the triangle inside a block row by row; a
-    dense block is summed in tiles; a far block through _Kernel.far.
+    _Kernel.  With ``period`` steps per cycle the nodes of cycle c are
+    c*period + 1..(c + 1)*period.  The steps come from _partition: a leaf is
+    marched in blocks of _BLOCK rows, its own history reduced in tiles, the
+    triangle inside a block row by row; a dense block is summed in tiles; a
+    far block through _Kernel.far.
     """
     kernel = _Kernel(t, h, driven, period)
     rot = np.exp((1j / h) * kernel.nodes.phi)  # f = rot * F
@@ -684,8 +688,7 @@ def survival_probability(grid: VolterraGrid, n):
     to the endpoint), where it is smooth, by Simpson's rule; the boundary
     function between grid times is its local interpolant (_lagrange).
     """
-    if not (math.isfinite(n) and n == int(n) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
+    n = cycle_count(n)
     t_f = 2.0 * math.pi * n
     if t_f > grid.t[-1] * (1.0 + 1e-12):
         raise ValueError(f"n={n!r}: t_f = 2*pi*n = {t_f:.6g} outside the solved grid "
@@ -729,6 +732,5 @@ def rate_between_cycles(params: ModelParams, n_first=1, n_last=2, dt=None):
     comparisons.  One solve serves both projections; n_first = 0 is the
     single-interval rate.  Failures as in :func:`drivendelta.model.decay_rate`.
     """
-    solve = functools.cache(lambda: solve_boundary_function(
-        params, 2.0 * math.pi * n_last, dt=dt))
+    solve = functools.cache(lambda: solve_boundary_function(params, n_last, dt=dt))
     return decay_rate(lambda n: survival_probability(solve(), n)[1], n_first, n_last)

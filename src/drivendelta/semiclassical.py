@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import bound_propagator_factor, quasi_energy_averaged
-from .model import (Drive, ModelParams, all_true, decay_rate, drive, unbox,
-                    volkov_action)
+from .model import (Drive, ModelParams, all_true, cycle_count, decay_rate, drive,
+                    unbox, volkov_action)
 
 __all__ = [
     "SurvivalAmplitude",
@@ -169,9 +169,7 @@ def survival_amplitude(params: ModelParams, n, include_odd=False) -> SurvivalAmp
     ``include_odd`` is set.  With array parameters every term is an array
     over the grid.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got n={n!r}")
-    n = int(n)
+    n = cycle_count(n)
     g, h = params.gamma, params.h
     t_f = 2.0 * math.pi * n
     e_m = quasi_energy_averaged(params).e_m

@@ -180,7 +180,7 @@ def test_criterion_6_oracle_sanity():
     # field-off unitarity over ten cycles at converged step
     params_off = from_dimensionless(GAMMA, 0.5)
     grid = solve_boundary_function(
-        params_off, 20.0 * math.pi,
+        params_off, 10,
         dt=default_time_step(params_off, factor=160.0), driven=False)
     _, w_off = survival_probability(grid, 10)
     unitarity = abs(math.sqrt(w_off) - 1.0)
@@ -193,7 +193,7 @@ def test_criterion_6_oracle_sanity():
         params = from_dimensionless(GAMMA, z)
         ps = []
         for factor in (20.0, 40.0, 80.0):
-            g = solve_boundary_function(params, 2.0 * math.pi,
+            g = solve_boundary_function(params, 1,
                                         dt=default_time_step(params, factor))
             p, w = survival_probability(g, 1)
             ps.append(p)
@@ -244,12 +244,15 @@ def test_criterion_7_cross_method():
 
 
 def test_criterion_7_supplement_steady_state_z10():
-    """Once the switch-on transient has died, the engines agree (z = 10).
+    """Criterion 7's window at z = 10 over cycles 3 -> 5, past the switch-on
+    transient, within the criterion's tolerances.
 
-    Not an acceptance criterion by itself: this isolates the asymptotic
-    per-cycle rate (baseline cycles 3 -> 5) that the paper's reference
-    numerics report, and shows the wave-packet theory matches it within the
-    criterion-7 tolerances.
+    Not an acceptance criterion by itself, and not a sign that the engines
+    agree.  Its 0.1 grid aliases harmonic 4 of the semiclassical per-cycle
+    rate onto a period next to the fundamental's, so the fit's +0.071
+    offset is the phase of aliased harmonic 4: over 801 points of the same
+    window the semiclassical fundamental is 0.021 of the background
+    (README, criterion 7).
     """
     ratio, offset, ok = _window_agreement(10.0, 3, 5)
     print(f"\nACCEPTANCE 7 supplement: steady-state z=10 ratio={ratio:.2f}, "

@@ -714,14 +714,30 @@ def test_compare_invalid_input_is_usage_error(tmp_path, capsys, argv):
 ])
 def test_oracle_step_count_beyond_memory_is_usage_error(tmp_path, capsys, argv,
                                                         steps):
-    # 2*pi/1e-15 steps per cycle: numpy refuses the time grid (44.6 PiB at
-    # one cycle) before it allocates anything
+    # 2*pi/1e-15 steps per cycle: more than the machine's memory holds
+    # (44.6 PiB of time grid alone at one cycle), so the solve allocates
+    # nothing
     out = [] if argv[0] == "selfcheck" else ["--out", str(tmp_path / "out.csv")]
     code = run([*argv, "--oracle-dt", "1e-15", *out])
     err = capsys.readouterr().err
     assert code == 1
     assert err.splitlines()[-1] == (
         f"usage error: the {steps} time steps of dt=1e-15 do not fit in "
+        "memory: take a larger dt or fewer cycles")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_cycle_count_beyond_memory_is_usage_error(tmp_path, capsys):
+    # 4.9e14 steps at z = 1, past any machine's memory: the solve stops
+    # before it allocates, and before the semiclassical engine would sum its
+    # 1e12 packets, since compare runs the oracle first
+    code = run(["compare", "--gamma", "0.7", "--z", "1:1:1", "--cycles",
+                "1000000000000", "--out", str(tmp_path / "cmp.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        "usage error: the 4.93e+14 time steps of dt=0.0127551 do not fit in "
         "memory: take a larger dt or fewer cycles")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []

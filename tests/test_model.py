@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from drivendelta import analysis, oracle, semiclassical
 from drivendelta.model import (
     ModelParams,
+    cycle_count,
     decay_rate,
     drive,
     failure_reason,
@@ -191,3 +193,48 @@ def test_decay_rate_fails_by_a_non_finite_value_for_scalars_and_grids():
                                         "rate is -inf")
     assert failure_reason(rates[3]) == ("survival probability is not finite; "
                                         "rate is nan")
+
+
+def test_cycle_count_is_an_int_of_at_least_least():
+    for value in (2, 2.0, np.int64(2), np.float64(2.0), 10**400):
+        assert type(cycle_count(value)) is int and cycle_count(value) == value
+    assert cycle_count(0, least=0) == 0
+    with pytest.raises(ValueError, match=r"^cycles must be an integer >= 1, got cycles=0$"):
+        cycle_count(0, "cycles")
+    with pytest.raises(ValueError, match="n_first must be an integer >= 0"):
+        cycle_count(-1, "n_first", 0)
+
+
+# every entry point that takes a cycle count, called with count n; z = 1
+# at dt = 0.5 is a 13-step-per-cycle oracle solve
+P_CYCLES = from_dimensionless(0.7, 1.0)
+CYCLE_ENTRY_POINTS = {
+    "model.decay_rate": lambda n: decay_rate(lambda k: 0.5 ** k, 0, n),
+    "semiclassical.survival_amplitude":
+        lambda n: semiclassical.survival_amplitude(P_CYCLES, n).p,
+    "semiclassical.rate_between_cycles":
+        lambda n: semiclassical.rate_between_cycles(P_CYCLES, 0, n),
+    "oracle.solve_boundary_function":
+        lambda n: oracle.solve_boundary_function(P_CYCLES, n, dt=0.5).f,
+    "oracle.survival_probability": lambda n: oracle.survival_probability(
+        oracle.solve_boundary_function(P_CYCLES, 2, dt=0.5), n),
+    "oracle.rate_between_cycles":
+        lambda n: oracle.rate_between_cycles(P_CYCLES, 0, n, dt=0.5),
+    "analysis.scan_rate": lambda n: analysis.scan_rate(
+        "semiclassical", "fixed_gamma", 0.7, [1.0, 1.1], n_cycles=n).gamma_raw,
+}
+
+
+@pytest.mark.parametrize("entry", CYCLE_ENTRY_POINTS)
+@pytest.mark.parametrize("n", [0, -1, 1.5, math.nan, math.inf, True, "2"])
+def test_every_cycle_count_gets_the_one_check(entry, n):
+    with pytest.raises(ValueError, match=r"must be an integer >= 1, got \w+="):
+        CYCLE_ENTRY_POINTS[entry](n)
+
+
+@pytest.mark.parametrize("entry", CYCLE_ENTRY_POINTS)
+def test_a_whole_float_or_numpy_count_gives_the_int_result(entry):
+    call = CYCLE_ENTRY_POINTS[entry]
+    expected = call(2)
+    for n in (2.0, np.int64(2)):
+        assert np.array_equal(call(n), expected)

@@ -97,7 +97,7 @@ def test_erfcx_real_axis_matches_scipy():
 # ----------------------------------------------------------------------
 
 def test_initial_value_is_ground_state_origin():
-    grid = solve_boundary_function(P_SMALL, 2.0 * math.pi)
+    grid = solve_boundary_function(P_SMALL, 1)
     assert grid.f[0] == pytest.approx(math.sqrt(P_SMALL.gamma / P_SMALL.h),
                                       rel=1e-14)
 
@@ -105,7 +105,7 @@ def test_initial_value_is_ground_state_origin():
 def test_field_off_pure_bound_phase():
     params = P_OFF
     t_f = 4.0 * math.pi
-    grid = solve_boundary_function(params, t_f, driven=False)
+    grid = solve_boundary_function(params, 2, driven=False)
     exact = (math.sqrt(params.gamma / params.h)
              * np.exp(1j * params.gamma**2 * grid.t / (2.0 * params.h)))
     err = np.max(np.abs(grid.f - exact)) / math.sqrt(params.gamma / params.h)
@@ -119,7 +119,7 @@ def test_field_off_pure_bound_phase():
 
 def test_field_off_unitarity_tight_at_fine_dt():
     params = P_OFF
-    grid = solve_boundary_function(params, 4.0 * math.pi,
+    grid = solve_boundary_function(params, 2,
                                    dt=default_time_step(params, factor=160.0),
                                    driven=False)
     _, w = survival_probability(grid, 2)
@@ -298,7 +298,7 @@ def _reference_march(t, dt, n, gamma, h, driven):
     return f
 
 
-def _march_deviation(params, t_f, n, driven=True, period=None):
+def _march_deviation(params, t_f, n, period, driven=True):
     dt = t_f / n
     t = dt * np.arange(n + 1)
     args = (t, dt, n, params.gamma, params.h, driven)
@@ -328,7 +328,7 @@ def test_march_matches_reference_driven(z, cycles):
 
 def test_march_matches_reference_field_off():
     n = int(math.ceil(4.0 * math.pi / default_time_step(P_OFF)))
-    assert _march_deviation(P_OFF, 4.0 * math.pi, n, driven=False) < 1e-12
+    assert _march_deviation(P_OFF, 4.0 * math.pi, n, period=n, driven=False) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
@@ -339,20 +339,19 @@ def test_march_matches_reference_block_edges(n):
     # last dense marches and the first split one (n = 4 * _FAR rows after
     # node 0, whose quarters are the smallest far blocks), and marches split
     # once more, into far blocks of 319 and 320 rows
-    assert _march_deviation(P_SMALL, 0.5 * math.pi, n) < 1e-12
+    assert _march_deviation(P_SMALL, 0.5 * math.pi, n, period=n) < 1e-12
 
 
 def test_march_matches_reference_half_resolution_companion():
     # tolerance= re-marches every second node with n // 2 steps
     params = P_SMALL
-    t_f = 2.0 * math.pi
-    grid = solve_boundary_function(params, t_f, tolerance=5e-3)
+    grid = solve_boundary_function(params, 1, tolerance=5e-3)
     n = grid.n_steps
     assert (n // 2) % _BLOCK != 0
     args = (grid.t, grid.dt, n, params.gamma, params.h, True)
     scale = math.sqrt(params.gamma / params.h)
     assert np.max(np.abs(grid.f - _reference_march(*args))) / scale < 1e-12
-    assert _march_deviation(params, t_f, n // 2) < 1e-12
+    assert _march_deviation(params, 2.0 * math.pi, n // 2, period=n // 2) < 1e-12
 
 
 @pytest.mark.parametrize("n, cycles", [
@@ -407,7 +406,7 @@ def test_kernel_evals_counts_tiles_and_cores(monkeypatch):
 
     monkeypatch.setattr(oracle_mod._Kernel, "core", recording)
     params = from_dimensionless(0.7, 4.0)
-    grid = solve_boundary_function(params, 6.0 * math.pi)
+    grid = solve_boundary_function(params, 3)
     n = grid.n_steps
     period = n // 3
     steps = _partition(1, n + 1, period)
@@ -456,7 +455,7 @@ def test_reused_far_blocks_take_the_p_of_their_own_search(monkeypatch):
     # z = 12 over three cycles: the blocks of cycles 2 and 3 repeat those of
     # cycle 1 and its history, and each would choose the same p itself
     calls = _far_calls(monkeypatch)
-    solve_boundary_function(from_dimensionless(0.7, 12.0), 6.0 * math.pi)
+    solve_boundary_function(from_dimensionless(0.7, 12.0), 3)
     reused = [(kernel, span) for kernel, span, seen in calls if seen]
     assert len(reused) > len(calls) // 2
     for kernel, (j0, j1, i0, i1) in reused:
@@ -500,7 +499,7 @@ def test_far_matrices_depend_only_on_p_and_block_size():
     # a solve keeps one matrix per (p, size), its top rows: the affine map of
     # integer rows to [-1, 1] is exact, so a block anywhere on the grid gets
     # the same bits
-    kernel = _Kernel(np.arange(5.0), 0.05, True)
+    kernel = _Kernel(np.arange(5.0), 0.05, True, 4)
     m = kernel._matrix(33, 321)
     assert kernel._matrix(33, 321) is m
     assert m.shape == (161, 33)
@@ -574,12 +573,12 @@ def test_march_memory_peak_stays_with_mirrored_halves():
     # 4.5 MiB traced at z = 8 over two cycles; keeping whole barycentric
     # matrices instead of their top halves (see _matrix) reads 6.5 MiB
     params = from_dimensionless(0.7, 8.0)
-    n = math.ceil(4.0 * math.pi / default_time_step(params))
-    t = (4.0 * math.pi / n) * np.arange(n + 1)
-    _march(t, params.gamma, params.h, True)  # imports and first-use caches
+    period = math.ceil(2.0 * math.pi / default_time_step(params))
+    t = (2.0 * math.pi / period) * np.arange(2 * period + 1)
+    _march(t, params.gamma, params.h, True, period)  # imports and first-use caches
     tracemalloc.start()
     try:
-        _march(t, params.gamma, params.h, True)
+        _march(t, params.gamma, params.h, True, period)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -594,9 +593,9 @@ import math, time
 from drivendelta.model import from_dimensionless
 from drivendelta.oracle import solve_boundary_function
 params = from_dimensionless(0.7, 12.0)
-solve_boundary_function(params, 0.1)
+solve_boundary_function(params, 1, dt=0.1)
 wall, cpu = time.perf_counter(), time.process_time()
-solve_boundary_function(params, 4.0 * math.pi)
+solve_boundary_function(params, 2)
 print(time.process_time() - cpu, time.perf_counter() - wall)
 """
     src = str(Path(drivendelta.__file__).resolve().parents[1])
@@ -743,8 +742,7 @@ def test_projection_matches_the_spline_reference(gamma, z, cycles):
     # measured deviations: 1e-10 to 3e-8 at gamma = 0.7, 1.8e-7 at
     # gamma = 0.3, where the spline's own interpolation error dominates (a
     # 4-point window would sit 1.9e-6 away there)
-    grid = solve_boundary_function(from_dimensionless(gamma, z),
-                                   2.0 * math.pi * cycles)
+    grid = solve_boundary_function(from_dimensionless(gamma, z), cycles)
     for n in range(1, cycles + 1):
         p, w = survival_probability(grid, n)
         ref = _reference_projection(grid, n)
@@ -761,7 +759,7 @@ def test_projection_on_short_grids_interpolates_through_every_node(n):
     # another polynomial, is 6e-2 and 0.2 off
     assert n + 1 <= _LAGRANGE_POINTS
     t_f = 2.0 * math.pi
-    grid = solve_boundary_function(P_SMALL, t_f, dt=t_f / n)
+    grid = solve_boundary_function(P_SMALL, 1, dt=t_f / n)
     assert grid.n_steps == n
     p, _ = survival_probability(grid, 1)
     ref = _reference_projection(grid, 1, interpolant=BarycentricInterpolator)
@@ -805,11 +803,10 @@ def test_simpson_matches_scipy():
 
 def test_grid_refinement_differences_decrease():
     params = P_SMALL
-    t_f = 2.0 * math.pi
     dt0 = default_time_step(params)
     ps = []
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
-        grid = solve_boundary_function(params, t_f, dt=dt)
+        grid = solve_boundary_function(params, 1, dt=dt)
         p, _ = survival_probability(grid, 1)
         ps.append(p)
     d1 = abs(ps[0] - ps[1])
@@ -822,7 +819,7 @@ def test_grid_refinement_differences_decrease():
 
 def test_driven_survival_strictly_below_one():
     params = from_dimensionless(0.7, 10.0)
-    grid = solve_boundary_function(params, 2.0 * math.pi)
+    grid = solve_boundary_function(params, 1)
     _, w = survival_probability(grid, 1)
     assert w < 1.0
     assert w > 0.9  # weak depletion in one cycle at z = 10
@@ -831,7 +828,7 @@ def test_driven_survival_strictly_below_one():
 def test_norm_bound():
     # w <= 1 + 10 * tolerance for a converged driven run
     params = P_SMALL
-    grid = solve_boundary_function(params, 2.0 * math.pi)
+    grid = solve_boundary_function(params, 1)
     _, w = survival_probability(grid, 1)
     assert w <= 1.0 + 10.0 * 1e-5
 
@@ -851,60 +848,76 @@ def test_modulation_visible_between_nearby_z():
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
 def test_solve_rejects_a_step_that_is_not_positive_and_finite(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
-        solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
-                                dt=dt)
+        solve_boundary_function(from_dimensionless(0.7, 1.0), 1, dt=dt)
 
 
-@pytest.mark.parametrize("t_f", [0.0, -1.0, math.nan, math.inf])
-def test_solve_rejects_a_final_time_that_is_not_positive_and_finite(t_f):
-    with pytest.raises(ValueError, match="t_f must be positive"):
-        solve_boundary_function(from_dimensionless(0.7, 1.0), t_f)
+@pytest.mark.parametrize("cycles", [0.0, -1.0, math.nan, math.inf])
+def test_solve_rejects_a_final_time_that_is_not_positive_and_finite(cycles):
+    # the final time is 2*pi*cycles
+    with pytest.raises(ValueError, match="cycles must be an integer >= 1"):
+        solve_boundary_function(from_dimensionless(0.7, 1.0), cycles)
 
 
 def test_solve_rejects_a_step_count_beyond_memory():
-    # 2*pi/1e-15 steps: numpy refuses the time grid before allocating it
+    # 2*pi/1e-15 steps: more than the machine's memory holds, so the solve
+    # allocates nothing
     with pytest.raises(ValueError, match="the 6.28e.15 time steps of dt=1e-15 "
                                          "do not fit in memory"):
-        solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
-                                dt=1e-15)
+        solve_boundary_function(from_dimensionless(0.7, 1.0), 1, dt=1e-15)
+
+
+def test_solve_rejects_a_cycle_count_beyond_memory():
+    # 7e12 steps of dt <= 1: at the solve's 264 bytes per step more than
+    # any machine holds, though numpy could allocate the time grid
+    with pytest.raises(ValueError, match="the 6.28e.12 time steps of dt=1 "
+                                         "do not fit in memory"):
+        solve_boundary_function(from_dimensionless(0.7, 1.0), 10**12, dt=1.0)
+
+
+def test_solve_checks_its_size_against_the_machine_memory(monkeypatch):
+    # on a machine of 1 MiB, 10 cycles of 493 steps (1.3 MB at 264 bytes
+    # per step) do not fit and 7 cycles (0.9 MB) do
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+    params = from_dimensionless(0.7, 1.0)
+    with pytest.raises(ValueError, match="do not fit in memory"):
+        solve_boundary_function(params, 10)
+    assert solve_boundary_function(params, 7).n_steps == 7 * 493
 
 
 @pytest.mark.parametrize("n", [0, -1, 1.5, math.nan, math.inf])
 def test_projection_rejects_a_cycle_count_not_a_positive_integer(n):
-    grid = solve_boundary_function(P_SMALL, 2.0 * math.pi, dt=0.1)
-    with pytest.raises(ValueError, match="n must be a positive integer"):
+    grid = solve_boundary_function(P_SMALL, 1, dt=0.1)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         survival_probability(grid, n)
 
 
 def test_projection_rejects_cycles_past_the_grid():
-    grid = solve_boundary_function(P_SMALL, 4.0 * math.pi, dt=0.1)
+    grid = solve_boundary_function(P_SMALL, 2, dt=0.1)
     assert survival_probability(grid, 2.0)[1] == survival_probability(grid, 2)[1]
     with pytest.raises(ValueError, match="outside the solved grid"):
         survival_probability(grid, 3)
 
 
 def test_solve_takes_one_step_for_a_step_longer_than_the_run():
-    # t_f/dt underflows the 1e-12 rounding guard: the one-step grid, not n = 0
-    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 2.0 * math.pi,
-                                   dt=1e300)
+    # 2*pi/dt underflows the 1e-12 rounding guard: the one-step grid, not n = 0
+    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 1, dt=1e300)
     assert grid.n_steps == 1
     assert grid.dt == 2.0 * math.pi
     # over whole cycles a step longer than a cycle gives one step per cycle
-    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 6.0 * math.pi,
-                                   dt=1e300)
+    grid = solve_boundary_function(from_dimensionless(0.7, 1.0), 3, dt=1e300)
     assert grid.n_steps == 3
 
 
 @pytest.mark.parametrize("cycles", [1, 2, 5])
 def test_solve_takes_whole_steps_per_cycle(cycles):
     # m = ceil(2*pi/dt) steps per cycle, so the step stays at or below dt;
-    # z = 8's default step gives 7882 = 2*3941 over two cycles, as
-    # ceil(t_f/dt) did (the grid depends on the step alone: z = 1 is cheap)
+    # z = 8's default step gives 7882 = 2*3941 over two cycles (the grid
+    # depends on the step alone: z = 1 is cheap)
     dt = default_time_step(from_dimensionless(0.7, 8.0))
     params = from_dimensionless(0.7, 1.0)
     m = math.ceil(2.0 * math.pi / dt)
     assert m == 3941
-    grid = solve_boundary_function(params, 2.0 * math.pi * cycles, dt=dt)
+    grid = solve_boundary_function(params, cycles, dt=dt)
     assert grid.n_steps == cycles * m
     assert grid.dt <= dt
     assert grid.t[m] == pytest.approx(2.0 * math.pi, rel=1e-15)
@@ -915,21 +928,12 @@ def test_solve_takes_an_even_number_of_steps_per_cycle_for_its_companion():
     # companion then marches 7 per cycle
     params = from_dimensionless(0.7, 1.0)
     for cycles in (1, 3):
-        t_f = 2.0 * math.pi * cycles
-        assert solve_boundary_function(params, t_f, dt=0.5).n_steps == 13 * cycles
-        grid = solve_boundary_function(params, t_f, dt=0.5, tolerance=1.0)
+        assert solve_boundary_function(params, cycles, dt=0.5).n_steps == 13 * cycles
+        grid = solve_boundary_function(params, cycles, dt=0.5, tolerance=1.0)
         assert grid.n_steps == 14 * cycles
     # and at least 4 steps in all
-    assert solve_boundary_function(params, 2.0 * math.pi, dt=1e300,
-                                   tolerance=10.0).n_steps == 4
-    assert solve_boundary_function(params, 4.0 * math.pi, dt=1e300,
-                                   tolerance=10.0).n_steps == 4
-
-
-def test_solve_takes_ceil_steps_for_a_run_of_no_whole_cycles():
-    params = from_dimensionless(0.7, 1.0)
-    assert solve_boundary_function(params, 5.0, dt=0.3).n_steps == 17
-    assert solve_boundary_function(params, 3.0 * math.pi, dt=0.5).n_steps == 19
+    assert solve_boundary_function(params, 1, dt=1e300, tolerance=10.0).n_steps == 4
+    assert solve_boundary_function(params, 2, dt=1e300, tolerance=10.0).n_steps == 4
 
 
 def test_default_step_where_gamma_squared_underflows():
@@ -943,13 +947,13 @@ def test_default_step_where_gamma_squared_underflows():
 def test_no_default_step_where_gamma_squared_overflows():
     # the step was 0 there, which the solve rejected as dt=0.0
     with pytest.raises(ValueError, match=r"gamma=1e\+200 is too large"):
-        solve_boundary_function(from_dimensionless(1e200, 1.0), 2.0 * math.pi)
+        solve_boundary_function(from_dimensionless(1e200, 1.0), 1)
 
 
 def test_convergence_check_raises_on_coarse_dt():
     params = from_dimensionless(0.7, 10.0)
     with pytest.raises(ConvergenceError) as err:
-        solve_boundary_function(params, 2.0 * math.pi,
+        solve_boundary_function(params, 1,
                                 dt=default_time_step(params, factor=2.0),
                                 tolerance=1e-8)
     assert err.value.diagnostics["deviation"] > 1e-8
@@ -958,7 +962,7 @@ def test_convergence_check_raises_on_coarse_dt():
 def test_convergence_check_passes_at_default_dt():
     # the max-norm deviation from the half-resolution companion is dominated
     # by the sqrt boundary layer at t ~ 0; measured ~2e-3 at the default step
-    grid = solve_boundary_function(P_SMALL, 2.0 * math.pi, tolerance=5e-3)
+    grid = solve_boundary_function(P_SMALL, 1, tolerance=5e-3)
     assert grid.n_steps > 100
 
 
@@ -974,7 +978,7 @@ def test_rate_between_cycles_from_zero_is_the_single_interval_rate():
     params = P_SMALL
     rate = rate_between_cycles(params, 0, 1)
     assert rate == rate_from_oracle(params, 1)
-    _, w = survival_probability(solve_boundary_function(params, 2.0 * math.pi), 1)
+    _, w = survival_probability(solve_boundary_function(params, 1), 1)
     assert rate == pytest.approx(-math.log(w), rel=1e-12)
 
 

@@ -233,7 +233,7 @@ def test_survival_amplitude_structure():
 
 @pytest.mark.parametrize("n", [0, -1, 1.5])
 def test_survival_amplitude_rejects_a_cycle_count_not_a_positive_integer(n):
-    with pytest.raises(ValueError, match="n must be a positive integer"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         survival_amplitude(P07, n)
 
 
