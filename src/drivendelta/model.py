@@ -153,10 +153,10 @@ def failure_reason(rate):
 
 def cycle_count(value, name="n", least=1):
     """``value`` as an int count of whole cycles, at least ``least``; a bool, a
-    string, a fraction, nan or inf is the one ValueError of every cycle count."""
+    string, a fraction, nan, inf or a count of 2**1023 or more (2*pi*n
+    overflows there) is the one ValueError of every cycle count."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (isinstance(value, numbers.Integral) or float(value).is_integer())
-            or value < least):
+            or not least <= value < 2**1023 or not float(value).is_integer()):
         raise ValueError(f"{name} must be an integer >= {least}, got {name}={value!r}")
     return int(value)
 
