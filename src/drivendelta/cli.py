@@ -426,7 +426,7 @@ def cmd_selfcheck(opt):
     assembled = (-4.0 * pr.h / pr.gamma
                  * semiclassical.volkov_propagator(0.0, 2.0 * math.pi, 0.0, t0, pr)
                  * adiabatic.bound_propagator_factor(pr, t0))
-    one_err = abs(assembled - amp.packet_terms[0].value) / abs(assembled)
+    one_err = abs(assembled - amp.packet_terms[0]) / abs(assembled)
     _check(report, "one-period packet assembly", one_err < 1e-12,
            f"rel err {one_err:.1e}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,6 +143,11 @@ def volkov_action(end, start, x=0.0, y=0.0):
     """
     return (end.phi - start.phi + x * end.sin - y * start.sin
             + (x - y + end.cos - start.cos) ** 2 / (2.0 * (end.t - start.t)))
+
+
+def fits_in_memory(n_bytes):
+    """Whether ``n_bytes`` fit in the machine's physical memory."""
+    return n_bytes <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def failure_reason(rate):

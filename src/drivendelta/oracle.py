@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError
-from .model import Drive, ModelParams, cycle_count, decay_rate, drive, power
+from .model import (Drive, ModelParams, cycle_count, decay_rate, drive,
+                    fits_in_memory, power)
 
 __all__ = [
     "VolterraGrid",
@@ -187,20 +187,20 @@ def solve_boundary_function(params: ModelParams, cycles, dt=None, driven=True,
         raise ValueError(f"dt must be positive, got dt={dt!r}")
     gamma, h = params.gamma, params.h
     t_f = 2.0 * math.pi * cycles
+    m = 2.0 * math.pi / dt  # stays this float where ceil overflows
     try:
-        m = max(1, math.ceil(2.0 * math.pi / dt - 1e-12))
+        m = max(1, math.ceil(m - 1e-12))
         if tolerance is not None:
             # the half-resolution companion needs m even, and n >= 4
             m = max(4 // cycles, m + m % 2)
         n = cycles * m
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if n * _SOLVE_BYTES_PER_STEP > memory:
+        if not fits_in_memory(n * _SOLVE_BYTES_PER_STEP):
             raise MemoryError
         dt = t_f / n
         t = dt * np.arange(n + 1)
     except (OverflowError, ValueError, MemoryError):
-        raise ValueError(f"the {t_f / dt:.3g} time steps of dt={dt:g} do not fit "
-                         "in memory: take a larger dt or fewer cycles") from None
+        raise ValueError(f"the {cycles * float(m):.3g} time steps of dt={dt:g} do not "
+                         "fit in memory: take a larger dt or fewer cycles") from None
 
     f, evals = _march(t, gamma, h, driven, m)
 

@@ -743,6 +743,21 @@ def test_compare_cycle_count_beyond_memory_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cycles", ["1e12", "1e300"])
+def test_scan_cycle_count_beyond_memory_is_usage_error(tmp_path, capsys, cycles):
+    # one packet term per cycle, at 160 bytes each past any machine's
+    # memory: the packet sum stops before it allocates
+    code = run(["scan", "--gamma", "0.7", "--z", "8:8:1", "--cycles", cycles,
+                "--out", str(tmp_path / "scan.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        f"usage error: the packet terms of {cycles.replace('e', 'e+')} cycles do not "
+        "fit in memory: take fewer cycles or fewer grid points")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_oracle_step_longer_than_the_run(tmp_path, capsys):
     # a maximum step beyond a cycle gives one step per cycle
     code = run(["compare", "--gamma", "0.7", "--z", "1:1:1", "--oracle-dt",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from drivendelta.adiabatic import (
     quasi_energy_averaged,
     rate_cycle_averaged,
 )
-from drivendelta.model import drive, from_dimensionless, volkov_action
+from drivendelta.model import Drive, drive, from_dimensionless, volkov_action
 from drivendelta.semiclassical import (
     SurvivalAmplitude,
     _burst_starts,
@@ -223,12 +224,11 @@ def test_volkov_branched_sheet_for_complex_start():
 
 def test_survival_amplitude_structure():
     amp = survival_amplitude(P07, 2, include_odd=True)
-    assert [t.k for t in amp.packet_terms] == [0, 1, 2, 3]
-    total = amp.bound_term + sum(t.value for t in amp.packet_terms)
+    assert list(amp.k) == [0, 1, 2, 3] and len(amp.packet_terms) == 4
+    total = amp.bound_term + sum(amp.packet_terms)
     assert amp.p == pytest.approx(total, rel=1e-15)
-    for term in amp.packet_terms:
-        assert term.value == pytest.approx(term.prefactor * cmath.exp(term.zeta),
-                                           rel=1e-15)
+    for value, prefactor, zeta in zip(amp.packet_terms, amp.prefactor, amp.zeta):
+        assert value == pytest.approx(prefactor * cmath.exp(zeta), rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [0, -1, 1.5])
@@ -239,7 +239,7 @@ def test_survival_amplitude_rejects_a_cycle_count_not_a_positive_integer(n):
 
 def test_survival_amplitude_even_only_by_default():
     amp = survival_amplitude(P07, 2)
-    assert [t.k for t in amp.packet_terms] == [0, 2]
+    assert list(amp.k) == [0, 2] and len(amp.packet_terms) == 2
 
 
 def test_field_off_bound_term_is_pure_phase():
@@ -267,7 +267,7 @@ def test_one_period_form_reproduced_term_for_term():
     assembled = (-4.0 * P07.h / P07.gamma
                  * volkov_propagator(0.0, 2.0 * math.pi, 0.0, t0, P07)
                  * bound_propagator_factor(P07, t0))
-    assert amp.packet_terms[0].value == pytest.approx(assembled, rel=1e-12)
+    assert amp.packet_terms[0] == pytest.approx(assembled, rel=1e-12)
     bound = bound_propagator_factor(P07, 2.0 * math.pi)
     assert amp.bound_term == pytest.approx(bound, rel=1e-12)
     assert amp.p == pytest.approx(bound + assembled, rel=1e-12)
@@ -281,11 +281,11 @@ def test_zeta_matches_contour_integrated_action(gamma, z):
     t0 = tunnel_start_time(gamma)
     amp = survival_amplitude(params, 2, include_odd=True)
     t_f = amp.t_f
-    for term in amp.packet_terms:
-        start = t0 + term.k * math.pi
+    for k, zeta in zip(amp.k, amp.zeta):
+        start = t0 + k * math.pi
         s_num = action_by_quadrature(start, t_f)
         zeta_num = 1j * s_num / params.h - 1j * e_m * start / params.h
-        assert abs(term.zeta - zeta_num) / abs(zeta_num) < 1e-8
+        assert abs(zeta - zeta_num) / abs(zeta_num) < 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -296,13 +296,14 @@ def test_burst_starts_match_the_drive_at_t0_plus_k_pi(n):
     # like k*1e-16/gamma, so the bound holds for the k < 4 of two cycles)
     gamma = np.geomspace(0.05, 5.0, 41)
     t0 = tunnel_start_time(gamma)
-    starts = list(_burst_starts(gamma, range(2 * n)))
-    assert [k for k, _ in starts] == list(range(2 * n))
-    for k, start in starts:
-        assert np.array_equal(start.t, t0 + k * math.pi)
-        exact = drive(start.t)
-        for got, want in zip(start[1:], exact[1:]):
-            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    k = np.arange(2 * n)[:, None]
+    start = _burst_starts(gamma, k)
+    assert start.t.shape == (2 * n, 41)
+    assert np.array_equal(start.t, t0 + k * math.pi)
+    exact = drive(start.t)
+    for got, want in zip(start[1:], exact[1:]):
+        assert got.shape == (2 * n, 41)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
 
 
 def test_phase_bookkeeping_channel_closing():
@@ -326,7 +327,7 @@ def test_odd_burst_suppression():
     # is ~0.24 rather than the <0.1 one might guess from the displacement
     # argument alone, so the guard is set at 0.35
     amp = survival_amplitude(from_dimensionless(0.7, 10.0), 2, include_odd=True)
-    mags = {t.k: abs(t.value) for t in amp.packet_terms}
+    mags = dict(zip(amp.k, np.abs(amp.packet_terms)))
     ratio = (mags[1] + mags[3]) / (mags[0] + mags[2])
     assert ratio < 0.35
 
@@ -383,7 +384,7 @@ def test_scalar_calls_keep_python_types():
     assert type(rate_between_cycles(P07, 1, 2)) is float
     amp = survival_amplitude(P07, 2, include_odd=True)
     assert type(amp.bound_term) is complex
-    assert all(type(t.value) is complex for t in amp.packet_terms)
+    assert type(amp.p) is complex
 
 
 def test_array_formulas_match_scalar_calls_elementwise():
@@ -417,8 +418,10 @@ def test_array_formulas_match_scalar_calls_elementwise():
 
 def _fixed_amplitude(bound_term):
     def amplitude(params, n, include_odd=False):
-        return SurvivalAmplitude(params=params, n_cycles=n, t_f=2.0 * math.pi * n,
-                                 bound_term=bound_term, packet_terms=())
+        none = np.zeros((0,) + np.shape(bound_term), dtype=complex)
+        return SurvivalAmplitude(t_f=2.0 * math.pi * n, bound_term=bound_term,
+                                 k=np.arange(0), zeta=none, prefactor=none,
+                                 packet_terms=none)
     return amplitude
 
 
@@ -442,3 +445,65 @@ def test_scalar_rate_is_not_finite_where_grid_rate_is_not(monkeypatch):
     assert rates[0] == pytest.approx(-math.log(0.25))
     assert np.isposinf(rates[1]) and np.isposinf(rates[3])
     assert np.isneginf(rates[2])
+
+
+# ----------------------------------------------------------------------
+# the packet sum against one term per burst
+# ----------------------------------------------------------------------
+
+def _p_by_loop(params, n, include_odd=False):
+    # the per-burst loop of the packet sum: the start of each burst from the
+    # closed forms of the drive at t0 + k*pi, its volkov_action and one term
+    g, h = params.gamma, params.h
+    t_f = 2.0 * math.pi * n
+    e_m = quasi_energy_averaged(params).e_m
+    t0 = tunnel_start_time(g)
+    phi_0, cos_0, sin_0 = drive(t0).phi, np.sqrt(1.0 + g * g), 1j * g
+    end = drive(t_f)
+    terms = []
+    for k in range(0, 2 * n, 1 if include_odd else 2):
+        odd = k % 2 == 1
+        start = Drive(t0 + k * math.pi, -sin_0 if odd else sin_0,
+                      -cos_0 if odd else cos_0, phi_0 - 0.25 * math.pi * k)
+        prefactor = -4.0 * h / (g * branched_sqrt(2j * math.pi * h * (t_f - start.t)))
+        zeta = 1j * volkov_action(end, start) / h - 1j * e_m * start.t / h
+        terms.append(prefactor * np.exp(zeta))
+    return bound_propagator_factor(params, t_f) + sum(terms)
+
+
+SC_SCAN_Z = 6.0 + 0.001 * np.arange(14001)
+
+
+def test_packet_sum_is_the_loop_bit_for_bit_at_one_cycle():
+    # the benchmark's scan grid: one burst, so the same operations in order
+    params = from_dimensionless(0.7, SC_SCAN_Z)
+    assert np.array_equal(survival_amplitude(params, 1).p, _p_by_loop(params, 1))
+
+
+@pytest.mark.parametrize("params", [
+    from_dimensionless(0.7, SC_SCAN_Z),
+    # a gamma grid at one z, and a 2-D grid of gamma rows and z columns: the
+    # burst axis broadcasts against both parameters, not against z alone
+    from_dimensionless(np.geomspace(0.3, 2.0, 9), 10.0),
+    from_dimensionless(np.geomspace(0.3, 2.0, 5)[:, None], np.linspace(5.0, 14.0, 7)),
+], ids=["sc_scan_grid", "gamma_grid", "2d_grid"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("include_odd", [False, True])
+def test_packet_sum_matches_the_loop(params, n, include_odd):
+    # the sum over the burst axis may add in another order: a few ulp
+    got = survival_amplitude(params, n, include_odd=include_odd).p
+    want = _p_by_loop(params, n, include_odd=include_odd)
+    assert got.shape == want.shape == np.broadcast(params.gamma, params.z).shape
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+
+
+def test_packet_sum_checks_its_size_against_the_machine_memory(monkeypatch):
+    # on a machine of 1 MiB, 7 cycles at 1000 points (7000 terms, 1.1 MB at
+    # 160 bytes per term) do not fit and 6 cycles (0.96 MB) do
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.get)
+    params = from_dimensionless(0.7, np.linspace(8.0, 12.0, 1000))
+    with pytest.raises(ValueError, match="do not fit in memory"):
+        survival_amplitude(params, 7)
+    assert survival_amplitude(params, 6).packet_terms.shape == (6, 1000)
+    with pytest.raises(ValueError, match="do not fit in memory"):
+        survival_amplitude(params, 4, include_odd=True)
