@@ -21,12 +21,14 @@ overlap <psi0|U|psi0> is a closed form too (_free_evolution_overlap).
 
 The time march uses product integration (_weights), stable and of
 empirical order ~2 despite the singularity, and a kernel entry costs one
-real phase x and one table-driven exp(i*x) (_march, _Cis).  A solve takes
+real phase, in steps of a 4096-entry table of exp(i*x), and one lookup
+with a short polynomial (_march, _Cis).  A solve takes
 a count of whole cycles, m = ceil(2*pi/dt) steps each
 (solve_boundary_function), so the kernel repeats when both times move by m
 steps.  The history sum, n(n+1)/2 pairs, is solved a cycle at a time and
 each cycle in halves, recursively: densely near the diagonal, in tiles that
-stay in cache, and far from it, where the kernel is analytic in both times,
+stay in cache, each block of rows there solved as one lower-triangular
+linear system, and far from it, where the kernel is analytic in both times,
 through its interpolant at p x p Chebyshev points (_Kernel.far), whose p a
 block shifted by whole cycles reuses.  README.md gives the costs.
 """
@@ -219,11 +221,12 @@ def solve_boundary_function(params: ModelParams, cycles, dt=None, driven=True,
                         driven=driven, kernel_evals=evals)
 
 
-# exp(i*x) = exp(i*q*step) * exp(i*r) with step = 2*pi/4096, q = round(x/step)
-# and |r| <= step/2: the first factor is a table entry at q & 4095, the second
-# a Taylor polynomial through r^4 (truncation error below 1e-21).  step is
-# split Cody-Waite style: _CIS_STEP_HI has 33 significant bits, so q*step_hi
-# is exact and r keeps full precision for |x| < 2^20*step ~ 1600.
+# phases are in table steps, y = x/_CIS_STEP with step = 2*pi/4096, and
+# exp(i*x) = exp(i*q*step) * exp(i*r*step) with q = round(y) and r = y - q,
+# which is exact, |r| <= 1/2: the first factor is a table entry at q & 4095,
+# the second a Taylor polynomial in r*step through degree 4 (truncation error
+# below 2.3e-18).  The table is built from step split in a 33-bit head, whose
+# products with q < 4096 are exact, and its tail.
 _CIS_MASK = 4095
 _CIS_STEP = 2.0 * math.pi / (_CIS_MASK + 1)
 _CIS_STEP_HI = round(_CIS_STEP * 2.0**42) / 2.0**42
@@ -231,16 +234,20 @@ _CIS_STEP_HI = round(_CIS_STEP * 2.0**42) / 2.0**42
 _CIS_STEP_LO = ((math.pi - 2048.0 * _CIS_STEP_HI) + 1.2246467991473532e-16) / 2048.0
 _CIS_TABLE = (np.exp(1j * _CIS_STEP_HI * np.arange(_CIS_MASK + 1))
               * np.exp(1j * _CIS_STEP_LO * np.arange(_CIS_MASK + 1)))
+# cos(r*step) = 1 - r^2*(C2 - r^2*C4), sin(r*step) = r*(step - r^2*S3)
+_CIS_C2, _CIS_C4 = _CIS_STEP**2 / 2.0, _CIS_STEP**4 / 24.0
+_CIS_S3 = _CIS_STEP**3 / 6.0
 
 
 class _Cis:
-    """weight * exp(i*x) for arrays of up to ``size`` elements.
+    """weight * exp(i*y*_CIS_STEP) for arrays y of up to ``size`` elements.
 
-    Table-driven (see _CIS_STEP): about 3e-16 absolute error for
-    |x| < 1600, and cis(0) == 1 exactly.  Its work buffers are the rows of
-    ``work``, a C-contiguous float array of shape (ROWS, size) that the
-    caller allocates once; fresh temporaries of tile size cost more than
-    the arithmetic.
+    y is the phase in table steps (see _CIS_STEP).  The error is about
+    3e-16 absolute for |y| < 2^52 and cis(0) == 1 exactly: a phase x in
+    radians, rounded to y = x/step, carries its own rounding, eps*|x|.  Its
+    work buffers are the rows of ``work``, a C-contiguous float array of
+    shape (ROWS, size) that the caller allocates once; fresh temporaries of
+    tile size cost more than the arithmetic.
     """
 
     ROWS = 7
@@ -250,30 +257,25 @@ class _Cis:
         self._idx = work[4].view(np.int64)
         self._poly = work[5:7].reshape(-1).view(complex)
 
-    def __call__(self, x, weight=1.0, out=None):
-        x = np.asarray(x, dtype=float)
+    def __call__(self, y, weight=1.0, out=None):
+        y = np.asarray(y, dtype=float)
         if out is None:
-            out = np.empty(x.shape, dtype=complex)
-        q, r, r2, tmp = self._real[:, :x.size].reshape((4,) + x.shape)
-        idx = self._idx[:x.size].reshape(x.shape)
-        poly = self._poly[:x.size].reshape(x.shape)
-        np.multiply(x, 1.0 / _CIS_STEP, out=q)
-        np.rint(q, out=q)
-        np.multiply(q, _CIS_STEP_HI, out=r)
-        np.subtract(x, r, out=r)
-        np.multiply(q, _CIS_STEP_LO, out=tmp)
-        np.subtract(r, tmp, out=r)
+            out = np.empty(y.shape, dtype=complex)
+        q, r, r2, tmp = self._real[:, :y.size].reshape((4,) + y.shape)
+        idx = self._idx[:y.size].reshape(y.shape)
+        poly = self._poly[:y.size].reshape(y.shape)
+        np.rint(y, out=q)
+        np.subtract(y, q, out=r)
         np.copyto(idx, q, casting="unsafe")
         np.bitwise_and(idx, _CIS_MASK, out=idx)
         np.multiply(r, r, out=r2)
-        # cos r = 1 - r2*(1/2 - r2/24), sin r = r*(1 - r2/6)
-        np.multiply(r2, 1.0 / 24.0, out=tmp)
-        np.subtract(0.5, tmp, out=tmp)
+        np.multiply(r2, _CIS_C4, out=tmp)
+        np.subtract(_CIS_C2, tmp, out=tmp)
         np.multiply(tmp, r2, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         np.multiply(tmp, weight, out=poly.real)
-        np.multiply(r2, 1.0 / 6.0, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(r2, _CIS_S3, out=tmp)
+        np.subtract(_CIS_STEP, tmp, out=tmp)
         np.multiply(tmp, r, out=tmp)
         np.multiply(tmp, weight, out=poly.imag)
         np.take(_CIS_TABLE, idx, out=out)
@@ -428,14 +430,17 @@ class _Kernel:
         self.far_p = {}  # (lag, first column mod period, rows, columns) -> p
         self.nodes = drive(t, driven)
         self.w_mid, self.w_first, self.w_diag = _weights(n, dt)
-        inv = np.r_[0.0, 1.0 / (2.0 * h * (dt * np.arange(1, n + 1)))]
+        # the phase window 1/(2h*lag*dt), in table steps (see _Cis)
+        inv = np.r_[0.0, 1.0 / (2.0 * h * _CIS_STEP * (dt * np.arange(1, n + 1)))]
         self.w_lags, self.inv_lags = _lag_windows(self.w_mid), _lag_windows(inv)
         # as one block the work buffers stay with the allocator between solves;
         # as several, glibc returned them: 10,000 page faults per 41-point scan
-        work = np.empty((_Cis.ROWS + 3, _BLOCK * _TILE))
+        work = np.empty((_Cis.ROWS + 4, _BLOCK * _TILE))
         self.cis = _Cis(work[:_Cis.ROWS])
         self.x_buf = work[_Cis.ROWS]
-        self.k_buf = work[_Cis.ROWS + 1:].reshape(-1).view(complex)
+        self.k_buf = work[_Cis.ROWS + 1:_Cis.ROWS + 3].reshape(-1).view(complex)
+        # a leaf block's linear system (see _march): matrix, then right-hand side
+        self.system = work[_Cis.ROWS + 3].view(complex)
         self.matrices = {}  # far blocks' interpolation matrices, see _matrix
 
     def __call__(self, j0, j1, i0, i1):
@@ -454,7 +459,7 @@ class _Kernel:
 
     def core(self, q, j0, j1, i0, i1):
         """The kernel at q x q Chebyshev points of rows j0..j1-1 and columns
-        i0..i1-1, at real lags, and its largest phase."""
+        i0..i1-1, at real lags, and its largest phase in radians."""
         self.evals += q * q
         x = 0.5 + 0.5 * _chebyshev_points(q)
         rows, cols = j0 + (j1 - j0 - 1) * x, i0 + (i1 - i0 - 1) * x
@@ -463,14 +468,14 @@ class _Kernel:
         phase = np.subtract.outer(cos[:q], cos[q:])
         phase *= phase
         phase *= inv
-        phase *= 0.5 / (self.h * self.dt)
+        phase *= 0.5 / (self.h * self.dt * _CIS_STEP)
         weight = math.sqrt(self.dt) * _series_weight(inv, inv * inv, _FAR_SERIES)
         phase, weight = phase.reshape(-1), weight.reshape(-1)
         out = np.empty(q * q, dtype=complex)
         size = self.x_buf.size  # what cis's work buffers hold
         for a in range(0, q * q, size):
             self.cis(phase[a:a + size], weight[a:a + size], out=out[a:a + size])
-        return out.reshape(q, q), float(phase.max())
+        return out.reshape(q, q), float(phase.max()) * _CIS_STEP
 
     def _matrix(self, p, size=None):
         """The barycentric matrix from p Chebyshev points of a block side of
@@ -578,7 +583,8 @@ def _march(t, gamma, h, driven, period):
     The kernel's action is model.volkov_action from (0, t_i) to (0, t_j),
     phi_j - phi_i + h*x_ji.  With F = exp(-i*phi/h)*f (phi and cos from
     model.drive) it leaves one real phase per pair, folded as
-    x_ji = (cos t_j - cos t_i)^2 times the 1/(2h*lag*dt) window of lag j - i:
+    x_ji = (cos t_j - cos t_i)^2 times the 1/(2h*lag*dt) window of lag j - i
+    (in table steps of _Cis, the window over _CIS_STEP):
 
         F_j*(1 - c*w_diag) = G_j + c * sum_{i<j} W_ji * exp(i*x_ji) * F_i,
 
@@ -588,8 +594,12 @@ def _march(t, gamma, h, driven, period):
     _Kernel.  With ``period`` steps per cycle the nodes of cycle c are
     c*period + 1..(c + 1)*period.  The steps come from _partition: a leaf is
     marched in blocks of _BLOCK rows, its own history reduced in tiles, the
-    triangle inside a block row by row; a dense block is summed in tiles; a
-    far block through _Kernel.far.
+    last of which also holds the block's own triangle; the block is then
+    one linear system, (1 - c*w_diag)*I - c*K over its rows, K the strictly
+    lower triangle, solved by np.linalg.solve.  Its diagonal dominates (off
+    the diagonal at most 0.074 of it at the default step), so the LU keeps
+    its pivots there.  A dense block is summed in tiles; a far block through
+    _Kernel.far.
     """
     kernel = _Kernel(t, h, driven, period)
     rot = np.exp((1j / h) * kernel.nodes.phi)  # f = rot * F
@@ -623,11 +633,20 @@ def _march(t, gamma, h, driven, period):
             lo, hi = span
             for j0 in range(lo, hi, _BLOCK):
                 j1 = min(j0 + _BLOCK, hi)
-                dense(j0, j1, lo, j0)
-                k = kernel(j0, j1, j0, j1)
-                for a, j in enumerate(range(j0, j1)):
-                    total = acc[j] + np.dot(k[a, :a], big_f[j0:j])
-                    big_f[j] = (big_g[j] + coupling * total) / denom
+                c0 = max(lo, j1 - _TILE)
+                dense(j0, j1, lo, c0)
+                k = kernel(j0, j1, c0, j1)
+                acc[j0:j1] += np.einsum("ij,j->i", k[:, :j0 - c0], big_f[c0:j0])
+                # (denom*I - coupling*K) F = G + coupling*acc, K the strictly
+                # lower triangle: the kernel is 0 on and above the diagonal
+                rows = j1 - j0
+                matrix = kernel.system[:rows * rows].reshape(rows, rows)
+                np.multiply(k[:, j0 - c0:], -coupling, out=matrix)
+                matrix.flat[::rows + 1] = denom
+                rhs = kernel.system[_BLOCK * _BLOCK:_BLOCK * _BLOCK + rows]
+                np.multiply(acc[j0:j1], coupling, out=rhs)
+                rhs += big_g[j0:j1]
+                big_f[j0:j1] = np.linalg.solve(matrix, rhs)
         elif kind == "dense":
             dense(*span)
         else:

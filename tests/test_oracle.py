@@ -15,11 +15,12 @@ from scipy.special import erfcx
 
 import drivendelta
 from drivendelta.errors import ConvergenceError
-from drivendelta.model import drive, from_dimensionless
+from drivendelta.model import Drive, drive, from_dimensionless
 from drivendelta.oracle import (
     _BLOCK,
     _FAR,
     _FAR_SERIES,
+    _TILE,
     _Cis,
     _LAGRANGE_POINTS,
     _Kernel,
@@ -352,6 +353,96 @@ def test_march_matches_reference_half_resolution_companion():
     scale = math.sqrt(params.gamma / params.h)
     assert np.max(np.abs(grid.f - _reference_march(*args))) / scale < 1e-12
     assert _march_deviation(params, 2.0 * math.pi, n // 2, period=n // 2) < 1e-12
+
+
+def _march_by_rows(t, gamma, h, driven, period):
+    """_march with each leaf block's triangle solved row by row, by forward
+    substitution (a np.dot and a division per row), on the same kernel,
+    partition and tiles: the reference for the block's one linear solve."""
+    kernel = _Kernel(t, h, driven, period)
+    rot = np.exp((1j / h) * kernel.nodes.phi)
+    coupling = 1j * gamma / np.sqrt(2j * np.pi * h)
+    denom = 1.0 - coupling * kernel.w_diag
+    big_g = np.empty(t.size, dtype=complex)
+    big_g[0] = math.sqrt(gamma / h)
+    big_g[1:] = (_two_sided_overlap(Drive._make(v[1:] for v in kernel.nodes),
+                                    drive(0.0, driven), gamma, h, x=0.0)
+                 * np.conj(rot[1:]))
+    big_f = np.empty(t.size, dtype=complex)
+    big_f[0] = big_g[0]
+    acc = np.zeros(t.size, dtype=complex)
+    x0 = (kernel.nodes.cos[1:] - kernel.nodes.cos[0]) ** 2 / (2.0 * h * t[1:])
+    acc[1:] = kernel.w_first[1:] * np.exp(1j * x0) * big_f[0]
+
+    def dense(j0, j1, i0, i1):
+        for r0 in range(j0, j1, _BLOCK):
+            r1 = min(r0 + _BLOCK, j1)
+            for c0 in range(i0, i1, _TILE):
+                c1 = min(c0 + _TILE, i1)
+                acc[r0:r1] += np.einsum("ij,j->i", kernel(r0, r1, c0, c1),
+                                        big_f[c0:c1])
+
+    for kind, *span in _partition(1, t.size, period):
+        if kind == "leaf":
+            lo, hi = span
+            for j0 in range(lo, hi, _BLOCK):
+                j1 = min(j0 + _BLOCK, hi)
+                dense(j0, j1, lo, j0)
+                k = kernel(j0, j1, j0, j1)
+                for a, j in enumerate(range(j0, j1)):
+                    total = acc[j] + np.dot(k[a, :a], big_f[j0:j])
+                    big_f[j] = (big_g[j] + coupling * total) / denom
+        elif kind == "dense":
+            dense(*span)
+        else:
+            acc[span[0]:span[1]] += kernel.far(*span, big_f[span[2]:span[3]])
+    return rot * big_f
+
+
+@pytest.mark.parametrize("params, n, driven", [
+    # one leaf narrower than _TILE, and wider, each ending in a short block
+    pytest.param(P_SMALL, 200, True, id="200"),
+    pytest.param(P_SMALL, 9 * _BLOCK + 5, True, id="293"),
+    pytest.param(P_OFF, 300, False, id="300-field-off"),
+    # the last one-leaf marches, the first split ones and leaves of 319 and
+    # 320 rows beside far blocks
+    *(pytest.param(P_SMALL, n, True, id=str(n))
+      for n in (4 * _FAR - 2, 4 * _FAR - 1, 4 * _FAR, 1278, 1279, 1280))])
+def test_block_solve_matches_the_row_by_row_solve(params, n, driven):
+    t = (0.5 * math.pi / n) * np.arange(n + 1)
+    f, _ = _march(t, params.gamma, params.h, driven, n)
+    ref = _march_by_rows(t, params.gamma, params.h, driven, n)
+    assert np.max(np.abs(f - ref)) <= 1e-14 * math.sqrt(params.gamma / params.h)
+
+
+@pytest.mark.parametrize("z, cycles", [(1.0, 1), (4.0, 2)])
+def test_a_leaf_block_takes_one_kernel_call_per_history_tile(monkeypatch, z, cycles):
+    # z = 1 marches one leaf of 493 rows, z = 4 leaves of 246 rows beside
+    # dense and far blocks; the tile that ends a block's history holds its
+    # triangle too, so only the first block of a leaf, which has no history,
+    # evaluates a square of its own rows
+    calls = []
+    call = _Kernel.__call__
+
+    def recording(self, *span):
+        calls.append(span)
+        return call(self, *span)
+
+    monkeypatch.setattr(_Kernel, "__call__", recording)
+    grid = solve_boundary_function(from_dimensionless(0.7, z), cycles)
+    n = grid.n_steps
+    expected, leaves = 0, 0
+    for kind, *span in _partition(1, n + 1, n // cycles):
+        if kind == "leaf":
+            lo, hi = span
+            leaves += 1
+            expected += sum(math.ceil((min(j0 + _BLOCK, hi) - lo) / _TILE)
+                            for j0 in range(lo, hi, _BLOCK))
+        elif kind == "dense":
+            j0, j1, i0, i1 = span
+            expected += math.ceil((j1 - j0) / _BLOCK) * math.ceil((i1 - i0) / _TILE)
+    assert len(calls) == expected
+    assert sum(j0 == i0 for j0, _, i0, _ in calls) == leaves
 
 
 @pytest.mark.parametrize("n, cycles", [
@@ -694,13 +785,19 @@ def test_far_weight_series_is_cut_for_far_lags_only():
 
 
 def test_cis_matches_complex_exp():
+    # phases in table steps of 2*pi/4096; the reference is exp(i*2*pi*y/4096)
+    # in long double with pi to 36 digits, y reduced mod 4096 first (exact in
+    # floats), so it holds well below the bound at any y.  The first grid
+    # spans |x| < 1000 radians, the second every table entry, exact and half
+    # way between two, the third a range far past 1600 radians
     rng = np.random.default_rng(3)
-    step = 2.0 * math.pi / 4096
-    for x in (rng.uniform(0.0, 1e3, 20000),
-              step * np.arange(-9000, 9000),
-              -rng.uniform(0.0, 1e3, 20000)):
-        err = np.max(np.abs(_Cis(np.empty((_Cis.ROWS, x.size)))(x)
-                            - np.exp(1j * x)))
+    per_radian = 4096 / (2.0 * math.pi)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for y in (rng.uniform(0.0, 1e3 * per_radian, 20000),
+              0.5 * np.arange(-18000, 18000),
+              -rng.uniform(0.0, 2.0**40, 20000)):
+        exact = np.exp(1j * (2 * pi / 4096) * np.fmod(y, 4096.0).astype(np.longdouble))
+        err = np.max(np.abs(_Cis(np.empty((_Cis.ROWS, y.size)))(y) - exact))
         assert err <= 4e-15
     one = _Cis(np.empty((_Cis.ROWS, 3)))(np.zeros(3))
     assert np.all(one == 1.0)
