@@ -8,7 +8,8 @@ thresholds       channel-closing table z_k over a range
 demo-appendix-c  complex barrier-traversal time demo
 selfcheck        itemized invariant suite
 
-Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure.
+Exit codes: 0 success, 1 usage error (any ValueError), 2 numeric failure
+(any errors.NumericError, ConvergenceError included).
 Each option is declared once, in ``_COMMANDS``, with its default and its
 one check.  A JSON config file (``--config``) may set any option of its
 command; a flag wins over the file, and a value from either goes through
@@ -27,7 +28,7 @@ import sys
 import numpy as np
 
 from . import adiabatic, analysis, model, oracle, semiclassical
-from .errors import ENGINE_ERRORS, ConvergenceError
+from .errors import ConvergenceError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,7 +37,7 @@ EXIT_NUMERIC = 2
 GAMMA_VALIDATED_MAX = 2.5
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -102,15 +103,17 @@ def _resolve_out(path, default_name, fmt=None):
     relative one under DRIVENDELTA_OUTDIR; for a scan of format ``fmt``, its
     stem plus each suffix it writes.
 
-    Commands resolve them before any engine runs, so that a path that names
-    no file, names a directory or lies in a missing directory is a usage
-    error and costs no solve.
+    Commands resolve them before any engine runs, so that a path that holds
+    a NUL byte, names no file, names a directory or lies in a missing
+    directory is a usage error and costs no solve.
     """
     if path is None:
         path = default_name
     if not os.path.isabs(path):
         base = os.environ.get("DRIVENDELTA_OUTDIR", ".")
         path = os.path.join(base, path)
+    if "\0" in path:
+        raise _UsageError(f"output path {path!r} holds a NUL byte")
     if os.path.basename(path) in ("", ".", ".."):
         raise _UsageError(f"output path {path!r} names no file")
     folder = os.path.dirname(path) or "."
@@ -170,10 +173,7 @@ def _mode_and_value(opt):
         raise _UsageError("give exactly one of --gamma or --n-io")
     mode, fixed = (("fixed_gamma", opt["gamma"]) if opt["gamma"] is not None
                    else ("fixed_n_io", opt["n_io"]))
-    try:
-        return mode, fixed, analysis.scan_line(mode, fixed)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return mode, fixed, analysis.scan_line(mode, fixed)
 
 
 def _mode_and_grid(opt):
@@ -206,14 +206,10 @@ def cmd_scan(opt):
                               f"belongs to the {engine} engine")
     mode, fixed, line, z_values = _mode_and_grid(opt)
     paths = _resolve_out(opt["out"], f"scan_{opt['engine']}.csv", opt["format"])
-    try:
-        scan = analysis.scan_rate(
-            opt["engine"], mode, fixed, z_values, n_cycles=opt["cycles"],
-            include_odd=opt["include_odd"], oracle_dt=opt["oracle_dt"],
-            sg_window=opt["sg_window"], sg_order=opt["sg_order"])
-    except ValueError as exc:
-        # engine failures never leave scan_rate: this is an input check
-        raise _UsageError(str(exc))
+    scan = analysis.scan_rate(
+        opt["engine"], mode, fixed, z_values, n_cycles=opt["cycles"],
+        include_odd=opt["include_odd"], oracle_dt=opt["oracle_dt"],
+        sg_window=opt["sg_window"], sg_order=opt["sg_order"])
 
     for path in paths:
         if path.endswith(".csv"):
@@ -247,10 +243,7 @@ def _warn_coarse_oracle_dt(dt, gamma, z_values):
         return
     params = model.from_dimensionless(gamma, z_values)
     points = [params.point(i) for i in range(np.size(params.z))]
-    try:
-        steps = list(map(oracle.default_time_step, points))
-    except ValueError as exc:  # a gamma too large for the oracle
-        raise _UsageError(str(exc))
+    steps = list(map(oracle.default_time_step, points))
     coarse = [f"z={p.z:g} ({step:.3g})" for p, step in zip(points, steps)
               if dt > step]
     if coarse:
@@ -287,10 +280,7 @@ def cmd_compare(opt):
         raise _UsageError("compare needs --cycles >= 2 (per-cycle rates)")
     path, = _resolve_out(opt["out"], "compare.csv")
 
-    try:
-        gamma = line.gamma_at(z_values)
-    except ValueError as exc:  # a fixed n_io whose gamma over- or underflows
-        raise _UsageError(str(exc))
+    gamma = line.gamma_at(z_values)
     gamma_param = np.broadcast_to(gamma, z_values.shape)
     beyond = gamma_param > GAMMA_VALIDATED_MAX
     if beyond.any():
@@ -303,12 +293,9 @@ def cmd_compare(opt):
     failures = 0
     # the oracle first: a solve too large for memory stops before any packet sum
     for engine in ("oracle", "semiclassical"):
-        try:
-            rates[engine], failed = analysis.engine_rates(
-                engine, params, 1, n_last, include_odd=opt["include_odd"],
-                oracle_dt=opt["oracle_dt"])
-        except ValueError as exc:  # an engine's input check
-            raise _UsageError(str(exc))
+        rates[engine], failed = analysis.engine_rates(
+            engine, params, 1, n_last, include_odd=opt["include_odd"],
+            oracle_dt=opt["oracle_dt"])
         _warn_failures(engine, z_values, failed)
         failures += len(failed)
         below = z_values[rates[engine] < 0.0]
@@ -348,11 +335,8 @@ def cmd_thresholds(opt):
     _, _, line = _mode_and_value(opt)
     lo, hi, _ = parse_range(opt["z"], require_step=False)
     paths = [] if opt["out"] is None else _resolve_out(opt["out"], None)
-    try:
-        ks, z_k = line.thresholds(lo, hi)
-        gamma = np.broadcast_to(line.gamma_at(z_k), z_k.shape)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    ks, z_k = line.thresholds(lo, hi)
+    gamma = np.broadcast_to(line.gamma_at(z_k), z_k.shape)
     header = ["k", "z_k", "gamma_at_threshold"]
     columns = [ks, z_k, gamma]
     for path in paths:
@@ -448,8 +432,6 @@ def cmd_selfcheck(opt):
     except ConvergenceError as exc:
         _check(report, "oracle field-off unitarity", False,
                f"convergence probe failed: {exc}")
-    except ValueError as exc:
-        raise _UsageError(str(exc))
 
     failures = [name for name, ok, _ in report if not ok]
     if failures:
@@ -544,10 +526,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](_options(args))
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ENGINE_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -240,7 +240,8 @@ _CIS_S3 = _CIS_STEP**3 / 6.0
 
 
 class _Cis:
-    """weight * exp(i*y*_CIS_STEP) for arrays y of up to ``size`` elements.
+    """weight * exp(i*y*_CIS_STEP), written to the complex array ``out``,
+    for float arrays y and weight of up to ``size`` elements.
 
     y is the phase in table steps (see _CIS_STEP).  The error is about
     3e-16 absolute for |y| < 2^52 and cis(0) == 1 exactly: a phase x in
@@ -257,10 +258,7 @@ class _Cis:
         self._idx = work[4].view(np.int64)
         self._poly = work[5:7].reshape(-1).view(complex)
 
-    def __call__(self, y, weight=1.0, out=None):
-        y = np.asarray(y, dtype=float)
-        if out is None:
-            out = np.empty(y.shape, dtype=complex)
+    def __call__(self, y, weight, out):
         q, r, r2, tmp = self._real[:, :y.size].reshape((4,) + y.shape)
         idx = self._idx[:y.size].reshape(y.shape)
         poly = self._poly[:y.size].reshape(y.shape)

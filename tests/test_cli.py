@@ -8,6 +8,7 @@ import pytest
 from drivendelta.analysis import modulation_offset
 from drivendelta.cli import (_COMMANDS, main, parse_range, range_values,
                              _UsageError)
+from drivendelta.errors import ConvergenceError, NumericError
 from drivendelta.model import from_dimensionless
 from drivendelta.oracle import default_time_step
 
@@ -456,6 +457,49 @@ def test_missing_output_directory_is_usage_error(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_output_path_with_a_nul_byte_is_usage_error(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # argv cannot carry a NUL, a config file can; open() would reject the
+    # path only after scan's and compare's engines ran
+    import drivendelta.analysis as analysis_mod
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the output path was checked")
+
+    monkeypatch.setattr(analysis_mod, "engine_rates", no_engine)
+    monkeypatch.delenv("DRIVENDELTA_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"z": _RANGE[command], "out": "x\u0000y.csv"}))
+    code = run([command, *_COMMAND_ARGS[command], "--config", str(config)])
+    captured = capsys.readouterr()
+    path = "./x\0y.csv"
+    assert code == 1
+    assert captured.err == f"usage error: output path {path!r} holds a NUL byte\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_main_maps_each_error_type_to_its_exit_code(capsys, monkeypatch):
+    # the whole rule lives in main: no command translates an error itself
+    def fails(opt):
+        raise error("probe")
+
+    monkeypatch.setitem(_COMMANDS, "demo-appendix-c",
+                        (fails, *_COMMANDS["demo-appendix-c"][1:]))
+    for error, code, message in [(ValueError, 1, "usage error: probe"),
+                                 (NumericError, 2, "numeric failure: probe"),
+                                 (ConvergenceError, 2, "numeric failure: probe")]:
+        assert run(["demo-appendix-c"]) == code
+        assert capsys.readouterr().err == message + "\n"
+    error = RuntimeError
+    with pytest.raises(RuntimeError, match="probe"):
+        run(["demo-appendix-c"])
+    assert issubclass(_UsageError, ValueError)
+    assert issubclass(ConvergenceError, NumericError)
 
 
 def test_config_parameter_must_be_a_number(tmp_path, capsys):

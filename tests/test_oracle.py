@@ -797,9 +797,11 @@ def test_cis_matches_complex_exp():
               0.5 * np.arange(-18000, 18000),
               -rng.uniform(0.0, 2.0**40, 20000)):
         exact = np.exp(1j * (2 * pi / 4096) * np.fmod(y, 4096.0).astype(np.longdouble))
-        err = np.max(np.abs(_Cis(np.empty((_Cis.ROWS, y.size)))(y) - exact))
-        assert err <= 4e-15
-    one = _Cis(np.empty((_Cis.ROWS, 3)))(np.zeros(3))
+        cis = _Cis(np.empty((_Cis.ROWS, y.size)))(
+            y, np.ones(y.size), np.empty(y.size, dtype=complex))
+        assert np.max(np.abs(cis - exact)) <= 4e-15
+    one = _Cis(np.empty((_Cis.ROWS, 3)))(np.zeros(3), np.ones(3),
+                                          np.empty(3, dtype=complex))
     assert np.all(one == 1.0)
     assert np.all(one.imag == 0.0)
 
