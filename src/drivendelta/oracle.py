@@ -15,9 +15,11 @@ with S = model.volkov_action between two model.drive endpoint records, the
 action the semiclassical engine uses too.  The inhomogeneity g and the
 projection's bound-state overlaps are one closed form, _two_sided_overlap: a
 Gaussian in the free end point against the two-sided exponential bound
-state, through the scaled complementary error function of complex argument.
-The projection is taken after whole cycles, where the free-evolution
-overlap <psi0|U|psi0> is a closed form too (_free_evolution_overlap).
+state, through the scaled complementary error function of complex argument,
+which _erfcx evaluates in numpy alone (Weideman's rational approximation):
+the oracle loads no scipy module.  The projection is taken after whole
+cycles, where the free-evolution overlap <psi0|U|psi0> is a closed form too
+(_free_evolution_overlap).
 
 The time march uses product integration (_weights), stable and of
 empirical order ~2 despite the singularity, and a kernel entry costs one
@@ -56,6 +58,61 @@ __all__ = [
 ]
 
 
+# Weideman's rational approximation of w(z) = exp(-z^2)*erfc(-i*z) in the
+# upper half plane, J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994).
+# Against 40-digit arithmetic its truncation error over the oracle's
+# arguments is 7e-15 with 36 terms, 1.6e-16 with 40 and 4e-18 with 44:
+# from 44 on rounding alone is left, and more terms only add rounding.
+_ERFCX_TERMS = 44
+
+
+@functools.cache
+def _erfcx_coefficients():
+    """L and the coefficients, highest degree first, of the polynomial p of
+    _erfcx; built on first use, so that importing the package does not
+    import numpy.fft.  The coefficients are Python floats: adding a numpy
+    float to a small array costs twice as much."""
+    n = _ERFCX_TERMS
+    m = 2 * n
+    ell = math.sqrt(n / math.sqrt(2.0))
+    t = ell * np.tan(0.5 * np.pi * np.arange(1 - m, m) / m)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (ell * ell + t * t)))
+    return ell, (np.fft.fft(np.fft.fftshift(f)).real[n:0:-1] / (2 * m)).tolist()
+
+
+def _erfcx(z):
+    """The scaled complementary error function exp(z^2)*erfc(z) of complex z.
+
+    For Re z >= 0, erfcx(z) = w(i*z) is Weideman's approximation
+
+        2*p(Z)/(L + z)^2 + 1/(sqrt(pi)*(L + z)),   Z = (L - z)/(L + z),
+
+    and for Re z < 0, erfcx(z) = 2*exp(z^2) - erfcx(-z), which overflows to
+    a value that is not finite where exp(z^2) does, as scipy.special.erfcx's
+    does.  Over the oracle's arguments the relative error against 50-digit
+    mpmath is below 1.2e-15 for Re z >= 0 and 6.4e-15 for Re z < 0, where
+    the two terms cancel near the zeros of erfc.
+    """
+    ell, coef = _erfcx_coefficients()
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
+    left = flat.real < 0.0
+    with np.errstate(all="ignore"):
+        right = np.where(left, -flat, flat)
+        d = 1.0 / (ell + right)
+        big_z = (ell - right) * d
+        p = np.full(flat.shape, coef[0], dtype=complex)
+        for c in coef[1:]:
+            p *= big_z
+            p += c
+        w = (2.0 * p * d + 1.0 / math.sqrt(math.pi)) * d
+        # z^2 as (x - y)*(x + y) + 2i*x*y, whose real part does not
+        # overflow, or round to a large value, where x = -y is large
+        x, y = flat.real[left], flat.imag[left]
+        w[left] = 2.0 * np.exp((x - y) * (x + y) + 2j * x * y) - w[left]
+    return w.reshape(z.shape)[()]
+
+
 def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
     """The bound state psi0 carried by the driven free propagator U.
 
@@ -72,10 +129,8 @@ def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
     sqrt(gamma/h)*exp(i*(phi_f - phi_i + fixed)/h)/sqrt(2*pi*i*h*T) times
     integral exp(i*beta*(u-center)^2 + i*lin*u/h - lam*|u|) du, which
     splits at u = 0 into two half-line integrals, each a scaled
-    complementary error function.
+    complementary error function (_erfcx).
     """
-    from scipy.special import erfcx
-
     shift = end.cos - start.cos
     if x is None:
         fixed, center, lin = -y * start.sin, y - shift, end.sin
@@ -90,7 +145,7 @@ def _two_sided_overlap(end, start, gamma, h, x=None, y=None):
     q_sqrt = np.sqrt(beta) * np.exp(-0.25j * np.pi)  # principal sqrt(-i*beta)
     u_plus = lam + 2j * beta * center - 1j * b_lin
     u_minus = lam - 2j * beta * center + 1j * b_lin
-    e = erfcx(u_plus / (2.0 * q_sqrt)) + erfcx(u_minus / (2.0 * q_sqrt))
+    e = _erfcx(u_plus / (2.0 * q_sqrt)) + _erfcx(u_minus / (2.0 * q_sqrt))
     return pref * (np.exp(1j * (beta * center * center + fixed / h))
                    * 0.5 * math.sqrt(math.pi) / q_sqrt * e)
 
@@ -106,13 +161,11 @@ def _free_evolution_overlap(n, gamma, h, driven):
 
         exp(i*(phi_f - phi_i)/h) * ((1 - 2*zeta^2)*erfcx(zeta) + 2*zeta/sqrt(pi)).
     """
-    from scipy.special import erfcx
-
     t_f = 2.0 * math.pi * n
     end, start = drive(t_f, driven), drive(0.0, driven)
     zeta = gamma * np.sqrt(0.5j * t_f / h)
     return (np.exp((1j / h) * (end.phi - start.phi))
-            * ((1.0 - 2.0 * zeta * zeta) * erfcx(zeta) + 2.0 * zeta / math.sqrt(math.pi)))
+            * ((1.0 - 2.0 * zeta * zeta) * _erfcx(zeta) + 2.0 * zeta / math.sqrt(math.pi)))
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +329,9 @@ class _Cis:
         np.subtract(_CIS_STEP, tmp, out=tmp)
         np.multiply(tmp, r, out=tmp)
         np.multiply(tmp, weight, out=poly.imag)
-        np.take(_CIS_TABLE, idx, out=out)
+        # idx is within the table, so "clip" changes no index; with out=,
+        # the default "raise" gathers into a temporary first
+        np.take(_CIS_TABLE, idx, out=out, mode="clip")
         np.multiply(out, poly, out=out)
         return out
 

@@ -26,6 +26,7 @@ from drivendelta.oracle import (
     _Kernel,
     _barycentric,
     _chebyshev_points,
+    _erfcx,
     _free_evolution_overlap,
     _lagrange,
     _two_sided_overlap,
@@ -50,7 +51,8 @@ P_OFF = from_dimensionless(0.7, 1.25)    # h = 0.2, field-off checks
 
 
 # ----------------------------------------------------------------------
-# complex error function (scipy's erfcx, on which the overlaps rely)
+# complex error function (oracle._erfcx, on which the overlaps rely),
+# against scipy's erfcx and 50-digit mpmath
 # ----------------------------------------------------------------------
 
 def _lattice():
@@ -63,16 +65,16 @@ def _lattice():
 def test_erfc_reflection_symmetry():
     # erfc(-z) = 2 - erfc(z), times exp(z^2)
     z = _lattice()
-    lhs = erfcx(-z)
-    rhs = 2.0 * np.exp(z * z) - erfcx(z)
+    lhs = _erfcx(-z)
+    rhs = 2.0 * np.exp(z * z) - _erfcx(z)
     scale = np.maximum(np.abs(np.exp(z * z)), np.abs(rhs))
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 def test_erfc_conjugation_symmetry():
     z = _lattice()
-    lhs = erfcx(np.conj(z))
-    rhs = np.conj(erfcx(z))
+    lhs = _erfcx(np.conj(z))
+    rhs = np.conj(_erfcx(z))
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -80,17 +82,105 @@ def test_erfcx_against_high_precision():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     for z in _lattice():
-        ours = erfcx(z)
+        ours = _erfcx(z)
         exact = complex(mpmath.exp(z**2) * mpmath.erfc(z))
         assert abs(ours - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
 def test_erfcx_real_axis_matches_scipy():
-    # the complex loop agrees with the real one on the real axis
+    # the complex function agrees with scipy's real one on the real axis
     x = np.linspace(-3.0, 30.0, 41)
-    ours = erfcx(x.astype(complex))
+    ours = _erfcx(x.astype(complex))
     assert np.allclose(ours.real, erfcx(x), rtol=1e-13)
     assert np.allclose(ours.imag, 0.0, atol=1e-13)
+
+
+def _mpmath_erfcx(mpmath, z):
+    """exp(z^2)*erfc(z) at 50 digits, rounded to complex, for each z."""
+    with mpmath.workdps(50):
+        return np.array([complex(mpmath.exp(mpmath.mpc(v) ** 2) * mpmath.erfc(mpmath.mpc(v)))
+                         for v in np.ravel(z)])
+
+
+def _oracle_erfcx_arguments(monkeypatch, params, cycles):
+    """Every argument of _erfcx in a solve over ``cycles`` and its projection."""
+    import drivendelta.oracle as oracle_mod
+
+    seen = []
+
+    def recording(z):
+        seen.append(np.ravel(z))
+        return _erfcx(z)
+
+    monkeypatch.setattr(oracle_mod, "_erfcx", recording)
+    survival_probability(solve_boundary_function(params, cycles), cycles)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("gamma, z, cycles, bound", [
+    # |z| up to 2.5, 1.6, 7.4, 6.5, 2.5e-4 and 12; the share of arguments
+    # with Re z < 0 (erfcx(z) = 2*exp(z^2) - erfcx(-z)) is 4%, 45%, 33%, 0,
+    # 4% and 3%.  Measured: 7.8e-16, 1.1e-15, 2.3e-15, 8.6e-16, 1.1e-15 and
+    # 5.9e-16; each bound is about twice that
+    (0.7, 1.0, 1, 1.6e-15),
+    (0.001, 1.0, 1, 2.2e-15),
+    (0.05, 20.0, 1, 5e-15),
+    (2.6, 0.5, 1, 1.7e-15),
+    (0.7, 1e-8, 1, 2.2e-15),
+    (0.7, 12.0, 2, 1.2e-15),
+])
+def test_erfcx_against_high_precision_at_the_oracle_arguments(monkeypatch, gamma, z,
+                                                              cycles, bound):
+    # 150 or so of a solve's arguments, evenly spaced in call order, and
+    # as many of those with Re z < 0
+    mpmath = pytest.importorskip("mpmath")
+    args = _oracle_erfcx_arguments(monkeypatch, from_dimensionless(gamma, z), cycles)
+    left = args[args.real < 0.0]
+    args = np.concatenate((args[::max(1, args.size // 150)],
+                           left[::max(1, left.size // 150)]))
+    exact = _mpmath_erfcx(mpmath, args)
+    err = np.abs(_erfcx(args) - exact) / np.abs(exact)
+    assert np.max(err) < bound
+
+
+def test_erfcx_against_high_precision_at_small_and_large_arguments():
+    # |z| from 1e-300 to 1e8 on rays in the right half plane, Re z = 0
+    # included; up to 5 on rays in the left one, where erfcx(z) cancels
+    # 2*exp(z^2) near the zeros of erfc; and up to 1e4 beside the
+    # imaginary axis, where exp(z^2) is small.  Measured: 5.6e-16 and 1.4e-15
+    mpmath = pytest.importorskip("mpmath")
+    mags = [1e-300, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 1e4, 1e8]
+    right = [r * complex(math.cos(a), math.sin(a)) for r in mags
+             for a in (0.25 * math.pi, -0.25 * math.pi)]
+    right += [complex(r, 0.0) for r in mags] + [complex(0.0, s * r) for r in mags
+                                                  for s in (1, -1)]
+    left = [r * complex(math.cos(a), math.sin(a)) for r in mags[:7]
+            for a in (0.6 * math.pi, 0.75 * math.pi, -0.75 * math.pi, math.pi)]
+    left += [complex(-x, y) for x in (1e-3, 0.1, 1.0) for y in (5.0, 20.0, -100.0, 1e4)]
+    for points, bound in ((right, 1.2e-15), (left, 2.8e-15)):
+        z = np.array(points)
+        exact = _mpmath_erfcx(mpmath, z)
+        assert np.all(np.abs(_erfcx(z) - exact) <= bound * np.abs(exact))
+
+
+def test_erfcx_overflows_where_scipy_does():
+    # in the left half plane 2*exp(z^2) overflows once Re z^2 > 709.78, and
+    # z^2 itself once |x*y| > 1e308 for z = x + iy; a failed sample must
+    # stay a rate that is not finite, and no warning may be raised (pytest
+    # turns a RuntimeWarning into an error)
+    z = np.array([complex(-x, y) for x in (20.0, 26.0, 27.0, 40.0, 1e3)
+                  for y in (0.0, 1.0, 5.0, -8.0)]
+                 + [complex(-1e150, 1e150), complex(-1e150, -1e150),
+                    complex(-1e155, 1e155)])
+    assert np.array_equal(np.isfinite(_erfcx(z)), np.isfinite(erfcx(z)))
+    assert not np.all(np.isfinite(erfcx(z)))
+    assert np.all(np.isfinite(_erfcx(-z)))
+
+
+def test_erfcx_keeps_the_shape_and_type_of_its_argument():
+    assert isinstance(_erfcx(np.complex128(1.0 + 1.0j)), np.complex128)
+    assert _erfcx(np.zeros((2, 3))).shape == (2, 3)
+    assert _erfcx(0.0) == pytest.approx(1.0, rel=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +298,9 @@ def _simpson_free_overlap(n, gamma, h, n_nodes):
 def test_free_evolution_overlap_against_fine_simpson(gamma, z, n, bound):
     # the closed form against the quadrature it replaced, a 128001-node
     # Simpson rule, itself within 6e-16 of the 50-digit reference at these
-    # points.  Measured: 6.7e-16, 1.8e-15, 1.0e-15, 4.8e-14 (scipy's erfcx
-    # is 6.7e-15 relative off there) and 2.0e-14.
+    # points.  Measured: 8.0e-16, 5.1e-16, 1.0e-15, 1.5e-15 and 1.7e-15
+    # (6.7e-16, 1.8e-15, 1.0e-15, 4.8e-14 and 2.0e-14 with scipy's erfcx,
+    # when the bounds were set).
     h = 1.0 / (4.0 * z)
     ref = _simpson_free_overlap(n, gamma, h, 128001)
     assert abs(_free_evolution_overlap(n, gamma, h, True) - ref) < bound
@@ -239,8 +330,10 @@ def _mpmath_free_overlap(mpmath, n, gamma, h, driven):
     (2.6, 12.0, 5, 4e-13),
 ])
 def test_free_evolution_overlap_against_high_precision(gamma, z, n, bound):
-    # the error is scipy's erfcx error times |1 - 2 zeta^2| |erfcx|, about
-    # 2|zeta|/sqrt(pi): the two terms cancel to |overlap| ~ 2/(sqrt(pi)|zeta|)
+    # the error is erfcx's error times |1 - 2 zeta^2| |erfcx|, about
+    # 2|zeta|/sqrt(pi): the two terms cancel to |overlap| ~ 2/(sqrt(pi)|zeta|).
+    # The bounds were set with scipy's erfcx; oracle._erfcx's errors are
+    # 2.5e-16, 1.8e-16, 9.2e-16, 1.5e-15, 4.3e-15, 7.7e-15 and 1.3e-14
     mpmath = pytest.importorskip("mpmath")
     h = 1.0 / (4.0 * z)
     for driven in (True, False):
@@ -685,6 +778,14 @@ from drivendelta.model import from_dimensionless
 from drivendelta.oracle import solve_boundary_function
 params = from_dimensionless(0.7, 12.0)
 solve_boundary_function(params, 1, dt=0.1)
+# the BLAS pool's threads spin for about 0.1 s after start-up: time the
+# solve once the other threads' CPU time has stopped growing
+others = -1.0
+for _ in range(100):
+    time.sleep(0.05)
+    before, others = others, time.process_time() - time.thread_time()
+    if others - before < 1e-3:
+        break
 wall, cpu = time.perf_counter(), time.process_time()
 solve_boundary_function(params, 2)
 print(time.process_time() - cpu, time.perf_counter() - wall)

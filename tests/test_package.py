@@ -1,6 +1,6 @@
 """Every module's public names import: no ``__all__`` entry is stale, and
-every ``<module>.<name>`` the README names exists.  The CLI and its
-semiclassical path start without scipy; the oracle loads it on demand."""
+every ``<module>.<name>`` the README names exists.  The CLI, its
+semiclassical path and the oracle run without scipy."""
 
 import importlib
 import json
@@ -77,15 +77,16 @@ def test_cli_and_semiclassical_path_load_no_scipy(tmp_path, argv):
         assert (tmp_path / "scan.json").is_file()
 
 
-def test_oracle_scan_loads_scipy_on_demand(tmp_path):
-    out = tmp_path / "oracle"
-    loaded = _scipy_after(["scan", "--engine", "oracle", "--gamma", "0.7",
-                           "--z", "1:1.2:0.1", "--format", "both",
-                           "--out", str(out)], tmp_path)
-    # erfcx is the one scipy function the oracle uses: the projection's
-    # interpolant and Simpson rule are numpy code
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded
-                if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "interpolate"])]
+@pytest.mark.parametrize("argv, out", [
+    (["scan", "--engine", "oracle", "--gamma", "0.7", "--z", "1:1.2:0.1",
+      "--format", "both"], "oracle"),
+    (["compare", "--gamma", "0.7", "--z", "1:1.2:0.1", "--cycles", "2"],
+     "compare.csv"),
+], ids=["oracle-scan", "compare"])
+def test_oracle_loads_no_scipy(tmp_path, argv, out):
+    # erfcx, the oracle's one special function, is numpy code
+    # (oracle._erfcx), as are the projection's interpolant and Simpson rule
+    out = tmp_path / out
+    assert _scipy_after([*argv, "--out", str(out)], tmp_path) == []
     with open(out.with_suffix(".csv")) as fh:
         assert len(fh.read().splitlines()) == 4
