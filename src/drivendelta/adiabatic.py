@@ -6,8 +6,8 @@ The instantaneous tunneling rate through the field-tilted barrier is
 
 whose cycle average concentrates at the field maxima for small h.  The
 decaying bound state is encoded by a complex quasi-energy whose imaginary
-part is -h*D/2; adaptive quadrature of the cycle average cross-checks the
-saddle-point value.  The rate, shift and quasi-energy formulas accept
+part is -h*D/2; a tanh-sinh quadrature of the cycle average cross-checks
+the saddle-point value.  The rate, shift and quasi-energy formulas accept
 ModelParams with array fields (a parameter grid) as well as scalar ones.
 """
 
@@ -31,9 +31,6 @@ __all__ = [
     "quasi_energy_averaged",
     "bound_propagator_factor",
 ]
-
-# |cos t| below this is treated as exactly zero field (rate underflows anyway)
-_ETA_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -62,36 +59,37 @@ def rate_instantaneous(params: ModelParams, eta):
 
 
 def rate_cycle_averaged(params: ModelParams):
-    """Cycle-averaged rate: saddle-point value sqrt(3h/(pi gamma^3)) * D(1)."""
+    """Cycle-averaged rate: saddle-point value sqrt(3h/(pi gamma^3)) * D(1),
+    as sqrt(3 gamma/(pi h)) * exp(-2 gamma^3/(3h)), finite where gamma^3 underflows."""
     g, h = params.gamma, params.h
-    return unbox(np.sqrt(3.0 * h / (math.pi * power(g, 3)))
-                 * rate_instantaneous(params, 1.0))
+    return unbox(np.sqrt(3.0 * g / (math.pi * h))
+                 * np.exp(-2.0 * power(g, 3) / (3.0 * h)))
 
 
 def cycle_average_quadrature(params: ModelParams):
     """Cycle average (1/2pi) * integral of D(|cos t|) over one period.
 
-    Adaptive quadrature reference for :func:`rate_cycle_averaged`; the two
-    agree to O(h).  Raises NumericError if the error estimate exceeds 1e-10
-    relative to the result.
+    By the quarter symmetry of |cos t| it is the mean of D(cos t) over
+    [0, pi/2], taken by the tanh-sinh rule of Takahasi and Mori (Publ.
+    RIMS Kyoto Univ. 9, 721 (1974)): t = (pi/4)*(1 + tanh(u)) with
+    u = (pi/2)*sinh(s), at steps 2^-6 and 2^-5 of s in [-3.25, 3.25].
+    Each node's distance d from its nearer end is formed directly, so
+    cos t is cos(d) or sin(d) and loses no digits near pi/2.  The reference
+    for :func:`rate_cycle_averaged`; the two agree to O(h).  Raises
+    NumericError if the two steps differ by more than 1e-10 of the mean.
     """
-    from scipy.integrate import quad
-
-    def integrand(t):
-        eta = abs(math.cos(t))
-        if eta < _ETA_FLOOR:
-            return 0.0
-        return rate_instantaneous(params, eta)
-
-    val, err = quad(integrand, 0.0, 2.0 * math.pi,
-                    points=[0.5 * math.pi, math.pi, 1.5 * math.pi],
-                    limit=200, epsabs=0.0, epsrel=1e-12)
-    mean = val / (2.0 * math.pi)
-    if not math.isfinite(mean) or err > 1e-10 * abs(val):
+    s = np.arange(-208, 209) / 64.0
+    u = 0.5 * math.pi * np.sinh(np.abs(s))
+    d = 0.5 * math.pi / (1.0 + np.exp(2.0 * u))
+    eta = np.where(s < 0.0, np.cos(d), np.sin(d))
+    terms = rate_instantaneous(params, eta) * (0.25 * math.pi * np.cosh(s)
+                                               / np.cosh(u) ** 2)
+    mean, coarse = terms.sum() / 64.0, terms[::2].sum() / 32.0
+    if not math.isfinite(mean) or abs(mean - coarse) > 1e-10 * abs(mean):
         raise NumericError(
             f"cycle-average quadrature did not converge: value={mean!r}, "
-            f"error estimate={err / (2.0 * math.pi)!r}")
-    return mean
+            f"half-step change={mean - coarse!r}")
+    return float(mean)
 
 
 def stark_shift(params: ModelParams, eta):

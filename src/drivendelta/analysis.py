@@ -7,6 +7,7 @@ spaced by 1/(1+2*gamma^2) at fixed gamma and by 1 at fixed n_io.
 Smoothing uses a Savitzky-Golay filter; peaks are detected on the curve
 normalized by the WKB background so that the prominence threshold is
 meaningful despite the exponential decay of the rate across the scan.
+The Appendix C barrier traversal time is a Gauss-Chebyshev sum.
 """
 
 from __future__ import annotations
@@ -347,26 +348,26 @@ def modulation_offset(z, reference, other, period):
     return float((peaks[1] - peaks[0] + 0.5 * period) % period - 0.5 * period)
 
 
-def barrier_traversal_time(x_start, x_end, energy=-0.5):
-    """Complex traversal time integral dx / sqrt(2E + x^2) along the barrier.
+def barrier_traversal_time(energy=-0.5):
+    """Complex traversal time, the integral of dx / sqrt(2E + x^2) across the
+    barrier |x| < a = sqrt(-2E) between the turning points (i*pi at any E < 0).
 
-    The square root uses the decaying-solution sheet (branched_sqrt), which
-    maps the classically forbidden stretch |x| < sqrt(-2E) to a positive
-    imaginary time increment.
+    With x = a*sin(theta) and kappa = a*cos(theta) the integrand is
+    kappa / sqrt(-kappa^2), smooth in theta, so the midpoint rule in theta
+    (Gauss-Chebyshev in x) sums it exactly.  The radicand is taken as
+    -kappa^2, since 2E + x^2 loses digits near the turning points.  The
+    square root uses the decaying-solution sheet (branched_sqrt); the
+    principal root would give -i*pi.
     """
-    from scipy.integrate import quad
-
-    value, err = quad(
-        lambda x: 1.0 / semiclassical.branched_sqrt(2.0 * energy + x * x),
-        x_start, x_end, complex_func=True, limit=400, epsabs=1e-13, epsrel=1e-13)
-    if err.real + err.imag > 1e-10 * max(1.0, abs(value.real) + abs(value.imag)):
-        raise NumericError("barrier traversal quadrature did not converge")
-    return value
+    if not energy < 0.0:
+        raise ValueError(f"energy must be negative, got energy={energy!r}")
+    kappa = math.sqrt(-2.0 * energy) * np.sin(np.pi * (np.arange(16) + 0.5) / 16)
+    return math.pi * complex(np.mean(kappa / semiclassical.branched_sqrt(-kappa**2)))
 
 
 def appendix_c_demo():
     """Tunneling duration through the inverted parabola at E = -1/2 (= i*pi)."""
-    return barrier_traversal_time(-1.0, 1.0, energy=-0.5)
+    return barrier_traversal_time(-0.5)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import drivendelta.adiabatic as adiabatic_mod
 from drivendelta.adiabatic import (
     bound_propagator_factor,
     cycle_average_quadrature,
@@ -13,6 +15,7 @@ from drivendelta.adiabatic import (
     stark_shift,
     stark_shift_averaged,
 )
+from drivendelta.errors import NumericError
 from drivendelta.model import from_dimensionless
 
 P07 = from_dimensionless(0.7, 10.0)  # gamma=0.7, h=0.025
@@ -75,6 +78,38 @@ def test_saddle_over_quadrature_monotone_in_h():
         ratios.append(rate_cycle_averaged(p) / cycle_average_quadrature(p))
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
     assert ratios[2] < 1.05
+
+
+def _cycle_average_mp(gamma, z):
+    """(2/pi) * integral of D(cos t) over [0, pi/2] in 40-digit arithmetic,
+    split at multiples of the peak width at t = 0."""
+    with mpmath.workdps(40):
+        h, g = 1 / (4 * mpmath.mpf(z)), mpmath.mpf(gamma)
+        width = mpmath.sqrt(3 * h / (2 * g**3))
+        cuts = [k * width for k in range(1, 13) if k * width < mpmath.pi / 2]
+        value = mpmath.quad(
+            lambda t: g * g / h * mpmath.exp(-2 * g**3 / (3 * h * mpmath.cos(t))),
+            [0, *cuts, mpmath.pi / 2])
+        return float(value * 2 / mpmath.pi)
+
+
+@pytest.mark.parametrize("gamma, z", [(0.7, 10.0), (0.7, 40.0), (0.05, 1.0),
+                                      (0.05, 0.01), (0.001, 1.0), (2.5, 1.0),
+                                      (0.7, 200.0)])
+def test_cycle_average_quadrature_against_high_precision(gamma, z):
+    # (0.05, 1) is where the periodic trapezoid rule is still 3e-4 off with
+    # 1024 nodes; at (0.7, 200) the rounding of the exponent, near 183, costs
+    # 2.3e-14 relative (scipy's quad is as far off)
+    value = cycle_average_quadrature(from_dimensionless(gamma, z))
+    assert value == pytest.approx(_cycle_average_mp(gamma, z), rel=5e-14, abs=0.0)
+
+
+def test_cycle_average_quadrature_raises_when_not_converged(monkeypatch):
+    # a step in eta is not resolved at either step size
+    monkeypatch.setattr(adiabatic_mod, "rate_instantaneous",
+                        lambda params, eta: np.where(eta > 0.5, 1.0, 0.0))
+    with pytest.raises(NumericError, match="did not converge"):
+        cycle_average_quadrature(P07)
 
 
 def test_stark_shift_values():

@@ -551,13 +551,18 @@ def test_windowed_background_handles_exponential_envelope(
 
 def test_barrier_demo_is_i_pi():
     value = appendix_c_demo()
-    assert abs(value - 1j * math.pi) < 1e-10
+    assert abs(value - 1j * math.pi) < 1e-15
 
 
-def test_allowed_region_time_is_real():
-    value = barrier_traversal_time(-2.0, -1.0)
-    assert abs(value.imag) < 1e-10
-    assert value.real != 0.0
+@pytest.mark.parametrize("energy", [-1e-12, -0.5, -2.0, -1e12])
+def test_barrier_traversal_time_is_i_pi_at_every_energy(energy):
+    assert abs(barrier_traversal_time(energy) - 1j * math.pi) < 1e-15
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.5, math.nan])
+def test_barrier_traversal_time_needs_a_barrier(energy):
+    with pytest.raises(ValueError, match="energy must be negative"):
+        barrier_traversal_time(energy)
 
 
 def test_complex_path_composition_identities():

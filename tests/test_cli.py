@@ -76,6 +76,18 @@ def test_scan_writes_csv_and_summary(tmp_path, capsys):
     assert len(rows) == 301
 
 
+def test_oracle_scan_at_tiny_gamma_has_a_finite_background(tmp_path, capsys):
+    # gamma^3 underflows to 0 here; the saddle-point background is still
+    # finite, and any RuntimeWarning fails the test
+    out = tmp_path / "tiny.csv"
+    assert run(["scan", "--engine", "oracle", "--gamma", "1e-300",
+                "--z", "1:2:0.5", "--cycles", "1", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "WKB background 2*pi*D_avg at z=1.5: 1.50398e-149" in lines
+    with open(out) as fh:
+        assert len(list(csv.DictReader(fh))) == 3
+
+
 def test_scan_fixed_n_io_metadata(tmp_path):
     out = tmp_path / "pond"
     code = run(["scan", "--engine", "semiclassical", "--n-io", "9.8",

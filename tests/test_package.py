@@ -1,7 +1,8 @@
 """Every module's public names import: no ``__all__`` entry is stale, and
-every ``<module>.<name>`` the README names exists.  The CLI, its
-semiclassical path and the oracle run without scipy."""
+every ``<module>.<name>`` the README names exists.  The package imports
+only the standard library, numpy and itself, and no command loads scipy."""
 
+import ast
 import importlib
 import json
 import os
@@ -62,31 +63,42 @@ def _scipy_after(argv, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["scan", "--engine", "semiclassical", "--gamma", "0.7", "--z", "6:8:0.01",
-     "--format", "both"],
-    ["thresholds", "--gamma", "0.7", "--z", "6:8"],
-], ids=["import", "semiclassical-scan", "thresholds"])
-def test_cli_and_semiclassical_path_load_no_scipy(tmp_path, argv):
-    if argv is not None and argv[0] == "scan":
-        argv = [*argv, "--out", str(tmp_path / "scan")]
-    assert _scipy_after(argv, tmp_path) == []
-    if argv is not None and argv[0] == "scan":
-        assert (tmp_path / "scan.csv").is_file()
-        assert (tmp_path / "scan.json").is_file()
+def test_package_imports_only_stdlib_numpy_and_itself():
+    # an import on a path no test runs is still caught here
+    allowed = set(sys.stdlib_module_names) | {"numpy", "drivendelta"}
+    found = set()
+    for path in Path(drivendelta.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module))
+    assert {name.split(".")[0] for _, name in found} >= {"numpy", "math"}
+    assert sorted((f, name) for f, name in found
+                  if name.split(".")[0] not in allowed) == []
 
 
-@pytest.mark.parametrize("argv, out", [
+@pytest.mark.parametrize("argv, out, rows", [
+    (None, None, None),
+    (["scan", "--engine", "semiclassical", "--gamma", "0.7", "--z", "6:8:0.01",
+      "--format", "both"], "scan", 202),
     (["scan", "--engine", "oracle", "--gamma", "0.7", "--z", "1:1.2:0.1",
-      "--format", "both"], "oracle"),
+      "--format", "both"], "oracle", 4),
     (["compare", "--gamma", "0.7", "--z", "1:1.2:0.1", "--cycles", "2"],
-     "compare.csv"),
-], ids=["oracle-scan", "compare"])
-def test_oracle_loads_no_scipy(tmp_path, argv, out):
-    # erfcx, the oracle's one special function, is numpy code
-    # (oracle._erfcx), as are the projection's interpolant and Simpson rule
-    out = tmp_path / out
-    assert _scipy_after([*argv, "--out", str(out)], tmp_path) == []
-    with open(out.with_suffix(".csv")) as fh:
-        assert len(fh.read().splitlines()) == 4
+     "compare.csv", 4),
+    (["thresholds", "--gamma", "0.7", "--z", "6:8"], None, None),
+    (["selfcheck"], None, None),
+    (["demo-appendix-c"], None, None),
+], ids=["import", "semiclassical-scan", "oracle-scan", "compare", "thresholds",
+        "selfcheck", "demo-appendix-c"])
+def test_no_command_loads_scipy(tmp_path, argv, out, rows):
+    # erfcx, the projection, the cycle-average quadrature and the barrier
+    # integral are numpy code
+    if out is not None:
+        argv = [*argv, "--out", str(tmp_path / out)]
+    assert _scipy_after(argv, tmp_path) == []
+    if out is not None:
+        out = tmp_path / out
+        with open(out.with_suffix(".csv")) as fh:
+            assert len(fh.read().splitlines()) == rows
+        assert out.with_suffix(".json").is_file() == ("both" in argv)
